@@ -23,7 +23,7 @@ from .dae import (
 from .errors import ConfigError, ContractError, DaeposError, DataError, DatasetError, FormatError, RowError
 from .evaluation import ErrorPair, EvaluationReport, dae_error, evaluate_model, summarize
 from .pipeline import PipelineConfig, config_hash, load_config, run_pipeline
-from .positioning import PositionEstimate, RadioMap, localize, rssi_distance
+from .positioning import PositionEstimate, RadioMap, localize, nearest, rssi_distance
 from .regressors import ErrorRegressor, ModelSpec, fit, fit_arrays, load_model, save_model
 from .signatures import (
     ApRegistry,
@@ -75,6 +75,7 @@ __all__ = [
     "load_model",
     "localize",
     "make_fold_plan",
+    "nearest",
     "parse_signatures",
     "perimeter_aps",
     "read_dae_dataset",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .evaluation import evaluate_model, write_ecdf_csv, write_pairs_csv, write_s
 from .pipeline import load_config, run_pipeline
 from .positioning import RadioMap, localize
 from .regressors import ModelSpec, fit, load_model, save_model
-from .signatures import ApRegistry, build_registry, parse_signatures, write_signatures
+from .signatures import ApRegistry, build_registry, parse_signatures, vectorize, write_signatures
 from .synth import GridSpec, SynthWorld, generate_grid_dataset, perimeter_aps
 
 
@@ -47,6 +48,13 @@ def _parse_layers(text: str) -> tuple[int, ...]:
     if not layers:
         raise ConfigError("at least one layer width is required")
     return layers
+
+
+def _fill_dbm(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"fill must be a finite dBm value, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +207,7 @@ def _cmd_predict(args) -> None:
 
     writer = sys.stdout
     for scan in scans:
-        vector = np.full(len(registry), args.fill)
-        for ap, rssi in scan.readings.items():
-            slot = registry.index_of(ap)
-            if slot is not None:
-                vector[slot] = rssi
+        vector = vectorize(scan, registry, args.fill)
         estimate = localize(vector, radio_map, k=args.k, weighted=args.weighted)
         if variant == "xy":
             features = np.concatenate([vector, [estimate.position.x, estimate.position.y]])
@@ -268,7 +272,7 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="signature CSV to read")
     add_format(p)
     p.add_argument("--ap-count", type=int, default=35, help="APs to retain by availability")
-    p.add_argument("--fill", type=float, default=-99.0, help="imputation dBm for missing readings")
+    p.add_argument("--fill", type=_fill_dbm, default=-99.0, help="imputation dBm for missing readings")
     p.add_argument("--k", type=int, default=4, help="positioning neighbors")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--grouping", choices=("by_signature", "by_point"), default="by_signature")
@@ -306,7 +310,7 @@ def build_parser() -> _Parser:
     p.add_argument("--map", required=True, help="canonical CSV acting as the radio map")
     add_format(p)
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--fill", type=float, default=-99.0)
+    p.add_argument("--fill", type=_fill_dbm, default=-99.0)
     p.add_argument("--weighted", action="store_true")
     p.set_defaults(func=_cmd_predict)
 

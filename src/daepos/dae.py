@@ -308,6 +308,8 @@ def read_dae_dataset(source) -> DaeDataset:
             values = np.array([float(c) for c in row[2:]])
         except ValueError as exc:
             raise RowError(num, str(exc)) from None
+        if not np.isfinite(values).all():
+            raise RowError(num, "non-finite feature or label cell")
         records.append(
             DaeRecord(features=values[:-1], label=float(values[-1]), point_id=row[0], fold=fold)
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -73,6 +74,8 @@ class PipelineConfig:
             raise ConfigError("an output directory is required")
         if self.ap_count < 1:
             raise ConfigError(f"ap_count must be >= 1, got {self.ap_count}")
+        if not isinstance(self.fill, (int, float)) or not math.isfinite(self.fill):
+            raise ConfigError(f"fill must be a finite dBm value, got {self.fill!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.folds < 2:

@@ -46,6 +46,8 @@ class RadioMap:
             raise ContractError("map references must be (n, 2) and match the vectors")
         if len(self.point_ids) != len(vectors):
             raise ContractError("one point_id per map entry required")
+        if not np.isfinite(vectors).all():
+            raise ContractError("map vectors contain non-finite dBm values")
         vectors.setflags(write=False)
         references.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
@@ -85,6 +87,67 @@ def rssi_distance(a, b) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
+# Upper bound on the (rows, n, width) float64 difference block that
+# :func:`nearest` holds at once; queries are processed in chunks of that many
+# rows (at least one).
+_SCRATCH_BYTES = 8 * 2**20
+
+
+def nearest(queries, vectors, k: int, _root: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` rows of ``vectors`` nearest to each row of ``queries``.
+
+    Returns ``(indices, keys)``, both (n_queries, min(k, n)), ordered by
+    ascending squared Euclidean distance; at equal distance the lower row
+    index comes first, exactly as a stable argsort of every row would rank
+    them.  ``_root`` ranks (and returns) Euclidean distances instead, whose
+    rounding can tie squared distances that differ.  The per-chunk
+    difference block stays within ``_SCRATCH_BYTES`` (or one query row, if
+    larger), however many queries are passed.
+    """
+    Q = np.asarray(queries, dtype=float)
+    V = np.asarray(vectors, dtype=float)
+    if Q.ndim != 2 or V.ndim != 2 or Q.shape[1] != V.shape[1]:
+        raise ContractError(f"query block {Q.shape} does not match vectors {V.shape}")
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
+    n, width = V.shape
+    kk = min(k, n)
+    indices = np.empty((len(Q), kk), dtype=np.intp)
+    keys = np.empty((len(Q), kk))
+    rows = max(1, _SCRATCH_BYTES // max(1, 8 * n * width))
+    for start in range(0, len(Q), rows):
+        diff = Q[start : start + rows, None, :] - V[None, :, :]
+        np.square(diff, out=diff)
+        key = diff.sum(axis=2)
+        del diff  # freed before the next chunk allocates its own
+        if _root:
+            np.sqrt(key, out=key)
+        idx = _smallest(key, kk)
+        indices[start : start + rows] = idx
+        keys[start : start + rows] = key[np.arange(len(key))[:, None], idx]
+    return indices, keys
+
+
+def _smallest(key: np.ndarray, k: int) -> np.ndarray:
+    """Per row, ``np.argsort(key, kind="stable")[:, :k]`` without the full sort."""
+    if k >= key.shape[1]:
+        return np.argsort(key, axis=1, kind="stable")[:, :k]
+    rows = np.arange(len(key))
+    # Partitioning at column k leaves the k smallest keys before it, in
+    # arbitrary order and with arbitrary members among equal keys, and the
+    # next-smallest key at it.  Order the picks by (key, index).
+    part = np.argpartition(key, k, axis=1)
+    cand = np.sort(part[:, :k], axis=1)
+    picked = key[rows[:, None], cand]
+    idx = cand[rows[:, None], np.argsort(picked, axis=1, kind="stable")]
+    # Unless the next key exceeds every pick, a tie may straddle the cut and
+    # have dropped a lower index (or a key is NaN): rank such rows in full.
+    straddled = ~(key[rows, part[:, k]] > picked.max(axis=1))
+    for r in np.flatnonzero(straddled):
+        idx[r] = np.argsort(key[r], kind="stable")[:k]
+    return idx
+
+
 def localize(query, radio_map: RadioMap, k: int = DEFAULT_K, weighted: bool = False) -> PositionEstimate:
     """Estimate the position of ``query`` against ``radio_map`` with k-NN.
 
@@ -102,11 +165,11 @@ def localize(query, radio_map: RadioMap, k: int = DEFAULT_K, weighted: bool = Fa
         raise ContractError(
             f"query width {query.shape} does not match map width ({radio_map.vectors.shape[1]},)"
         )
+    if not np.isfinite(query).all():
+        raise ContractError("query vector contains non-finite dBm values")
 
-    dists = np.sqrt(np.sum((radio_map.vectors - query) ** 2, axis=1))
-    order = np.argsort(dists, kind="stable")
-    idx = order[:k]
-    neighbor_dists = dists[idx]
+    indices, distances = nearest(query[None, :], radio_map.vectors, k, _root=True)
+    idx, neighbor_dists = indices[0], distances[0]
     refs = radio_map.references[idx]
 
     if weighted:

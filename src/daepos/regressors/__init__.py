@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dae import DaeDataset
-from ..errors import DatasetError
+from ..errors import ContractError, DatasetError
 from .base import MODEL_FAMILIES, ErrorRegressor, ModelSpec
 from .forest import ForestModel, fit_forest
 from .knn import KnnModel, fit_knn
@@ -43,6 +43,8 @@ def fit_arrays(spec: ModelSpec, X, y) -> ErrorRegressor:
         raise DatasetError(f"training features must be a non-empty (n, width) matrix, got {X.shape}")
     if y.shape != (len(X),):
         raise DatasetError(f"labels must be one per training row, got {y.shape} for {len(X)} rows")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ContractError("training features and labels must be finite")
     return _FITTERS[spec.family](spec, X, y)
 
 

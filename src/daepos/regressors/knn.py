@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DatasetError
+from ..positioning import nearest
 from .base import ErrorRegressor, ModelSpec
 
 
@@ -17,12 +18,10 @@ class KnnModel(ErrorRegressor):
         self.train_y = np.asarray(train_y, dtype=float)
 
     def _raw(self, X: np.ndarray) -> np.ndarray:
-        # (nq, nt) squared distances; ties resolved toward lower training
-        # index by the stable sort so predictions are order-deterministic.
-        d2 = np.sum((X[:, None, :] - self.train_x[None, :, :]) ** 2, axis=2)
-        order = np.argsort(d2, axis=1, kind="stable")
-        nearest = order[:, : self.spec.k]
-        return self.train_y[nearest].mean(axis=1)
+        # ties resolve toward the lower training index, so predictions are
+        # order-deterministic
+        indices, _ = nearest(X, self.train_x, self.spec.k)
+        return self.train_y[indices].mean(axis=1)
 
 
 def fit_knn(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> KnnModel:

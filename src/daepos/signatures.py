@@ -15,7 +15,6 @@ CSVs with different column conventions onto the same structure.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -343,9 +342,3 @@ def _write_signature_rows(stream, signatures, ap_order, comment):
             rssi = sig.readings.get(ap)
             cells.append("" if rssi is None else repr(float(rssi)))
         writer.writerow(cells)
-
-
-def signatures_to_csv_text(signatures: Sequence[RadioSignature], ap_order=None, comment=None) -> str:
-    buf = io.StringIO()
-    write_signatures(signatures, buf, ap_order=ap_order, comment=comment)
-    return buf.getvalue()

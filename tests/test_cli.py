@@ -208,3 +208,28 @@ def test_negative_fill_flag_value(tmp_path, survey_csv):
     run_ok(["build-dataset", str(survey_csv), "--folds", "3", "--fill", "-90", "--out", str(out)])
     dataset = read_dae_dataset(out)
     assert (dataset.features() >= -90.0 - 1e-9).any()
+
+
+@pytest.mark.parametrize("fill", ["nan", "inf", "-inf"])
+def test_exit_code_config_error_for_non_finite_fill(tmp_path, survey_csv, fill):
+    assert main(["build-dataset", str(survey_csv), "--fill", fill, "--out", str(tmp_path / "x.csv")]) == 1
+    assert not (tmp_path / "x.csv").exists()
+    assert main(["predict", str(survey_csv), "--model", str(tmp_path / "m.bin"),
+                 "--map", str(survey_csv), "--fill", fill]) == 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fill": float(fill)}))
+    assert main(["run", str(survey_csv), "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("column", [2, -1])  # first RSSI feature, delta_pos label
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_exit_code_data_error_for_non_finite_dataset_cell(tmp_path, survey_csv, column, cell):
+    dae = tmp_path / "dae.csv"
+    run_ok(["build-dataset", str(survey_csv), "--folds", "3", "--out", str(dae)])
+    lines = dae.read_text().splitlines()
+    row = lines[3].split(",")
+    row[column] = cell
+    lines[3] = ",".join(row)
+    dae.write_text("\n".join(lines) + "\n")
+    assert main(["train", str(dae), "--family", "knn", "--out", str(tmp_path / "m.bin")]) == 2
+    assert not (tmp_path / "m.bin").exists()

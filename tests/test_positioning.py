@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daepos import (
     ApRegistry,
@@ -10,6 +12,8 @@ from daepos import (
     Position2D,
     RadioMap,
     localize,
+    nearest,
+    positioning,
     rssi_distance,
 )
 
@@ -168,3 +172,53 @@ def test_localize_weighted_favors_closer_neighbor():
     expected_x = (0.0 * (1 / 2) + 10.0 * (1 / 6)) / (1 / 2 + 1 / 6)
     assert est.position.x == pytest.approx(expected_x)
     assert est.position.x < 5.0
+
+
+def test_localize_non_finite_query_is_contract_error():
+    radio_map = make_map([[-50.0, -60.0], [-70.0, -80.0]], [[0.0, 0.0], [1.0, 1.0]])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractError):
+            localize([-50.0, bad], radio_map, k=1)
+
+
+def test_radio_map_non_finite_vectors_is_contract_error():
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ContractError):
+            make_map([[-50.0, -60.0], [bad, -80.0]], [[0.0, 0.0], [1.0, 1.0]])
+
+
+@st.composite
+def search_cases(draw):
+    n = draw(st.integers(1, 30))
+    width = draw(st.integers(1, 6))
+    n_queries = draw(st.integers(1, 12))
+    k = draw(st.one_of(st.integers(1, n + 2), st.just(n), st.integers((n + 1) // 2, n)))
+    # few distinct integer dBm levels, so equal distances are frequent
+    levels = st.integers(-64, -60).map(float)
+    V = np.array(draw(st.lists(levels, min_size=n * width, max_size=n * width))).reshape(n, width)
+    Q = np.array(draw(st.lists(levels, min_size=n_queries * width, max_size=n_queries * width)))
+    Q = Q.reshape(n_queries, width)
+    nan_at = draw(st.sampled_from([None, "query", "vector"]))
+    if nan_at == "query":
+        Q[draw(st.integers(0, n_queries - 1)), 0] = math.nan
+    elif nan_at == "vector":
+        V[draw(st.integers(0, n - 1)), 0] = math.nan
+    # cap between one and n_queries + 1 whole query rows, often not a multiple
+    row_bytes = 8 * n * width
+    cap = draw(st.integers(1, (n_queries + 1) * row_bytes))
+    return Q, V, k, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=search_cases(), root=st.booleans())
+def test_nearest_equals_full_stable_argsort(case, root):
+    Q, V, k, cap = case
+    key = np.sum((Q[:, None, :] - V[None]) ** 2, axis=2)
+    if root:
+        key = np.sqrt(key)
+    expected = np.argsort(key, axis=1, kind="stable")[:, :k]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(positioning, "_SCRATCH_BYTES", cap)
+        indices, keys = nearest(Q, V, k, _root=root)
+    np.testing.assert_array_equal(indices, expected)
+    np.testing.assert_array_equal(keys, np.take_along_axis(key, expected, axis=1))

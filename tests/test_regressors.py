@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,16 @@ def test_spec_rejects_bad_family_parameters():
         ModelSpec(family="network", layers=())
     with pytest.raises(ConfigError):
         ModelSpec(family="network", learning_rate=0.0)
+
+
+def test_fit_non_finite_training_data_is_contract_error():
+    X = np.zeros((4, 2))
+    for bad_x, bad_y in ((np.nan, 0.0), (0.0, np.inf)):
+        Xb, yb = X.copy(), np.ones(4)
+        Xb[1, 1] = bad_x
+        yb[2] = bad_y
+        with pytest.raises(ContractError):
+            fit_arrays(ModelSpec(family="linear"), Xb, yb)
 
 
 def test_fit_empty_dataset_is_dataset_error():
@@ -127,6 +138,23 @@ def test_knn_constant_labels_exact():
 def test_knn_k_exceeding_training_size_is_dataset_error():
     with pytest.raises(DatasetError):
         fit_arrays(ModelSpec(family="knn", k=5), np.zeros((3, 2)), np.zeros(3))
+
+
+def test_knn_predict_memory_does_not_grow_with_query_count():
+    rng = np.random.default_rng(8)
+    X, y = regression_problem(rng, n=300, d=20)
+    model = fit_arrays(ModelSpec(family="knn", k=4), X, y)
+
+    def peak_bytes(n_queries):
+        queries = rng.uniform(-110, -30, size=(n_queries, 20))
+        tracemalloc.start()
+        try:
+            model.predict(queries)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(4000) <= 2 * peak_bytes(400)
 
 
 # --- forest ----------------------------------------------------------------------
