@@ -21,7 +21,7 @@ from .dae import (
     write_dae_dataset,
 )
 from .errors import ConfigError, ContractError, DaeposError, DataError, DatasetError, FormatError, RowError
-from .evaluation import ErrorPair, EvaluationReport, dae_error, evaluate_model, summarize
+from .evaluation import EvaluationReport, evaluate_model, summarize
 from .pipeline import PipelineConfig, config_hash, load_config, run_pipeline
 from .positioning import PositionEstimate, RadioMap, localize, nearest, rssi_distance
 from .regressors import ErrorRegressor, ModelSpec, fit, fit_arrays, load_model, save_model
@@ -47,7 +47,6 @@ __all__ = [
     "DaeposError",
     "DataError",
     "DatasetError",
-    "ErrorPair",
     "ErrorRegressor",
     "EvaluationReport",
     "FoldPlan",
@@ -65,7 +64,6 @@ __all__ = [
     "build_holdout_dataset",
     "build_registry",
     "config_hash",
-    "dae_error",
     "evaluate_model",
     "feature_matrix",
     "fit",

@@ -10,19 +10,22 @@ can be traced back to its configuration.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .dae import build_dae_dataset, make_fold_plan, read_dae_dataset, write_dae_dataset
+from .dae import (
+    build_dae_dataset,
+    feature_names,
+    feature_rows,
+    make_fold_plan,
+    read_dae_dataset,
+    write_dae_dataset,
+)
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
-from .pipeline import load_config, run_pipeline
+from .pipeline import load_config, provenance, run_pipeline
 from .positioning import RadioMap, localize
 from .regressors import ModelSpec, fit, load_model, save_model
 from .signatures import ApRegistry, build_registry, parse_signatures, vectorize, write_signatures
@@ -32,12 +35,6 @@ from .synth import GridSpec, SynthWorld, generate_grid_dataset, perimeter_aps
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are configuration errors
         raise ConfigError(message)
-
-
-def _provenance(params: dict) -> str:
-    canonical = json.dumps(params, sort_keys=True, default=str)
-    digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
-    return f"config_hash={digest} seed={params.get('seed', 0)}"
 
 
 def _parse_layers(text: str) -> tuple[int, ...]:
@@ -63,7 +60,7 @@ def _fill_dbm(text: str) -> float:
 
 def _cmd_ingest(args) -> None:
     signatures = parse_signatures(args.input, args.format)
-    prov = _provenance({"command": "ingest", "input": args.input, "format": args.format})
+    prov = provenance({"command": "ingest", "input": args.input, "format": args.format})
     write_signatures(signatures, args.out, comment=prov)
     print(f"wrote {len(signatures)} signatures to {args.out}")
 
@@ -83,7 +80,7 @@ def _cmd_synth(args) -> None:
         seed=args.seed,
     )
     signatures = generate_grid_dataset(world, grid, scans_per_point=args.scans)
-    prov = _provenance(
+    prov = provenance(
         {
             "command": "synth",
             "grid": args.grid,
@@ -112,7 +109,7 @@ def _cmd_build_dataset(args) -> None:
         signatures, registry, plan,
         k=args.k, variant=args.variant, fill=args.fill, weighted=args.weighted,
     )
-    prov = _provenance(
+    prov = provenance(
         {
             "command": "build-dataset",
             "input": args.input,
@@ -168,7 +165,7 @@ def _cmd_evaluate(args) -> None:
         report = evaluate_model(model, dataset, protocol="cross_fit", label=label)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prov = _provenance(
+    prov = provenance(
         {
             "command": "evaluate",
             "model": args.model,
@@ -195,7 +192,7 @@ def _cmd_predict(args) -> None:
             "model file carries no AP column context; train it via the CLI to embed one"
         )
     registry = ApRegistry(aps=tuple(ap_ids), availability=tuple(0 for _ in ap_ids))
-    expected = len(registry) + (2 if variant == "xy" else 0)
+    expected = len(feature_names(registry.aps, variant))
     if model.input_width != expected:
         raise ContractError(
             f"model width {model.input_width} does not match its context width {expected}"
@@ -209,11 +206,7 @@ def _cmd_predict(args) -> None:
     for scan in scans:
         vector = vectorize(scan, registry, args.fill)
         estimate = localize(vector, radio_map, k=args.k, weighted=args.weighted)
-        if variant == "xy":
-            features = np.concatenate([vector, [estimate.position.x, estimate.position.y]])
-        else:
-            features = vector
-        radius = model.predict(features)
+        radius = model.predict(feature_rows(vector, [estimate.position.x, estimate.position.y], variant))
         writer.write(f"{estimate.position.x:.3f},{estimate.position.y:.3f},{radius:.3f}\n")
 
 

@@ -9,14 +9,13 @@ that contains it.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .csvio import csv_writer, read_csv_rows
 from .errors import ConfigError, ContractError, DatasetError, FormatError, RowError
 from .positioning import RadioMap, localize
 from .signatures import (
@@ -34,6 +33,9 @@ VARIANTS = ("plain", "xy")
 # Fold index used for records labeled against an external (full) map rather
 # than a cross-validation fold.
 EXTERNAL_FOLD = -1
+
+# Estimated-position columns the ``xy`` variant appends to the RSSI features.
+XY_COLUMNS = ("x_est", "y_est")
 
 
 def true_error(estimate: Position2D, reference: Position2D) -> float:
@@ -93,64 +95,88 @@ def make_fold_plan(
     return FoldPlan(n_folds=n_folds, assignment=tuple(int(f) for f in assignment), seed=seed)
 
 
-@dataclass(frozen=True)
-class DaeRecord:
-    """One supervised example: feature vector plus true positioning error."""
+class DaeRecord(NamedTuple):
+    """One row of a :class:`DaeDataset`: features plus true positioning error."""
 
     features: np.ndarray
-    label: float  # meters, >= 0
+    label: float  # meters
     point_id: str
     fold: int
 
-    def __post_init__(self):
-        features = np.array(self.features, dtype=float)  # own copy, never a view
-        features.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        if not (math.isfinite(self.label) and self.label >= 0.0):
-            raise ValueError(f"record label must be finite and >= 0, got {self.label}")
+
+def feature_names(aps: Sequence[str], variant: str) -> list[str]:
+    """Column layout of a ``variant`` feature row: the AP columns, then ``x_est,y_est`` for ``xy``."""
+    return [*aps, *XY_COLUMNS] if variant == "xy" else list(aps)
+
+
+def feature_rows(vectors: np.ndarray, estimates: np.ndarray, variant: str) -> np.ndarray:
+    """Feature rows in the :func:`feature_names` layout.
+
+    ``vectors`` are imputed RSSI rows (or one row) and ``estimates`` the
+    matching ``(x, y)`` position estimates, appended for the ``xy`` variant.
+    """
+    if variant == "xy":
+        return np.concatenate([vectors, estimates], axis=-1)
+    return vectors
 
 
 @dataclass(frozen=True)
 class DaeDataset:
-    records: tuple[DaeRecord, ...]
+    """The error-regression dataset, stored by column.
+
+    ``X`` has one row per record in the :func:`feature_names` layout, ``y``
+    holds each record's true positioning error in meters, and ``point_ids``
+    and ``folds`` its survey point and fold (``EXTERNAL_FOLD`` for records
+    labeled against a full map).  The constructor stores read-only copies.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    point_ids: tuple[str, ...]
+    folds: np.ndarray
     variant: str  # "plain" or "xy"
     registry: ApRegistry
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        width = len(self.registry) + (2 if self.variant == "xy" else 0)
-        for rec in self.records:
-            if rec.features.shape != (width,):
-                raise ContractError(
-                    f"record width {rec.features.shape} does not match dataset width ({width},)"
-                )
+        X = np.array(self.X, dtype=float, order="C")
+        y = np.array(self.y, dtype=float)
+        folds = np.array(self.folds, dtype=int)
+        point_ids = tuple(self.point_ids)
+        width = len(feature_names(self.registry.aps, self.variant))
+        if X.ndim != 2 or X.shape[1] != width:
+            raise ContractError(f"feature matrix shape {X.shape} does not match dataset width {width}")
+        if y.shape != (len(X),) or folds.shape != (len(X),) or len(point_ids) != len(X):
+            raise ContractError("a dataset needs one label, one fold and one point_id per feature row")
+        if not (np.isfinite(y).all() and (y >= 0.0).all()):
+            raise ContractError("record labels must be finite and >= 0")
+        for column in (X, y, folds):
+            column.setflags(write=False)
+        for name, column in (("X", X), ("y", y), ("folds", folds), ("point_ids", point_ids)):
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.y)
+
+    @property
+    def records(self) -> tuple[DaeRecord, ...]:
+        """The rows as :class:`DaeRecord` tuples, built on each access."""
+        columns = zip(self.X, self.y.tolist(), self.point_ids, self.folds.tolist())
+        return tuple(DaeRecord(*row) for row in columns)
 
     @property
     def n_features(self) -> int:
-        return len(self.registry) + (2 if self.variant == "xy" else 0)
+        return self.X.shape[1]
 
     def features(self) -> np.ndarray:
-        return np.stack([r.features for r in self.records])
+        return self.X
 
     def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records])
+        return self.y
 
     def feature_names(self) -> list[str]:
-        names = list(self.registry.aps)
-        if self.variant == "xy":
-            names += ["x_est", "y_est"]
-        return names
-
-    def subset(self, indices: Sequence[int]) -> "DaeDataset":
-        return DaeDataset(
-            records=tuple(self.records[i] for i in indices),
-            variant=self.variant,
-            registry=self.registry,
-        )
+        return feature_names(self.registry.aps, self.variant)
 
 
 def _label_signatures(
@@ -158,20 +184,16 @@ def _label_signatures(
     test_vectors: np.ndarray,
     radio_map: RadioMap,
     k: int,
-    variant: str,
-    fold: int,
     weighted: bool,
-) -> list[DaeRecord]:
-    records = []
-    for sig, vec in zip(test_signatures, test_vectors):
-        est = localize(vec, radio_map, k=k, weighted=weighted)
-        label = true_error(est.position, sig.reference)
-        if variant == "xy":
-            features = np.concatenate([vec, [est.position.x, est.position.y]])
-        else:
-            features = vec
-        records.append(DaeRecord(features=features, label=label, point_id=sig.point_id, fold=fold))
-    return records
+) -> tuple[np.ndarray, np.ndarray]:
+    """Position estimates (n, 2) and true errors (n,) of the test signatures, one ``localize`` each."""
+    estimates = np.empty((len(test_vectors), 2))
+    labels = np.empty(len(test_vectors))
+    for i, (sig, vec) in enumerate(zip(test_signatures, test_vectors)):
+        position = localize(vec, radio_map, k=k, weighted=weighted).position
+        estimates[i] = position.x, position.y
+        labels[i] = true_error(position, sig.reference)
+    return estimates, labels
 
 
 def build_dae_dataset(
@@ -202,7 +224,9 @@ def build_dae_dataset(
     ids = tuple(s.point_id for s in signatures)
     assignment = np.asarray(plan.assignment)
 
-    records: list[DaeRecord] = []
+    estimates = np.empty((len(signatures), 2))
+    labels = np.empty(len(signatures))
+    order = []
     for fold in range(plan.n_folds):
         test_idx = np.flatnonzero(assignment == fold)
         train_idx = np.flatnonzero(assignment != fold)
@@ -216,12 +240,13 @@ def build_dae_dataset(
             references=refs[train_idx],
             point_ids=tuple(ids[i] for i in train_idx),
         )
-        records.extend(
-            _label_signatures(
-                [signatures[i] for i in test_idx], matrix[test_idx], radio_map, k, variant, fold, weighted
-            )
+        estimates[test_idx], labels[test_idx] = _label_signatures(
+            [signatures[i] for i in test_idx], matrix[test_idx], radio_map, k, weighted
         )
-    return DaeDataset(records=tuple(records), variant=variant, registry=registry)
+        order.append(test_idx)
+    order = np.concatenate(order)
+    X = feature_rows(matrix[order], estimates[order], variant)
+    return DaeDataset(X, labels[order], tuple(ids[i] for i in order), assignment[order], variant, registry)
 
 
 def build_holdout_dataset(
@@ -240,8 +265,10 @@ def build_holdout_dataset(
     """
     radio_map = RadioMap.from_signatures(map_signatures, registry, fill)
     vectors = feature_matrix(test_signatures, registry, fill)
-    records = _label_signatures(test_signatures, vectors, radio_map, k, variant, EXTERNAL_FOLD, weighted)
-    return DaeDataset(records=tuple(records), variant=variant, registry=registry)
+    estimates, labels = _label_signatures(test_signatures, vectors, radio_map, k, weighted)
+    X = feature_rows(vectors, estimates, variant)
+    ids = tuple(s.point_id for s in test_signatures)
+    return DaeDataset(X, labels, ids, np.full(len(labels), EXTERNAL_FOLD), variant, registry)
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +276,11 @@ def build_holdout_dataset(
 
 
 def write_dae_dataset(dataset: DaeDataset, dest, comment: str | None = None) -> None:
-    if hasattr(dest, "write"):
-        _write_dataset_rows(dest, dataset, comment)
-    else:
-        with open(os.fspath(dest), "w", encoding="utf-8", newline="") as f:
-            _write_dataset_rows(f, dataset, comment)
-
-
-def _write_dataset_rows(stream, dataset, comment):
-    if comment:
-        stream.write(f"# {comment}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["point_id", "fold", *dataset.feature_names(), "delta_pos"])
-    for rec in dataset.records:
-        writer.writerow(
-            [rec.point_id, rec.fold, *(repr(float(v)) for v in rec.features), repr(float(rec.label))]
-        )
+    with csv_writer(dest, comment) as writer:
+        writer.writerow(["point_id", "fold", *dataset.feature_names(), "delta_pos"])
+        columns = zip(dataset.point_ids, dataset.folds.tolist(), dataset.X, dataset.y.tolist())
+        for point_id, fold, row, label in columns:  # one row at a time: no full-matrix list of floats
+            writer.writerow([point_id, fold, *map(repr, row.tolist()), repr(label)])
 
 
 def read_dae_dataset(source) -> DaeDataset:
@@ -273,46 +289,36 @@ def read_dae_dataset(source) -> DaeDataset:
     The registry is reconstructed from the header columns; availability
     counts are not stored in the file and read back as zero.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(os.fspath(source), "r", encoding="utf-8", newline="") as f:
-            text = f.read()
-    lines = text.splitlines()
-    start = 0
-    while start < len(lines) and lines[start].lstrip().startswith("#"):
-        start += 1
-    rows = [row for row in csv.reader(lines[start:]) if row]
+    rows = read_csv_rows(source)
     if not rows:
         raise DatasetError("empty dataset file")
 
     header = [h.strip() for h in rows[0]]
     if len(header) < 4 or header[0] != "point_id" or header[1] != "fold" or header[-1] != "delta_pos":
         raise FormatError("dataset header must be 'point_id,fold,<features...>,delta_pos'")
-    feature_names = header[2:-1]
-    variant = "plain"
-    ap_ids = feature_names
-    if len(feature_names) >= 2 and feature_names[-2:] == ["x_est", "y_est"]:
-        variant = "xy"
-        ap_ids = feature_names[:-2]
+    names = header[2:-1]
+    variant = "xy" if tuple(names[-2:]) == XY_COLUMNS else "plain"
+    ap_ids = names[:-2] if variant == "xy" else names
     if not ap_ids:
         raise FormatError("dataset has no RSSI feature columns")
     registry = ApRegistry(aps=tuple(ap_ids), availability=tuple(0 for _ in ap_ids))
 
-    records = []
+    folds, values = [], []
     for num, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
         try:
-            fold = int(row[1])
-            values = np.array([float(c) for c in row[2:]])
+            folds.append(int(row[1]))
+            cells = [float(c) for c in row[2:]]
         except ValueError as exc:
             raise RowError(num, str(exc)) from None
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, cells)):
             raise RowError(num, "non-finite feature or label cell")
-        records.append(
-            DaeRecord(features=values[:-1], label=float(values[-1]), point_id=row[0], fold=fold)
-        )
-    if not records:
+        if cells[-1] < 0.0:
+            raise RowError(num, f"delta_pos must be >= 0, got {cells[-1]}")
+        values.append(cells)
+    if not values:
         raise DatasetError("dataset file has a header but no records")
-    return DaeDataset(records=tuple(records), variant=variant, registry=registry)
+    values = np.array(values)
+    ids = tuple(row[0] for row in rows[1:])
+    return DaeDataset(values[:, :-1], values[:, -1], ids, folds, variant, registry)

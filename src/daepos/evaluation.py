@@ -9,16 +9,14 @@ samples of the signed error for external plotting.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dae import DaeDataset, DaeRecord
+from .csvio import csv_writer
+from .dae import DaeDataset
 from .errors import ConfigError, ContractError, DatasetError
 from .regressors import ErrorRegressor, ModelSpec, fit_arrays
 
@@ -26,48 +24,46 @@ PROTOCOLS = ("cross_fit", "holdout")
 
 
 @dataclass(frozen=True)
-class ErrorPair:
-    delta_pos: float  # true positioning error, meters
-    delta_est: float  # estimated positioning error, meters
-    point_id: str = ""
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta_pos) and math.isfinite(self.delta_est)):
-            raise ValueError("error pair values must be finite")
-        if self.delta_pos < 0:
-            raise ValueError(f"true positioning error cannot be negative, got {self.delta_pos}")
-
-
-def dae_error(pair: ErrorPair) -> float:
-    """Signed estimation error: positive = overestimate, negative = underestimate."""
-    return pair.delta_est - pair.delta_pos
-
-
-@dataclass(frozen=True)
 class EvaluationReport:
+    """Metrics of one model's error estimates, plus the pairs they came from.
+
+    ``delta_pos[i]`` is a record's true positioning error and
+    ``delta_est[i]`` the model's estimate of it, both in meters.
+    """
+
     label: str
     mae: float
     mse: float
     pearson: float | None  # None when undefined (fewer than 2 pairs or zero variance)
-    pairs: tuple[ErrorPair, ...]
+    delta_pos: np.ndarray
+    delta_est: np.ndarray
     ecdf: tuple[tuple[float, float], ...]  # (signed error, cumulative fraction)
     parameters: str = "-"
     protocol: str = ""
 
     def signed_errors(self) -> np.ndarray:
-        return np.array([dae_error(p) for p in self.pairs])
+        """``delta_est - delta_pos``: positive = overestimate, negative = underestimate."""
+        return self.delta_est - self.delta_pos
 
 
-def summarize(pairs: Sequence[ErrorPair], label: str = "") -> EvaluationReport:
-    """MAE/MSE/Pearson and the signed-error ECDF for a set of pairs."""
-    if not pairs:
+def summarize(delta_pos, delta_est, label: str = "") -> EvaluationReport:
+    """MAE/MSE/Pearson and the signed-error ECDF of true versus estimated errors."""
+    delta_pos = np.asarray(delta_pos, dtype=float)
+    delta_est = np.asarray(delta_est, dtype=float)
+    if delta_pos.ndim != 1 or delta_est.shape != delta_pos.shape:
+        raise ContractError(
+            f"need one estimate per true error, got shapes {delta_pos.shape} and {delta_est.shape}"
+        )
+    if not len(delta_pos):
         raise DatasetError("cannot summarize an empty set of error pairs")
-    delta_pos = np.array([p.delta_pos for p in pairs])
-    delta_est = np.array([p.delta_est for p in pairs])
+    if not (np.isfinite(delta_pos).all() and np.isfinite(delta_est).all()):
+        raise ContractError("true and estimated errors must be finite")
+    if (delta_pos < 0.0).any():
+        raise ContractError(f"true positioning errors cannot be negative, got {delta_pos.min()}")
     errors = delta_est - delta_pos
 
     pearson = None
-    if len(pairs) >= 2 and delta_pos.std() > 0 and delta_est.std() > 0:
+    if len(errors) >= 2 and delta_pos.std() > 0 and delta_est.std() > 0:
         pearson = float(np.corrcoef(delta_pos, delta_est)[0, 1])
 
     ordered = np.sort(errors)
@@ -77,7 +73,8 @@ def summarize(pairs: Sequence[ErrorPair], label: str = "") -> EvaluationReport:
         mae=float(np.mean(np.abs(errors))),
         mse=float(np.mean(errors**2)),
         pearson=pearson,
-        pairs=tuple(pairs),
+        delta_pos=delta_pos,
+        delta_est=delta_est,
         ecdf=tuple(zip(ordered.tolist(), fractions.tolist())),
     )
 
@@ -90,7 +87,7 @@ def evaluate_model(
     model: ErrorRegressor | ModelSpec,
     dataset: DaeDataset,
     protocol: str = "cross_fit",
-    holdout: Sequence[DaeRecord] | DaeDataset | None = None,
+    holdout: DaeDataset | None = None,
     clamp: bool = True,
     label: str | None = None,
 ) -> EvaluationReport:
@@ -107,41 +104,32 @@ def evaluate_model(
         label = spec.default_label()
 
     if protocol == "cross_fit":
-        folds = sorted({rec.fold for rec in dataset.records})
+        folds = np.unique(dataset.folds).tolist()
         if len(folds) < 2:
             raise DatasetError("cross_fit evaluation needs a dataset with at least 2 folds")
         if folds[0] < 0:
             raise DatasetError("cross_fit evaluation is undefined for externally labeled records")
         X = dataset.features()
-        y = dataset.labels()
-        fold_of = np.array([rec.fold for rec in dataset.records])
-        estimates = np.empty(len(y))
+        delta_pos = dataset.labels()
+        estimates = np.empty(len(delta_pos))
         for fold in folds:
-            test = fold_of == fold
+            test = dataset.folds == fold
             fold_spec = dataclasses.replace(spec, seed=_fold_seed(spec.seed, fold))
-            fitted = fit_arrays(fold_spec, X[~test], y[~test])
+            fitted = fit_arrays(fold_spec, X[~test], delta_pos[~test])
             estimates[test] = fitted.predict(X[test]) if clamp else fitted.predict_raw(X[test])
-        pairs = [
-            ErrorPair(delta_pos=float(yi), delta_est=float(ei), point_id=rec.point_id)
-            for rec, yi, ei in zip(dataset.records, y, estimates)
-        ]
     elif protocol == "holdout":
         if holdout is None:
             raise ContractError("holdout protocol requires the external records")
-        records = holdout.records if isinstance(holdout, DaeDataset) else tuple(holdout)
-        if not records:
+        if not len(holdout):
             raise DatasetError("holdout record set is empty")
         fitted = model if isinstance(model, ErrorRegressor) else fit_arrays(spec, dataset.features(), dataset.labels())
-        hx = np.stack([rec.features for rec in records])
+        hx = holdout.features()
+        delta_pos = holdout.labels()
         estimates = fitted.predict(hx) if clamp else fitted.predict_raw(hx)
-        pairs = [
-            ErrorPair(delta_pos=rec.label, delta_est=float(ei), point_id=rec.point_id)
-            for rec, ei in zip(records, estimates)
-        ]
     else:
         raise ConfigError(f"unknown evaluation protocol {protocol!r}; expected one of {PROTOCOLS}")
 
-    report = summarize(pairs, label=label)
+    report = summarize(delta_pos, estimates, label=label)
     return dataclasses.replace(report, parameters=spec.params_text(), protocol=protocol)
 
 
@@ -149,47 +137,22 @@ def evaluate_model(
 # Plot-data and report emission
 
 
-def _with_stream(dest, write_fn):
-    if hasattr(dest, "write"):
-        write_fn(dest)
-    else:
-        with open(os.fspath(dest), "w", encoding="utf-8", newline="") as f:
-            write_fn(f)
-
-
 def write_summary_csv(reports: Sequence[EvaluationReport], dest, comment: str | None = None) -> None:
     """Row-per-model summary: algorithm,parameters,MAE,MSE."""
-
-    def _write(stream):
-        if comment:
-            stream.write(f"# {comment}\n")
-        writer = csv.writer(stream, lineterminator="\n")
+    with csv_writer(dest, comment) as writer:
         writer.writerow(["algorithm", "parameters", "MAE", "MSE"])
         for rep in reports:
             writer.writerow([rep.label, rep.parameters, f"{rep.mae:.3f}", f"{rep.mse:.3f}"])
 
-    _with_stream(dest, _write)
-
 
 def write_pairs_csv(report: EvaluationReport, dest, comment: str | None = None) -> None:
-    def _write(stream):
-        if comment:
-            stream.write(f"# {comment}\n")
-        writer = csv.writer(stream, lineterminator="\n")
+    with csv_writer(dest, comment) as writer:
         writer.writerow(["delta_pos", "delta_est"])
-        for pair in report.pairs:
-            writer.writerow([repr(float(pair.delta_pos)), repr(float(pair.delta_est))])
-
-    _with_stream(dest, _write)
+        writer.writerows(zip(map(repr, report.delta_pos.tolist()), map(repr, report.delta_est.tolist())))
 
 
 def write_ecdf_csv(report: EvaluationReport, dest, comment: str | None = None) -> None:
-    def _write(stream):
-        if comment:
-            stream.write(f"# {comment}\n")
-        writer = csv.writer(stream, lineterminator="\n")
+    with csv_writer(dest, comment) as writer:
         writer.writerow(["signed_error", "fraction"])
         for value, fraction in report.ecdf:
             writer.writerow([repr(float(value)), repr(float(fraction))])
-
-    _with_stream(dest, _write)

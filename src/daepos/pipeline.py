@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .csvio import csv_writer
 from .dae import GROUPINGS, build_dae_dataset, build_holdout_dataset, make_fold_plan, write_dae_dataset
 from .errors import ConfigError, DaeposError
 from .evaluation import EvaluationReport, evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
@@ -124,17 +125,29 @@ def _entry_from_dict(d: dict, default_seed: int) -> ModelEntry:
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
+    """The resolved config as JSON data, without ``out_dir``.
+
+    Where outputs land is not part of the experiment identity.
+    """
     d = dataclasses.asdict(config)
+    d.pop("out_dir")
     d["models"] = [_entry_to_dict(e) for e in config.active_models()]
     d["holdout_models"] = list(config.holdout_models)
     return d
 
 
-def config_hash(config: PipelineConfig) -> str:
-    hashed = config_to_dict(config)
-    hashed.pop("out_dir")  # where outputs land is not part of the experiment identity
-    canonical = json.dumps(hashed, sort_keys=True)
+def _digest(params: dict) -> str:
+    canonical = json.dumps(params, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+
+
+def provenance(params: dict) -> str:
+    """The ``config_hash=<digest> seed=<seed>`` stamp of files made with ``params``."""
+    return f"config_hash={_digest(params)} seed={params.get('seed', 0)}"
+
+
+def config_hash(config: PipelineConfig) -> str:
+    return _digest(config_to_dict(config))
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> PipelineConfig:
@@ -188,7 +201,7 @@ def _slug(label: str) -> str:
 def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
     """Execute every stage and write artifacts into ``config.out_dir``."""
     config.validate()
-    provenance = f"config_hash={config_hash(config)} seed={config.seed}"
+    stamp = provenance(config_to_dict(config))
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = config.active_models()
@@ -221,7 +234,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
             )
             datasets[variant] = dataset
             path = out / f"dae_{variant}.csv"
-            write_dae_dataset(dataset, path, comment=provenance)
+            write_dae_dataset(dataset, path, comment=stamp)
             log(f"dae-dataset: {len(dataset)} records ({variant}) -> {path}")
 
     reports: list[EvaluationReport] = []
@@ -230,8 +243,8 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
             report = evaluate_model(entry.spec, datasets[entry.variant], protocol="cross_fit", label=entry.label)
             reports.append(report)
             slug = _slug(entry.label)
-            write_pairs_csv(report, out / f"{slug}_pairs.csv", comment=provenance)
-            write_ecdf_csv(report, out / f"{slug}_ecdf.csv", comment=provenance)
+            write_pairs_csv(report, out / f"{slug}_pairs.csv", comment=stamp)
+            write_ecdf_csv(report, out / f"{slug}_ecdf.csv", comment=stamp)
             pearson = "undefined" if report.pearson is None else f"{report.pearson:.3f}"
             log(f"evaluate: {entry.label}: MAE={report.mae:.3f} MSE={report.mse:.3f} pearson={pearson}")
 
@@ -252,33 +265,27 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
                 report = evaluate_model(
                     fitted, datasets[entry.variant], protocol="holdout", holdout=external_ds, label="user"
                 )
-                report = dataclasses.replace(
-                    report, parameters=f"{entry.label} ({entry.spec.short_params()})"
-                )
+                bare = entry.spec.params_text().split("=", 1)[-1]  # "trees=300" -> "300"
+                report = dataclasses.replace(report, parameters=f"{entry.label} ({bare})")
                 reports.append(report)
                 slug = _slug(f"user_{entry.label}")
-                write_pairs_csv(report, out / f"{slug}_pairs.csv", comment=provenance)
-                write_ecdf_csv(report, out / f"{slug}_ecdf.csv", comment=provenance)
+                write_pairs_csv(report, out / f"{slug}_pairs.csv", comment=stamp)
+                write_ecdf_csv(report, out / f"{slug}_ecdf.csv", comment=stamp)
                 log(f"holdout: {entry.label}: MAE={report.mae:.3f} MSE={report.mse:.3f}")
 
     with _stage("report"):
-        write_summary_csv(reports, out / "report.csv", comment=provenance)
-        _write_metrics_csv(reports, out / "metrics.csv", comment=provenance)
+        write_summary_csv(reports, out / "report.csv", comment=stamp)
+        _write_metrics_csv(reports, out / "metrics.csv", comment=stamp)
         log(f"report: {len(reports)} rows -> {out / 'report.csv'}")
 
     return reports
 
 
 def _write_metrics_csv(reports, path, comment):
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        if comment:
-            f.write(f"# {comment}\n")
-        writer = csv.writer(f, lineterminator="\n")
+    with csv_writer(path, comment) as writer:
         writer.writerow(["algorithm", "parameters", "protocol", "MAE", "MSE", "pearson", "n_pairs"])
         for rep in reports:
             pearson = "" if rep.pearson is None else repr(rep.pearson)
             writer.writerow(
-                [rep.label, rep.parameters, rep.protocol, repr(rep.mae), repr(rep.mse), pearson, len(rep.pairs)]
+                [rep.label, rep.parameters, rep.protocol, repr(rep.mae), repr(rep.mse), pearson, len(rep.delta_pos)]
             )

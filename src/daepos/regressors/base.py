@@ -73,15 +73,6 @@ class ModelSpec:
             return str(list(self.layers))
         return "-"
 
-    def short_params(self) -> str:
-        if self.family == "knn":
-            return str(self.k)
-        if self.family == "forest":
-            return str(self.trees)
-        if self.family == "network":
-            return str(list(self.layers))
-        return "-"
-
     def default_label(self) -> str:
         return {"linear": "LR", "knn": "kNN", "forest": "RF", "network": "NN"}[self.family]
 

@@ -76,6 +76,37 @@ def save_model(model: ErrorRegressor, dest, context: dict | None = None) -> None
             np.savez_compressed(f, **arrays)
 
 
+def _check_forest(arrays: dict, input_width: int) -> None:
+    """Reject forest arrays that ``Tree.predict`` would index out of range or loop on.
+
+    Every split node's children must come after it and inside its own tree
+    (which ``_fit_tree`` guarantees), so each descent ends at a leaf.
+    """
+    offsets, feature = arrays["offsets"], arrays["feature"]
+    n_total = len(feature)
+    integer_arrays = ("offsets", "feature", "left", "right")
+    if not all(np.issubdtype(arrays[name].dtype, np.integer) for name in integer_arrays):
+        raise FormatError("forest offsets, feature indices and child links must be integers")
+    if offsets.ndim != 1 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != n_total:
+        raise FormatError(f"forest offsets must run from 0 to the node count {n_total}")
+    sizes = np.diff(offsets)
+    if (sizes <= 0).any():
+        raise FormatError("forest offsets must be increasing")
+    if any(arrays[name].shape != (n_total,) for name in ("feature", "threshold", "left", "right", "value")):
+        raise FormatError("forest node arrays must all have one entry per node")
+    if len(arrays["bootstrap"]) != len(sizes):
+        raise FormatError("forest archive needs one bootstrap sample per tree")
+    split = feature >= 0
+    if (feature[split] >= input_width).any():
+        raise FormatError(f"forest feature index out of range for input width {input_width}")
+    node = (np.arange(n_total) - np.repeat(offsets[:-1], sizes))[split]
+    tree_size = np.repeat(sizes, sizes)[split]
+    for name in ("left", "right"):
+        child = arrays[name][split]
+        if not ((node < child) & (child < tree_size)).all():
+            raise FormatError(f"forest {name} links must point to a later node of the same tree")
+
+
 def load_model(source) -> ErrorRegressor:
     """Load a model written by :func:`save_model`.
 
@@ -100,6 +131,7 @@ def load_model(source) -> ErrorRegressor:
     if family == "knn":
         return KnnModel(spec, train_x=arrays["train_x"], train_y=arrays["train_y"], metadata=metadata)
     if family == "forest":
+        _check_forest(arrays, meta["input_width"])
         offsets = arrays["offsets"]
         trees = []
         for t in range(len(offsets) - 1):

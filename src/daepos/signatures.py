@@ -14,15 +14,14 @@ CSVs with different column conventions onto the same structure.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .csvio import csv_writer, read_csv_rows
 from .errors import ContractError, DatasetError, FormatError, RowError
 
 # Physically meaningful RSSI range for received Wi-Fi signals.
@@ -164,23 +163,6 @@ def reference_matrix(signatures: Sequence[RadioSignature]) -> np.ndarray:
 # Parsing and serialization
 
 
-def _open_source(source):
-    """Yield (file object, should_close) for a path or an open text stream."""
-    if hasattr(source, "read"):
-        return source, False
-    return open(os.fspath(source), "r", encoding="utf-8", newline=""), True
-
-
-def _read_rows(stream) -> list[list[str]]:
-    """All CSV rows with leading comment lines stripped."""
-    text = stream.read()
-    lines = text.splitlines()
-    start = 0
-    while start < len(lines) and lines[start].lstrip().startswith("#"):
-        start += 1
-    return [row for row in csv.reader(lines[start:]) if row]
-
-
 def parse_signatures(source, fmt: str = "canonical") -> list[RadioSignature]:
     """Parse a signature file in the given format into RadioSignatures.
 
@@ -189,12 +171,7 @@ def parse_signatures(source, fmt: str = "canonical") -> list[RadioSignature]:
     """
     if fmt not in _ADAPTERS:
         raise ContractError(f"unknown signature format {fmt!r}; expected one of {sorted(_ADAPTERS)}")
-    stream, close = _open_source(source)
-    try:
-        rows = _read_rows(stream)
-    finally:
-        if close:
-            stream.close()
+    rows = read_csv_rows(source)
     if not rows:
         raise DatasetError("empty signature file")
     return _ADAPTERS[fmt](rows[0], rows[1:])
@@ -324,21 +301,11 @@ def write_signatures(
         ap_order = sorted(aps)
     ap_order = list(ap_order)
 
-    if hasattr(dest, "write"):
-        _write_signature_rows(dest, signatures, ap_order, comment)
-    else:
-        with open(os.fspath(dest), "w", encoding="utf-8", newline="") as f:
-            _write_signature_rows(f, signatures, ap_order, comment)
-
-
-def _write_signature_rows(stream, signatures, ap_order, comment):
-    if comment:
-        stream.write(f"# {comment}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["point_id", "x", "y", *ap_order])
-    for sig in signatures:
-        cells = [sig.point_id, repr(float(sig.reference.x)), repr(float(sig.reference.y))]
-        for ap in ap_order:
-            rssi = sig.readings.get(ap)
-            cells.append("" if rssi is None else repr(float(rssi)))
-        writer.writerow(cells)
+    with csv_writer(dest, comment) as writer:
+        writer.writerow(["point_id", "x", "y", *ap_order])
+        for sig in signatures:
+            cells = [sig.point_id, repr(float(sig.reference.x)), repr(float(sig.reference.y))]
+            for ap in ap_order:
+                rssi = sig.readings.get(ap)
+                cells.append("" if rssi is None else repr(float(rssi)))
+            writer.writerow(cells)

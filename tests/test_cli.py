@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import daepos
 from daepos import parse_signatures, read_dae_dataset
 from daepos.cli import main
 
@@ -221,8 +226,10 @@ def test_exit_code_config_error_for_non_finite_fill(tmp_path, survey_csv, fill):
     assert main(["run", str(survey_csv), "--config", str(config), "--out", str(tmp_path / "o")]) == 1
 
 
-@pytest.mark.parametrize("column", [2, -1])  # first RSSI feature, delta_pos label
-@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize(
+    ("cell", "column"),  # column 2 is the first RSSI feature, -1 the delta_pos label
+    [("nan", 2), ("nan", -1), ("inf", 2), ("inf", -1), ("-0.5", -1)],
+)
 def test_exit_code_data_error_for_non_finite_dataset_cell(tmp_path, survey_csv, column, cell):
     dae = tmp_path / "dae.csv"
     run_ok(["build-dataset", str(survey_csv), "--folds", "3", "--out", str(dae)])
@@ -233,3 +240,29 @@ def test_exit_code_data_error_for_non_finite_dataset_cell(tmp_path, survey_csv, 
     dae.write_text("\n".join(lines) + "\n")
     assert main(["train", str(dae), "--family", "knn", "--out", str(tmp_path / "m.bin")]) == 2
     assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("edit", ["left-self-loop", "feature-out-of-range", "offsets-past-end"])
+def test_predict_exit_code_data_error_for_corrupt_forest_archive(tmp_path, survey_csv, edit):
+    dae = tmp_path / "dae.csv"
+    model = tmp_path / "rf.npz"
+    run_ok(["build-dataset", str(survey_csv), "--folds", "3", "--out", str(dae)])
+    run_ok(["train", str(dae), "--family", "forest", "--trees", "2", "--out", str(model)])
+    with np.load(model) as data:
+        arrays = {name: data[name] for name in data.files}
+    assert arrays["feature"][0] >= 0  # the first root is a split node
+    if edit == "left-self-loop":
+        arrays["left"][0] = 0
+    elif edit == "feature-out-of-range":
+        arrays["feature"][0] = json.loads(str(arrays["meta_json"]))["input_width"]
+    else:
+        arrays["offsets"][-1] += 1
+    np.savez_compressed(model, **arrays)
+    # a child link that loops would make predict spin forever, so run it in a child process
+    env = {**os.environ, "PYTHONPATH": str(Path(daepos.__file__).parents[1])}
+    argv = ["predict", str(survey_csv), "--model", str(model), "--map", str(survey_csv)]
+    result = subprocess.run(
+        [sys.executable, "-m", "daepos.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: forest")

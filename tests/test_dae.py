@@ -2,10 +2,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from daepos import (
+    ApRegistry,
     ConfigError,
     ContractError,
+    DaeDataset,
     DatasetError,
     GridSpec,
     Position2D,
@@ -210,6 +215,29 @@ def test_holdout_dataset_marks_external_records(survey, survey_registry):
     assert all(rec.fold == -1 for rec in ds.records)
 
 
+def test_dataset_columns_validated_and_read_only():
+    registry = ApRegistry(aps=("a", "b"), availability=(1, 1))
+    X, y = np.array([[-50.0, -60.0], [-70.0, -80.0]]), np.array([0.5, 1.5])
+    ds = DaeDataset(X=X, y=y, point_ids=("p", "q"), folds=[0, 1], variant="plain", registry=registry)
+    X[0, 0] = y[0] = 9.0  # the dataset keeps its own copies
+    assert ds.X[0, 0] == -50.0 and ds.y[0] == 0.5
+    with pytest.raises(ValueError):
+        ds.X[0, 0] = 1.0
+    features, label, point_id, fold = ds.records[1]
+    assert features.tolist() == [-70.0, -80.0] and (label, point_id, fold) == (1.5, "q", 1)
+    for bad in (
+        {"variant": "xy"},  # two columns short of the xy width
+        {"y": [0.5]},
+        {"folds": [0, 1, 2]},
+        {"point_ids": ("p",)},
+        {"y": [0.5, -0.1]},
+        {"y": [0.5, np.nan]},
+    ):
+        columns = {"X": X, "y": [0.5, 1.5], "point_ids": ("p", "q"), "folds": [0, 1], "variant": "plain"}
+        with pytest.raises(ContractError):
+            DaeDataset(**{**columns, **bad}, registry=registry)
+
+
 # --- dataset CSV round-trip -----------------------------------------------------
 
 
@@ -224,3 +252,37 @@ def test_dataset_csv_roundtrip(survey_dataset_xy):
     assert np.array_equal(back.labels(), survey_dataset_xy.labels())
     assert [r.fold for r in back.records] == [r.fold for r in survey_dataset_xy.records]
     assert [r.point_id for r in back.records] == [r.point_id for r in survey_dataset_xy.records]
+
+
+# point ids: no line breaks or control characters; CSV quoting and spaces drawn often
+_ID_CHARS = st.sampled_from(' ,"#') | st.characters(whitelist_categories=("L", "N", "P", "Zs"))
+
+
+@st.composite
+def datasets(draw):
+    ap_id = st.text("0123456789abcdef:", min_size=1, max_size=6)
+    aps = draw(st.lists(ap_id, min_size=1, max_size=4, unique=True))
+    variant = draw(st.sampled_from(["plain", "xy"]))
+    n = draw(st.integers(1, 6))
+    width = len(aps) + (2 if variant == "xy" else 0)
+    return DaeDataset(
+        X=draw(arrays(float, (n, width), elements=st.floats(allow_nan=False, allow_infinity=False))),
+        y=draw(arrays(float, n, elements=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))),
+        point_ids=tuple(draw(st.lists(st.text(_ID_CHARS, max_size=8), min_size=n, max_size=n))),
+        folds=draw(st.lists(st.integers(-1, 9), min_size=n, max_size=n)),
+        variant=variant,
+        registry=ApRegistry(aps=tuple(aps), availability=tuple(0 for _ in aps)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=datasets(), comment=st.sampled_from([None, "config_hash=x seed=0"]))
+def test_dataset_csv_roundtrip_property(ds, comment):
+    buf = io.StringIO()
+    write_dae_dataset(ds, buf, comment=comment)
+    back = read_dae_dataset(io.StringIO(buf.getvalue()))
+    assert back.variant == ds.variant
+    assert back.registry.aps == ds.registry.aps
+    assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+    assert back.point_ids == ds.point_ids
+    assert back.folds.tolist() == ds.folds.tolist()

@@ -6,9 +6,8 @@ import pytest
 
 from daepos import (
     ContractError,
+    DaeDataset,
     DatasetError,
-    ErrorPair,
-    dae_error,
     evaluate_model,
     summarize,
 )
@@ -16,38 +15,40 @@ from daepos.evaluation import write_ecdf_csv, write_pairs_csv, write_summary_csv
 from daepos.regressors import ModelSpec, fit
 
 
-def pairs_from(true_errors, estimates):
-    return [ErrorPair(delta_pos=t, delta_est=e) for t, e in zip(true_errors, estimates)]
-
-
 # --- signed error -----------------------------------------------------------------
 
 
 def test_dae_error_perfect_estimate_is_zero():
-    assert dae_error(ErrorPair(delta_pos=1.0, delta_est=1.0)) == 0.0
+    assert summarize([1.0], [1.0]).signed_errors().tolist() == [0.0]
 
 
 def test_dae_error_signs():
-    assert dae_error(ErrorPair(delta_pos=1.0, delta_est=1.5)) == pytest.approx(0.5)
-    assert dae_error(ErrorPair(delta_pos=1.0, delta_est=0.2)) == pytest.approx(-0.8)
+    signed = summarize([1.0, 1.0], [1.5, 0.2]).signed_errors()
+    assert signed.tolist() == pytest.approx([0.5, -0.8])
 
 
 def test_error_pair_rejects_negative_true_error():
-    with pytest.raises(ValueError):
-        ErrorPair(delta_pos=-0.1, delta_est=0.5)
+    with pytest.raises(ContractError):
+        summarize([1.0, -0.1], [0.5, 0.5])
+
+
+def test_summarize_rejects_non_finite_and_mismatched_pairs():
+    for delta_pos, delta_est in (([1.0, math.nan], [0.5, 0.5]), ([1.0], [math.inf]), ([1.0, 2.0], [0.5])):
+        with pytest.raises(ContractError):
+            summarize(delta_pos, delta_est)
 
 
 # --- summarize --------------------------------------------------------------------
 
 
 def test_summarize_hand_computed_mae_mse():
-    report = summarize(pairs_from([1.0, 2.0], [2.0, 1.0]))  # signed errors +1, -1
+    report = summarize([1.0, 2.0], [2.0, 1.0])  # signed errors +1, -1
     assert report.mae == 1.0
     assert report.mse == 1.0
 
 
 def test_summarize_perfect_estimates_degenerate_ecdf():
-    report = summarize(pairs_from([1.0, 2.0, 0.5], [1.0, 2.0, 0.5]))
+    report = summarize([1.0, 2.0, 0.5], [1.0, 2.0, 0.5])
     assert report.mae == 0.0 and report.mse == 0.0
     assert all(value == 0.0 for value, _ in report.ecdf)
     assert report.ecdf[-1][1] == 1.0
@@ -55,13 +56,13 @@ def test_summarize_perfect_estimates_degenerate_ecdf():
 
 def test_summarize_empty_is_dataset_error():
     with pytest.raises(DatasetError):
-        summarize([])
+        summarize([], [])
 
 
 def test_summarize_pearson_undefined_for_zero_variance():
-    report = summarize(pairs_from([1.0, 1.0, 1.0], [0.5, 0.7, 0.9]))
+    report = summarize([1.0, 1.0, 1.0], [0.5, 0.7, 0.9])
     assert report.pearson is None
-    single = summarize(pairs_from([1.0], [0.5]))
+    single = summarize([1.0], [0.5])
     assert single.pearson is None
 
 
@@ -69,8 +70,8 @@ def test_summarize_pearson_affine_invariance():
     rng = np.random.default_rng(3)
     true_err = rng.uniform(0, 3, size=40)
     est = np.abs(true_err + rng.normal(0, 0.5, size=40))
-    base = summarize(pairs_from(true_err, est)).pearson
-    scaled = summarize(pairs_from(2.0 * true_err + 0.5, 3.0 * est + 1.0)).pearson
+    base = summarize(true_err, est).pearson
+    scaled = summarize(2.0 * true_err + 0.5, 3.0 * est + 1.0).pearson
     assert scaled == pytest.approx(base, abs=1e-12)
 
 
@@ -78,13 +79,13 @@ def test_summarize_mae_never_exceeds_rmse():
     rng = np.random.default_rng(4)
     for _ in range(50):
         n = int(rng.integers(2, 60))
-        report = summarize(pairs_from(rng.uniform(0, 4, n), rng.uniform(0, 4, n)))
+        report = summarize(rng.uniform(0, 4, n), rng.uniform(0, 4, n))
         assert report.mae <= math.sqrt(report.mse) + 1e-12
 
 
 def test_ecdf_nondecreasing_and_reaches_one():
     rng = np.random.default_rng(5)
-    report = summarize(pairs_from(rng.uniform(0, 4, 30), rng.uniform(0, 4, 30)))
+    report = summarize(rng.uniform(0, 4, 30), rng.uniform(0, 4, 30))
     values = [v for v, _ in report.ecdf]
     fractions = [f for _, f in report.ecdf]
     assert values == sorted(values)
@@ -99,7 +100,7 @@ def test_ecdf_nondecreasing_and_reaches_one():
 
 def test_cross_fit_yields_one_pair_per_record(survey_dataset_plain):
     report = evaluate_model(ModelSpec(family="knn", k=4), survey_dataset_plain, label="kNN")
-    assert len(report.pairs) == len(survey_dataset_plain)
+    assert len(report.delta_pos) == len(report.delta_est) == len(survey_dataset_plain)
     assert report.protocol == "cross_fit"
     assert report.parameters == "k=4"
 
@@ -121,20 +122,24 @@ def test_cross_fit_deterministic(survey_dataset_plain):
 
 def test_cross_fit_estimates_nonnegative_by_default(survey_dataset_plain):
     report = evaluate_model(ModelSpec(family="linear"), survey_dataset_plain)
-    assert all(p.delta_est >= 0 for p in report.pairs)
+    assert (report.delta_est >= 0).all()
 
 
 def test_cross_fit_raw_outputs_can_go_negative(survey_dataset_plain):
     clamped = evaluate_model(ModelSpec(family="linear"), survey_dataset_plain, clamp=True)
     raw = evaluate_model(ModelSpec(family="linear"), survey_dataset_plain, clamp=False)
-    assert min(p.delta_est for p in raw.pairs) <= min(p.delta_est for p in clamped.pairs)
+    assert raw.delta_est.min() <= clamped.delta_est.min()
 
 
 def test_holdout_uses_fitted_model(survey_dataset_plain, survey_dataset_xy):
     model = fit(ModelSpec(family="knn", k=4), survey_dataset_plain)
-    holdout = survey_dataset_plain.records[:20]
+    ds = survey_dataset_plain
+    holdout = DaeDataset(
+        X=ds.X[:20], y=ds.y[:20], point_ids=ds.point_ids[:20], folds=ds.folds[:20],
+        variant=ds.variant, registry=ds.registry,
+    )
     report = evaluate_model(model, survey_dataset_plain, protocol="holdout", holdout=holdout)
-    assert len(report.pairs) == 20
+    assert len(report.delta_pos) == 20
     assert report.protocol == "holdout"
     # these holdout records were in the training set of a memorizing model
     knn1 = fit(ModelSpec(family="knn", k=1), survey_dataset_plain)
@@ -162,7 +167,7 @@ def test_unknown_protocol_rejected(survey_dataset_plain):
 
 
 def test_summary_csv_layout():
-    report = summarize(pairs_from([1.0, 2.0], [1.5, 1.5]), label="RF")
+    report = summarize([1.0, 2.0], [1.5, 1.5], label="RF")
     import dataclasses
 
     report = dataclasses.replace(report, parameters="trees=100")
@@ -175,7 +180,7 @@ def test_summary_csv_layout():
 
 
 def test_pairs_and_ecdf_csv_roundtrip_floats():
-    report = summarize(pairs_from([1.25, 2.5], [1.0, 3.0]))
+    report = summarize([1.25, 2.5], [1.0, 3.0])
     pairs_buf, ecdf_buf = io.StringIO(), io.StringIO()
     write_pairs_csv(report, pairs_buf)
     write_ecdf_csv(report, ecdf_buf)

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daepos import (
     ApRegistry,
@@ -17,6 +19,7 @@ from daepos import (
     vectorize,
     write_signatures,
 )
+from daepos.signatures import RSSI_MAX, RSSI_MIN
 
 
 def parse_text(text, fmt="canonical"):
@@ -92,6 +95,29 @@ def test_roundtrip_random_signatures_identical():
     write_signatures(sigs, buf)
     reparsed = parse_signatures(io.StringIO(buf.getvalue()))
     assert reparsed == sigs
+
+
+@st.composite
+def signature_lists(draw):
+    ap_id = st.text("0123456789abcdef:", min_size=1, max_size=6)
+    aps = draw(st.lists(ap_id, min_size=1, max_size=5, unique=True))
+    coordinate = st.floats(allow_nan=False, allow_infinity=False)
+    # ids are stripped on parse; letters, digits, punctuation and inner spaces survive
+    id_chars = st.sampled_from(' ,"#') | st.characters(whitelist_categories=("L", "N", "P", "Zs"))
+    point_id = st.text(id_chars, max_size=8).map(str.strip)
+    readings = st.dictionaries(st.sampled_from(aps), st.floats(RSSI_MIN, RSSI_MAX), min_size=1)
+    signature = st.builds(
+        RadioSignature, point_id, st.builds(Position2D, coordinate, coordinate), readings
+    )
+    return draw(st.lists(signature, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sigs=signature_lists(), comment=st.sampled_from([None, "config_hash=x seed=0"]))
+def test_roundtrip_property_write_then_parse(sigs, comment):
+    buf = io.StringIO()
+    write_signatures(sigs, buf, comment=comment)
+    assert parse_signatures(io.StringIO(buf.getvalue())) == sigs
 
 
 def test_zenodo_adapter_maps_loose_columns():
