@@ -10,6 +10,7 @@ can be traced back to its configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from .dae import (
 )
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
-from .pipeline import load_config, provenance, run_pipeline
+from .pipeline import PipelineConfig, load_config, provenance, run_pipeline
 from .positioning import RadioMap, localize
 from .regressors import ModelSpec, fit, load_model, save_model
 from .signatures import ApRegistry, build_registry, parse_signatures, vectorize, write_signatures
@@ -54,14 +55,25 @@ def _fill_dbm(text: str) -> float:
     return value
 
 
+def _stamp(args, **resolved) -> str:
+    """The provenance stamp of every parsed argument but ``--out``, with ``resolved`` values on top."""
+    params = {key: value for key, value in vars(args).items() if key not in ("func", "out")}
+    return provenance({**params, **resolved})
+
+
+def _fields_of(cls, args) -> dict:
+    """The parsed arguments named like a field of dataclass ``cls``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {key: value for key, value in vars(args).items() if key in names}
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
 def _cmd_ingest(args) -> None:
     signatures = parse_signatures(args.input, args.format)
-    prov = provenance({"command": "ingest", "input": args.input, "format": args.format})
-    write_signatures(signatures, args.out, comment=prov)
+    write_signatures(signatures, args.out, comment=_stamp(args))
     print(f"wrote {len(signatures)} signatures to {args.out}")
 
 
@@ -80,21 +92,7 @@ def _cmd_synth(args) -> None:
         seed=args.seed,
     )
     signatures = generate_grid_dataset(world, grid, scans_per_point=args.scans)
-    prov = provenance(
-        {
-            "command": "synth",
-            "grid": args.grid,
-            "spacing": args.spacing,
-            "aps": args.aps,
-            "scans": args.scans,
-            "sigma": args.sigma,
-            "exponent": args.exponent,
-            "tx_power": args.tx_power,
-            "floor": args.floor,
-            "seed": args.seed,
-        }
-    )
-    write_signatures(signatures, args.out, comment=prov)
+    write_signatures(signatures, args.out, comment=_stamp(args))
     print(f"wrote {len(signatures)} synthetic signatures to {args.out}")
 
 
@@ -109,41 +107,13 @@ def _cmd_build_dataset(args) -> None:
         signatures, registry, plan,
         k=args.k, variant=args.variant, fill=args.fill, weighted=args.weighted,
     )
-    prov = provenance(
-        {
-            "command": "build-dataset",
-            "input": args.input,
-            "format": args.format,
-            "ap_count": args.ap_count,
-            "fill": args.fill,
-            "k": args.k,
-            "folds": args.folds,
-            "grouping": args.grouping,
-            "variant": args.variant,
-            "weighted": args.weighted,
-            "seed": args.seed,
-        }
-    )
-    write_dae_dataset(dataset, args.out, comment=prov)
+    write_dae_dataset(dataset, args.out, comment=_stamp(args))
     print(f"wrote {len(dataset)} records to {args.out}")
 
 
 def _cmd_train(args) -> None:
     dataset = read_dae_dataset(args.data)
-    params = {"family": args.family, "seed": args.seed}
-    if args.trees is not None:
-        params["trees"] = args.trees
-    if args.neighbors is not None:
-        params["k"] = args.neighbors
-    if args.layers is not None:
-        params["layers"] = _parse_layers(args.layers)
-    if args.learning_rate is not None:
-        params["learning_rate"] = args.learning_rate
-    if args.epochs is not None:
-        params["epochs"] = args.epochs
-    if args.batch_size is not None:
-        params["batch_size"] = args.batch_size
-    spec = ModelSpec(**params)
+    spec = ModelSpec(**{key: value for key, value in _fields_of(ModelSpec, args).items() if value is not None})
     model = fit(spec, dataset)
     context = {
         "feature_names": dataset.feature_names(),
@@ -165,19 +135,10 @@ def _cmd_evaluate(args) -> None:
         report = evaluate_model(model, dataset, protocol="cross_fit", label=label)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prov = provenance(
-        {
-            "command": "evaluate",
-            "model": args.model,
-            "data": args.data,
-            "holdout": args.holdout,
-            "label": label,
-            "seed": model.spec.seed,
-        }
-    )
-    write_summary_csv([report], out / "report.csv", comment=prov)
-    write_pairs_csv(report, out / "pairs.csv", comment=prov)
-    write_ecdf_csv(report, out / "ecdf.csv", comment=prov)
+    stamp = _stamp(args, label=label, seed=model.spec.seed)
+    write_summary_csv([report], out / "report.csv", comment=stamp)
+    write_pairs_csv(report, out / "pairs.csv", comment=stamp)
+    write_ecdf_csv(report, out / "ecdf.csv", comment=stamp)
     pearson = "undefined" if report.pearson is None else f"{report.pearson:.3f}"
     print(f"{label}: MAE={report.mae:.3f} MSE={report.mse:.3f} pearson={pearson} -> {out}")
 
@@ -211,21 +172,7 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_run(args) -> None:
-    overrides = {
-        "input": args.input,
-        "out_dir": args.out,
-        "fmt": args.format,
-        "ap_count": args.ap_count,
-        "fill": args.fill,
-        "k": args.k,
-        "folds": args.folds,
-        "grouping": args.grouping,
-        "variant": args.variant,
-        "seed": args.seed,
-        "holdout_input": args.holdout_input,
-        "weighted": True if args.weighted else None,
-    }
-    config = load_config(args.config, overrides)
+    config = load_config(args.config, {**_fields_of(PipelineConfig, args), "fmt": args.format})
     run_pipeline(config)
 
 
@@ -280,8 +227,8 @@ def build_parser() -> _Parser:
     p.add_argument("data", help="dataset CSV from build-dataset")
     p.add_argument("--family", choices=("linear", "knn", "forest", "network"), required=True)
     p.add_argument("--trees", type=int, help="forest size")
-    p.add_argument("--neighbors", type=int, help="knn regression neighbors")
-    p.add_argument("--layers", help="network widths, e.g. 128,128,128")
+    p.add_argument("--neighbors", dest="k", type=int, help="knn regression neighbors")
+    p.add_argument("--layers", type=_parse_layers, help="network widths, e.g. 128,128,128")
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
@@ -310,7 +257,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("input", nargs="?", help="signature CSV (overrides the config file)")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="output directory (overrides the config file)")
+    p.add_argument("--out", dest="out_dir", help="output directory (overrides the config file)")
     add_format(p)
     p.add_argument("--ap-count", type=int)
     p.add_argument("--fill", type=float)
@@ -320,7 +267,7 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", choices=("plain", "xy", "both"))
     p.add_argument("--seed", type=int)
     p.add_argument("--holdout-input", help="external signature CSV for the transfer row")
-    p.add_argument("--weighted", action="store_true")
+    p.add_argument("--weighted", action="store_true", default=None)
     p.set_defaults(func=_cmd_run)
     # `run --format` should not silently force canonical over a config value
     p.set_defaults(format=None)

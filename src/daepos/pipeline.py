@@ -102,21 +102,16 @@ def default_lineup(seed: int) -> list[ModelEntry]:
     ]
 
 
-def _entry_to_dict(entry: ModelEntry) -> dict:
-    spec = dataclasses.asdict(entry.spec)
-    spec["layers"] = list(spec["layers"])
-    return {"label": entry.label, "variant": entry.variant, "spec": spec}
-
-
 def _entry_from_dict(d: dict, default_seed: int) -> ModelEntry:
-    d = dict(d)
-    params = dict(d.get("spec") or {k: v for k, v in d.items() if k not in ("label", "variant")})
-    params.setdefault("seed", default_seed)
-    if "layers" in params:
-        params["layers"] = tuple(params["layers"])
-    if "family" not in params:
+    if not isinstance(d, dict):
+        raise ConfigError(f"model entry {d!r} must be a JSON object")
+    params = d.get("spec") or {k: v for k, v in d.items() if k not in ("label", "variant")}
+    if not isinstance(params, dict) or "family" not in params:
         raise ConfigError(f"model entry {d!r} lacks a family")
-    spec = ModelSpec(**params)
+    try:
+        spec = ModelSpec(**{"seed": default_seed, **params})
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"model entry {d!r}: {exc}") from None
     variant = d.get("variant", "plain")
     if variant not in ("plain", "xy"):
         raise ConfigError(f"model entry variant must be plain or xy, got {variant!r}")
@@ -131,8 +126,7 @@ def config_to_dict(config: PipelineConfig) -> dict:
     """
     d = dataclasses.asdict(config)
     d.pop("out_dir")
-    d["models"] = [_entry_to_dict(e) for e in config.active_models()]
-    d["holdout_models"] = list(config.holdout_models)
+    d["models"] = [dataclasses.asdict(e) for e in config.active_models()]
     return d
 
 
@@ -174,14 +168,14 @@ def load_config(path: str | None, overrides: dict | None = None) -> PipelineConf
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    seed = int(merged.get("seed", 0))
-    if "models" in merged and merged["models"] is not None:
-        merged["models"] = [_entry_from_dict(m, seed) for m in merged["models"]]
-    if "holdout_models" in merged and merged["holdout_models"] is not None:
-        merged["holdout_models"] = tuple(merged["holdout_models"])
     try:
+        seed = int(merged.get("seed", 0))
+        if merged.get("models") is not None:
+            merged["models"] = [_entry_from_dict(m, seed) for m in merged["models"]]
+        if merged.get("holdout_models") is not None:
+            merged["holdout_models"] = tuple(merged["holdout_models"])
         return PipelineConfig(**merged)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 

@@ -43,6 +43,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in MODEL_FAMILIES:
             raise ConfigError(f"unknown model family {self.family!r}; expected one of {MODEL_FAMILIES}")
+        if isinstance(self.layers, str):
+            raise ConfigError(f"layers must be a list of widths, got {self.layers!r}")
         object.__setattr__(self, "layers", tuple(int(w) for w in self.layers))
         if self.seed < 0:
             raise ConfigError("model seed must be non-negative")

@@ -11,10 +11,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import zipfile
+import zlib
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import ConfigError, FormatError
 from .base import ErrorRegressor, ModelSpec
 from .forest import ForestModel, Tree
 from .knn import KnnModel
@@ -22,18 +24,7 @@ from .linear import LinearModel
 from .network import NetworkModel
 
 FORMAT_VERSION = 1
-
-
-def _spec_to_jsonable(spec: ModelSpec) -> dict:
-    d = dataclasses.asdict(spec)
-    d["layers"] = list(d["layers"])
-    return d
-
-
-def _spec_from_jsonable(d: dict) -> ModelSpec:
-    d = dict(d)
-    d["layers"] = tuple(d["layers"])
-    return ModelSpec(**d)
+_FOREST_NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 def save_model(model: ErrorRegressor, dest, context: dict | None = None) -> None:
@@ -41,7 +32,7 @@ def save_model(model: ErrorRegressor, dest, context: dict | None = None) -> None
     meta = {
         "format_version": FORMAT_VERSION,
         "family": model.family,
-        "spec": _spec_to_jsonable(model.spec),
+        "spec": dataclasses.asdict(model.spec),
         "input_width": model.input_width,
         "metadata": model.metadata,
         "context": context or model.metadata.get("context") or {},
@@ -56,7 +47,7 @@ def save_model(model: ErrorRegressor, dest, context: dict | None = None) -> None
         arrays["train_y"] = model.train_y
     elif isinstance(model, ForestModel):
         arrays["offsets"] = np.cumsum([0] + [t.n_nodes for t in model.trees]).astype(np.int64)
-        for name in ("feature", "threshold", "left", "right", "value"):
+        for name in _FOREST_NODE_ARRAYS:
             arrays[name] = np.concatenate([getattr(t, name) for t in model.trees])
         arrays["bootstrap"] = np.stack([t.bootstrap_indices for t in model.trees])
     elif isinstance(model, NetworkModel):
@@ -87,12 +78,12 @@ def _check_forest(arrays: dict, input_width: int) -> None:
     integer_arrays = ("offsets", "feature", "left", "right")
     if not all(np.issubdtype(arrays[name].dtype, np.integer) for name in integer_arrays):
         raise FormatError("forest offsets, feature indices and child links must be integers")
-    if offsets.ndim != 1 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != n_total:
+    if len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != n_total:
         raise FormatError(f"forest offsets must run from 0 to the node count {n_total}")
     sizes = np.diff(offsets)
     if (sizes <= 0).any():
         raise FormatError("forest offsets must be increasing")
-    if any(arrays[name].shape != (n_total,) for name in ("feature", "threshold", "left", "right", "value")):
+    if any(arrays[name].shape != (n_total,) for name in _FOREST_NODE_ARRAYS):
         raise FormatError("forest node arrays must all have one entry per node")
     if len(arrays["bootstrap"]) != len(sizes):
         raise FormatError("forest archive needs one bootstrap sample per tree")
@@ -107,56 +98,96 @@ def _check_forest(arrays: dict, input_width: int) -> None:
             raise FormatError(f"forest {name} links must point to a later node of the same tree")
 
 
+def _array_shapes(family: str, spec: ModelSpec, width: int) -> dict:
+    """Name -> shape of every array a ``family`` archive holds; ``None`` leaves a size open."""
+    if family == "linear":
+        return {"coef": (width,), "intercept": ()}
+    if family == "knn":
+        return {"train_x": (None, width), "train_y": (None,)}
+    if family == "forest":  # _check_forest matches the sizes to the offsets
+        return {"offsets": (None,), **dict.fromkeys(_FOREST_NODE_ARRAYS, (None,)), "bootstrap": (None, None)}
+    if family != "network":
+        raise FormatError(f"unknown model family {family!r} in file")
+    shapes = {"scaler_mean": (width,), "scaler_std": (width,)}
+    fan_in = width
+    for i, units in enumerate(spec.layers):
+        shapes[f"param_W{i}"] = (fan_in, units)
+        for name in (f"param_gamma{i}", f"param_beta{i}", f"running_mean{i}", f"running_var{i}"):
+            shapes[name] = (units,)
+        fan_in = units
+    return {**shapes, "param_W_out": (fan_in, 1), "param_b_out": (1,)}
+
+
+def _check_arrays(family: str, shapes: dict, arrays: dict) -> None:
+    """Reject an archive whose array names, kinds or shapes differ from ``shapes``."""
+    names = set(arrays) - {"meta_json"}
+    if names != set(shapes):
+        missing, extra = sorted(set(shapes) - names), sorted(names - set(shapes))
+        raise FormatError(f"{family} model file lacks arrays {missing} or has unexpected arrays {extra}")
+    for name, shape in shapes.items():
+        array = arrays[name]
+        if array.dtype.kind not in "iuf":
+            raise FormatError(f"{family} array {name!r} must be numeric, got {array.dtype}")
+        if array.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, array.shape)):
+            raise FormatError(f"{family} array {name!r} has shape {array.shape}, expected {shape}")
+    if family == "knn" and not 0 < len(arrays["train_x"]) == len(arrays["train_y"]):
+        raise FormatError("knn archive needs one label per training row, and at least one row")
+
+
+# the metadata entries load_model reads, with their JSON types
+_META_TYPES = {
+    "family": str, "spec": dict, "input_width": int, "metadata": (dict, type(None)), "context": (dict, type(None))
+}
+
+
 def load_model(source) -> ErrorRegressor:
     """Load a model written by :func:`save_model`.
 
     The training context (if any) is available as ``model.metadata["context"]``.
+    Anything but a well-formed archive of a known family is a ``FormatError``.
     """
-    with np.load(source, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files}
+    try:
+        data = np.load(source, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise FormatError("not a model file: a single array, not an archive")
+        with data:
+            arrays = {k: data[k] for k in data.files}
+    except (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile, zlib.error) as exc:
+        raise FormatError(f"not a model file: {exc}") from None
     if "meta_json" not in arrays:
         raise FormatError("not a model file: missing metadata entry")
-    meta = json.loads(str(arrays["meta_json"]))
-    version = meta.get("format_version")
+    try:
+        meta = json.loads(str(arrays["meta_json"]))
+    except ValueError as exc:
+        raise FormatError(f"model metadata is not JSON: {exc}") from None
+    version = meta.get("format_version") if isinstance(meta, dict) else None
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported model format version {version!r}")
-
-    spec = _spec_from_jsonable(meta["spec"])
-    metadata = dict(meta.get("metadata") or {})
-    metadata["context"] = meta.get("context") or {}
-    family = meta["family"]
+    malformed = [key for key, kind in _META_TYPES.items() if not isinstance(meta.get(key), kind)]
+    if malformed or meta["input_width"] < 1:
+        raise FormatError(f"model metadata entries missing or malformed: {malformed or ['input_width']}")
+    try:
+        spec = ModelSpec(**meta["spec"])
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise FormatError(f"model spec: {exc}") from None
+    metadata = {**(meta.get("metadata") or {}), "context": meta.get("context") or {}}
+    family, width = meta["family"], meta["input_width"]
+    _check_arrays(family, _array_shapes(family, spec, width), arrays)
 
     if family == "linear":
         return LinearModel(spec, coef=arrays["coef"], intercept=float(arrays["intercept"]), metadata=metadata)
     if family == "knn":
         return KnnModel(spec, train_x=arrays["train_x"], train_y=arrays["train_y"], metadata=metadata)
     if family == "forest":
-        _check_forest(arrays, meta["input_width"])
+        _check_forest(arrays, width)
         offsets = arrays["offsets"]
-        trees = []
-        for t in range(len(offsets) - 1):
-            lo, hi = offsets[t], offsets[t + 1]
-            trees.append(
-                Tree(
-                    feature=arrays["feature"][lo:hi],
-                    threshold=arrays["threshold"][lo:hi],
-                    left=arrays["left"][lo:hi],
-                    right=arrays["right"][lo:hi],
-                    value=arrays["value"][lo:hi],
-                    bootstrap_indices=arrays["bootstrap"][t],
-                )
-            )
-        return ForestModel(spec, trees=trees, input_width=meta["input_width"], metadata=metadata)
-    if family == "network":
-        params = {k[len("param_") :]: v for k, v in arrays.items() if k.startswith("param_")}
-        running = {k[len("running_") :]: v for k, v in arrays.items() if k.startswith("running_")}
-        return NetworkModel(
-            spec,
-            params=params,
-            running=running,
-            scaler_mean=arrays["scaler_mean"],
-            scaler_std=arrays["scaler_std"],
-            input_width=meta["input_width"],
-            metadata=metadata,
-        )
-    raise FormatError(f"unknown model family {family!r} in file")
+        trees = [
+            Tree(**{name: arrays[name][lo:hi] for name in _FOREST_NODE_ARRAYS}, bootstrap_indices=bootstrap)
+            for lo, hi, bootstrap in zip(offsets[:-1], offsets[1:], arrays["bootstrap"])
+        ]
+        return ForestModel(spec, trees=trees, input_width=width, metadata=metadata)
+    params = {k[len("param_") :]: v for k, v in arrays.items() if k.startswith("param_")}
+    running = {k[len("running_") :]: v for k, v in arrays.items() if k.startswith("running_")}
+    return NetworkModel(
+        spec, params, running, arrays["scaler_mean"], arrays["scaler_std"], input_width=width, metadata=metadata
+    )

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 
 import daepos
 from daepos import parse_signatures, read_dae_dataset
-from daepos.cli import main
+from daepos.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -242,27 +244,197 @@ def test_exit_code_data_error_for_non_finite_dataset_cell(tmp_path, survey_csv, 
     assert not (tmp_path / "m.bin").exists()
 
 
-@pytest.mark.parametrize("edit", ["left-self-loop", "feature-out-of-range", "offsets-past-end"])
-def test_predict_exit_code_data_error_for_corrupt_forest_archive(tmp_path, survey_csv, edit):
-    dae = tmp_path / "dae.csv"
-    model = tmp_path / "rf.npz"
-    run_ok(["build-dataset", str(survey_csv), "--folds", "3", "--out", str(dae)])
-    run_ok(["train", str(dae), "--family", "forest", "--trees", "2", "--out", str(model)])
-    with np.load(model) as data:
-        arrays = {name: data[name] for name in data.files}
-    assert arrays["feature"][0] >= 0  # the first root is a split node
+@pytest.fixture(scope="module")
+def trained_models(tmp_path_factory):
+    """A plain survey dataset plus one small model file per family."""
+    root = tmp_path_factory.mktemp("models")
+    survey = root / "survey.csv"
+    dae = root / "dae.csv"
+    run_ok(["synth", "--grid", "5x4", "--aps", "8", "--scans", "3", "--seed", "11", "--out", str(survey)])
+    run_ok(["build-dataset", str(survey), "--folds", "3", "--out", str(dae)])
+    family_flags = {
+        "linear": [],
+        "knn": ["--neighbors", "3"],
+        "forest": ["--trees", "2"],
+        "network": ["--layers", "8,8", "--epochs", "2"],
+    }
+    for family, flags in family_flags.items():
+        run_ok(["train", str(dae), "--family", family, *flags, "--out", str(root / f"{family}.npz")])
+    return root
+
+
+def _corrupt(arrays: dict, edit: str) -> None:
+    """Apply one named edit to the arrays of a saved model file."""
+    meta = json.loads(str(arrays["meta_json"]))
     if edit == "left-self-loop":
+        assert arrays["feature"][0] >= 0  # the first root is a split node
         arrays["left"][0] = 0
     elif edit == "feature-out-of-range":
-        arrays["feature"][0] = json.loads(str(arrays["meta_json"]))["input_width"]
-    else:
+        assert arrays["feature"][0] >= 0
+        arrays["feature"][0] = meta["input_width"]
+    elif edit == "offsets-past-end":
         arrays["offsets"][-1] += 1
-    np.savez_compressed(model, **arrays)
+    elif edit.startswith("no-"):
+        del arrays[edit[len("no-"):]]
+    elif edit.endswith("-shape"):
+        name = edit[: -len("-shape")]
+        arrays[name] = arrays[name][..., :-1]
+    elif edit == "meta-not-json":
+        arrays["meta_json"] = np.array("{not json")
+    elif edit.startswith("meta-no-"):
+        del meta[edit[len("meta-no-"):]]
+        arrays["meta_json"] = np.array(json.dumps(meta))
+    elif edit == "spec-unknown-key":
+        meta["spec"]["bogus"] = 1
+        arrays["meta_json"] = np.array(json.dumps(meta))
+    else:
+        raise AssertionError(edit)
+
+
+# edit: (family of the edited model file, start of the expected stderr line)
+_CORRUPT_ARCHIVES = {
+    "left-self-loop": ("forest", "error: forest"),
+    "feature-out-of-range": ("forest", "error: forest"),
+    "offsets-past-end": ("forest", "error: forest"),
+    "no-value": ("forest", "error: forest model file lacks"),
+    "no-coef": ("linear", "error: linear model file lacks"),
+    "no-train_y": ("knn", "error: knn model file lacks"),
+    "train_x-shape": ("knn", "error: knn array 'train_x'"),
+    "no-running_var0": ("network", "error: network model file lacks"),
+    "no-param_W1": ("network", "error: network model file lacks"),
+    "param_W1-shape": ("network", "error: network array 'param_W1'"),
+    "scaler_std-shape": ("network", "error: network array 'scaler_std'"),
+    "meta-not-json": ("linear", "error: model metadata is not JSON"),
+    "meta-no-family": ("knn", "error: model metadata entries missing"),
+    "meta-no-spec": ("knn", "error: model metadata entries missing"),
+    "meta-no-input_width": ("forest", "error: model metadata entries missing"),
+    "spec-unknown-key": ("network", "error: model spec"),
+    "truncated": ("forest", "error: not a model file"),
+    "text": ("linear", "error: not a model file"),
+}
+
+
+@pytest.mark.parametrize("edit", list(_CORRUPT_ARCHIVES))
+def test_predict_exit_code_data_error_for_corrupt_forest_archive(tmp_path, trained_models, edit):
+    family, prefix = _CORRUPT_ARCHIVES[edit]
+    model = tmp_path / "model.npz"
+    if edit == "truncated":
+        model.write_bytes((trained_models / f"{family}.npz").read_bytes()[:200])
+    elif edit == "text":
+        model.write_text("point_id,x,y\n")
+    else:
+        with np.load(trained_models / f"{family}.npz") as data:
+            arrays = {name: data[name] for name in data.files}
+        _corrupt(arrays, edit)
+        np.savez_compressed(model, **arrays)
     # a child link that loops would make predict spin forever, so run it in a child process
     env = {**os.environ, "PYTHONPATH": str(Path(daepos.__file__).parents[1])}
-    argv = ["predict", str(survey_csv), "--model", str(model), "--map", str(survey_csv)]
+    survey = str(trained_models / "survey.csv")
+    argv = ["predict", survey, "--model", str(model), "--map", survey]
     result = subprocess.run(
         [sys.executable, "-m", "daepos.cli", *argv], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 2, result.stderr
-    assert result.stderr.startswith("error: forest")
+    assert result.stderr.startswith(prefix)
+    assert result.stderr.count("\n") == 1, result.stderr  # one line, no traceback
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"family": "forest", "bogus": 1},
+        {"family": "network", "layers": "8,x"},
+        {"family": "network", "layers": "88"},  # not read as widths 8 and 8
+        {"family": "knn", "k": "four"},
+        "RF",
+    ],
+    ids=["unknown-key", "layers-text", "layers-digits", "k-text", "not-an-object"],
+)
+def test_run_exit_code_config_error_for_malformed_model_entry(tmp_path, survey_csv, capsys, entry):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"models": [entry]}))
+    assert main(["run", str(survey_csv), "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model entry") and err.count("\n") == 1, err
+
+
+def test_stamps_match_pinned_digests(tmp_path, monkeypatch):
+    # A stamp is the identity of every file made under it, so its parameter set and
+    # the spec JSON of model files are pinned. Relative paths: the arguments are hashed as given.
+    monkeypatch.chdir(tmp_path)
+    run_ok(["synth", "--grid", "4x3", "--aps", "6", "--scans", "2", "--seed", "5", "--out", "survey.csv"])
+    run_ok(["ingest", "survey.csv", "--out", "ingested.csv"])
+    run_ok(["build-dataset", "survey.csv", "--folds", "3", "--variant", "xy", "--weighted", "--out", "dae.csv"])
+    run_ok(["train", "dae.csv", "--family", "network", "--layers", "4,3", "--epochs", "2",
+            "--learning-rate", "0.01", "--batch-size", "8", "--seed", "6", "--out", "nn.model"])
+    run_ok(["train", "dae.csv", "--family", "knn", "--neighbors", "3", "--out", "knn.model"])
+    run_ok(["evaluate", "--model", "knn.model", "--data", "dae.csv", "--out", "ev"])
+    config = {"folds": 3, "models": [{"family": "linear", "label": "LR-xy", "variant": "xy"}]}
+    Path("cfg.json").write_text(json.dumps(config))
+    run_ok(["run", "survey.csv", "--config", "cfg.json", "--out", "run", "--k", "3", "--weighted", "--seed", "2"])
+    stamps = {
+        name: Path(name).read_text().splitlines()[0]
+        for name in ("survey.csv", "ingested.csv", "dae.csv", "ev/report.csv", "ev/pairs.csv", "ev/ecdf.csv",
+                     "run/report.csv")
+    }
+    evaluate = "# config_hash=22764139131a seed=0"
+    assert stamps == {
+        "survey.csv": "# config_hash=2b2d2ee46eb2 seed=5",
+        "ingested.csv": "# config_hash=3463ca24869b seed=0",
+        "dae.csv": "# config_hash=57fc99a2ddaa seed=0",
+        "ev/report.csv": evaluate,
+        "ev/pairs.csv": evaluate,
+        "ev/ecdf.csv": evaluate,
+        "run/report.csv": "# config_hash=7e086f1c3c17 seed=2",
+    }
+    specs = []
+    for name in ("nn.model", "knn.model"):
+        with np.load(name) as data:
+            specs.append(json.loads(str(data["meta_json"]))["spec"])
+    defaults = {"batch_size": 32, "bootstrap": True, "epochs": 200, "k": 4, "layers": [128, 128, 128],
+                "learning_rate": 0.001, "max_depth": None, "max_features": None, "min_samples_split": 2,
+                "seed": 0, "trees": 100}
+    assert specs == [
+        {**defaults, "family": "network", "batch_size": 8, "epochs": 2, "layers": [4, 3], "learning_rate": 0.01,
+         "seed": 6},
+        {**defaults, "family": "knn", "k": 3},
+    ]
+
+
+# one changed value per argument; None marks a flag that takes no value
+_ARGUMENT_CHANGES = {
+    "synth": {"--grid": "3x4", "--spacing": "2.5", "--aps": "7", "--scans": "2", "--sigma": "1.5",
+              "--exponent": "3", "--tx-power": "-41", "--floor": "-90", "--seed": "6"},
+    "build-dataset": {"input": "copy.csv", "--format": "zenodo", "--ap-count": "5", "--fill": "-95", "--k": "3",
+                      "--folds": "4", "--grouping": "by_point", "--variant": "xy", "--weighted": None,
+                      "--seed": "1"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGUMENT_CHANGES))
+def test_stamp_changes_with_every_argument_but_out(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    arguments = {
+        (action.option_strings or [action.dest])[0]
+        for action in subcommands.choices[command]._actions
+        if action.dest not in ("help", "out")
+    }
+    changes = _ARGUMENT_CHANGES[command]
+    assert arguments == set(changes)
+    run_ok(["synth", "--grid", "4x3", "--aps", "6", "--scans", "2", "--seed", "5", "--out", "survey.csv"])
+    shutil.copy("survey.csv", "copy.csv")
+    base = [command, "--seed", "5"] if command == "synth" else [command, "survey.csv", "--folds", "3"]
+
+    def stamp(argv, out="out.csv"):
+        run_ok([*argv, "--out", out])
+        return Path(out).read_text().splitlines()[0]
+
+    first = stamp(base)
+    assert stamp(base, out="elsewhere.csv") == first
+    for argument, value in changes.items():
+        if argument == "input":
+            argv = [command, value, *base[2:]]
+        else:
+            argv = [*base, argument] if value is None else [*base, argument, value]
+        assert stamp(argv) != first, argument

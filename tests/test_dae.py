@@ -254,8 +254,8 @@ def test_dataset_csv_roundtrip(survey_dataset_xy):
     assert [r.point_id for r in back.records] == [r.point_id for r in survey_dataset_xy.records]
 
 
-# point ids: no line breaks or control characters; CSV quoting and spaces drawn often
-_ID_CHARS = st.sampled_from(' ,"#') | st.characters(whitelist_categories=("L", "N", "P", "Zs"))
+# point ids: CSV quoting, spaces and line-break characters drawn often
+_ID_CHARS = st.sampled_from(' ,"#\r\n\x1c\x85\u2028') | st.characters(whitelist_categories=("L", "N", "P", "Zs"))
 
 
 @st.composite

@@ -102,8 +102,8 @@ def signature_lists(draw):
     ap_id = st.text("0123456789abcdef:", min_size=1, max_size=6)
     aps = draw(st.lists(ap_id, min_size=1, max_size=5, unique=True))
     coordinate = st.floats(allow_nan=False, allow_infinity=False)
-    # ids are stripped on parse; letters, digits, punctuation and inner spaces survive
-    id_chars = st.sampled_from(' ,"#') | st.characters(whitelist_categories=("L", "N", "P", "Zs"))
+    # ids are stripped on parse; letters, digits, punctuation, inner spaces and line breaks survive
+    id_chars = st.sampled_from(' ,"#\r\n\x1c\x85\u2028') | st.characters(whitelist_categories=("L", "N", "P", "Zs"))
     point_id = st.text(id_chars, max_size=8).map(str.strip)
     readings = st.dictionaries(st.sampled_from(aps), st.floats(RSSI_MIN, RSSI_MAX), min_size=1)
     signature = st.builds(
