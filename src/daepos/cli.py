@@ -17,6 +17,8 @@ from pathlib import Path
 
 from . import __version__
 from .dae import (
+    GROUPINGS,
+    VARIANTS,
     build_dae_dataset,
     feature_names,
     feature_rows,
@@ -26,10 +28,10 @@ from .dae import (
 )
 from .errors import ConfigError, ContractError, DataError
 from .evaluation import evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
-from .pipeline import PipelineConfig, load_config, provenance, run_pipeline
+from .pipeline import VARIANT_CHOICES, PipelineConfig, load_config, provenance, run_pipeline
 from .positioning import RadioMap, localize
-from .regressors import ModelSpec, fit, load_model, save_model
-from .signatures import ApRegistry, build_registry, parse_signatures, vectorize, write_signatures
+from .regressors import MODEL_FAMILIES, ModelSpec, fit, load_model, save_model
+from .signatures import SIGNATURE_FORMATS, ApRegistry, build_registry, parse_signatures, vectorize, write_signatures
 from .synth import GridSpec, SynthWorld, generate_grid_dataset, perimeter_aps
 
 
@@ -186,7 +188,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_format(p):
-        p.add_argument("--format", choices=("canonical", "zenodo"), default="canonical",
+        p.add_argument("--format", choices=SIGNATURE_FORMATS, default="canonical",
                        help="input signature file layout")
 
     p = sub.add_parser("ingest", help="normalize a signature file to the canonical CSV layout")
@@ -215,8 +217,8 @@ def build_parser() -> _Parser:
     p.add_argument("--fill", type=_fill_dbm, default=-99.0, help="imputation dBm for missing readings")
     p.add_argument("--k", type=int, default=4, help="positioning neighbors")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--grouping", choices=("by_signature", "by_point"), default="by_signature")
-    p.add_argument("--variant", choices=("plain", "xy"), default="plain",
+    p.add_argument("--grouping", choices=GROUPINGS, default="by_signature")
+    p.add_argument("--variant", choices=VARIANTS, default="plain",
                    help="append the estimated coordinates to the features")
     p.add_argument("--weighted", action="store_true", help="inverse-distance weighted positioning")
     p.add_argument("--seed", type=int, default=0)
@@ -225,7 +227,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="fit an error regressor on a dataset CSV")
     p.add_argument("data", help="dataset CSV from build-dataset")
-    p.add_argument("--family", choices=("linear", "knn", "forest", "network"), required=True)
+    p.add_argument("--family", choices=MODEL_FAMILIES, required=True)
     p.add_argument("--trees", type=int, help="forest size")
     p.add_argument("--neighbors", dest="k", type=int, help="knn regression neighbors")
     p.add_argument("--layers", type=_parse_layers, help="network widths, e.g. 128,128,128")
@@ -263,8 +265,8 @@ def build_parser() -> _Parser:
     p.add_argument("--fill", type=float)
     p.add_argument("--k", type=int)
     p.add_argument("--folds", type=int)
-    p.add_argument("--grouping", choices=("by_signature", "by_point"))
-    p.add_argument("--variant", choices=("plain", "xy", "both"))
+    p.add_argument("--grouping", choices=GROUPINGS)
+    p.add_argument("--variant", choices=VARIANT_CHOICES)
     p.add_argument("--seed", type=int)
     p.add_argument("--holdout-input", help="external signature CSV for the transfer row")
     p.add_argument("--weighted", action="store_true", default=None)

@@ -64,35 +64,29 @@ def make_fold_plan(
 ) -> FoldPlan:
     """Randomly partition ``n_signatures`` into ``n_folds`` folds.
 
-    Under ``by_signature`` the signature count per fold is balanced within
-    one.  Under ``by_point`` all signatures sharing a point_id land in the
-    same fold and the point count per fold is balanced within one;
-    ``point_ids`` must then be given, one per signature.
+    Under ``by_point`` all signatures sharing a point_id land in the same
+    fold and the point count per fold is balanced within one; ``point_ids``
+    must then be given, one per signature.  ``by_signature`` is the same
+    with every signature a group of its own.
     """
     if grouping not in GROUPINGS:
         raise ConfigError(f"unknown grouping {grouping!r}; expected one of {GROUPINGS}")
     if n_folds < 2:
         raise ConfigError(f"at least 2 folds are required to separate map from test, got {n_folds}")
 
-    rng = np.random.default_rng(seed)
     if grouping == "by_signature":
-        if n_folds > n_signatures:
-            raise ConfigError(f"{n_folds} folds exceed {n_signatures} signatures")
-        assignment = np.empty(n_signatures, dtype=int)
-        assignment[rng.permutation(n_signatures)] = np.arange(n_signatures) % n_folds
+        group_of, n_groups, unit = np.arange(n_signatures), n_signatures, "signatures"
     else:
         if point_ids is None or len(point_ids) != n_signatures:
             raise ContractError("by_point grouping requires one point_id per signature")
-        points = list(dict.fromkeys(point_ids))  # first-appearance order
-        if n_folds > len(points):
-            raise ConfigError(f"{n_folds} folds exceed {len(points)} distinct points")
-        point_fold: dict[str, int] = {}
-        perm = rng.permutation(len(points))
-        for rank, pi in enumerate(perm):
-            point_fold[points[pi]] = rank % n_folds
-        assignment = np.array([point_fold[p] for p in point_ids], dtype=int)
-
-    return FoldPlan(n_folds=n_folds, assignment=tuple(int(f) for f in assignment), seed=seed)
+        first: dict[str, int] = {}  # point_id -> group number in first-appearance order
+        group_of = np.array([first.setdefault(p, len(first)) for p in point_ids], dtype=int)
+        n_groups, unit = len(first), "distinct points"
+    if n_folds > n_groups:
+        raise ConfigError(f"{n_folds} folds exceed {n_groups} {unit}")
+    group_fold = np.empty(n_groups, dtype=int)
+    group_fold[np.random.default_rng(seed).permutation(n_groups)] = np.arange(n_groups) % n_folds
+    return FoldPlan(n_folds=n_folds, assignment=tuple(group_fold[group_of].tolist()), seed=seed)
 
 
 class DaeRecord(NamedTuple):

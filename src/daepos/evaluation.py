@@ -88,7 +88,6 @@ def evaluate_model(
     dataset: DaeDataset,
     protocol: str = "cross_fit",
     holdout: DaeDataset | None = None,
-    clamp: bool = True,
     label: str | None = None,
 ) -> EvaluationReport:
     """Evaluate a model spec or fitted model on an error-regression dataset.
@@ -116,16 +115,15 @@ def evaluate_model(
             test = dataset.folds == fold
             fold_spec = dataclasses.replace(spec, seed=_fold_seed(spec.seed, fold))
             fitted = fit_arrays(fold_spec, X[~test], delta_pos[~test])
-            estimates[test] = fitted.predict(X[test]) if clamp else fitted.predict_raw(X[test])
+            estimates[test] = fitted.predict(X[test])
     elif protocol == "holdout":
         if holdout is None:
             raise ContractError("holdout protocol requires the external records")
         if not len(holdout):
             raise DatasetError("holdout record set is empty")
         fitted = model if isinstance(model, ErrorRegressor) else fit_arrays(spec, dataset.features(), dataset.labels())
-        hx = holdout.features()
         delta_pos = holdout.labels()
-        estimates = fitted.predict(hx) if clamp else fitted.predict_raw(hx)
+        estimates = fitted.predict(holdout.features())
     else:
         raise ConfigError(f"unknown evaluation protocol {protocol!r}; expected one of {PROTOCOLS}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .csvio import csv_writer
-from .dae import GROUPINGS, build_dae_dataset, build_holdout_dataset, make_fold_plan, write_dae_dataset
+from .dae import GROUPINGS, VARIANTS, build_dae_dataset, build_holdout_dataset, make_fold_plan, write_dae_dataset
 from .errors import ConfigError, DaeposError
 from .evaluation import EvaluationReport, evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
 from .regressors import ModelSpec, fit
@@ -113,7 +113,7 @@ def _entry_from_dict(d: dict, default_seed: int) -> ModelEntry:
     except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"model entry {d!r}: {exc}") from None
     variant = d.get("variant", "plain")
-    if variant not in ("plain", "xy"):
+    if variant not in VARIANTS:
         raise ConfigError(f"model entry variant must be plain or xy, got {variant!r}")
     label = d.get("label") or spec.default_label() + ("-xy" if variant == "xy" else "")
     return ModelEntry(label=label, spec=spec, variant=variant)
@@ -172,8 +172,11 @@ def load_config(path: str | None, overrides: dict | None = None) -> PipelineConf
         seed = int(merged.get("seed", 0))
         if merged.get("models") is not None:
             merged["models"] = [_entry_from_dict(m, seed) for m in merged["models"]]
-        if merged.get("holdout_models") is not None:
-            merged["holdout_models"] = tuple(merged["holdout_models"])
+        holdout = merged.get("holdout_models")
+        if holdout is not None:
+            if isinstance(holdout, str) or not all(isinstance(label, str) for label in holdout):
+                raise ConfigError(f"holdout_models must be a list of model labels, got {holdout!r}")
+            merged["holdout_models"] = tuple(holdout)
         return PipelineConfig(**merged)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
@@ -196,11 +199,15 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
     """Execute every stage and write artifacts into ``config.out_dir``."""
     config.validate()
     stamp = provenance(config_to_dict(config))
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     entries = config.active_models()
     if not entries:
         raise ConfigError(f"no models selected for variant {config.variant!r}")
+    by_label = {e.label: e for e in entries}
+    missing = [label for label in config.holdout_models if label not in by_label]
+    if config.holdout_input and missing:
+        raise ConfigError(f"holdout model {missing[0]!r} is not in the active lineup")
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     with _stage("ingest"):
         signatures = parse_signatures(config.input, config.fmt)
@@ -246,11 +253,8 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
         with _stage("holdout"):
             external = parse_signatures(config.holdout_input, config.fmt)
             log(f"holdout: {len(external)} external signatures from {config.holdout_input}")
-            by_label = {e.label: e for e in entries}
             for label in config.holdout_models:
-                entry = by_label.get(label)
-                if entry is None:
-                    raise ConfigError(f"holdout model {label!r} is not in the active lineup")
+                entry = by_label[label]
                 external_ds = build_holdout_dataset(
                     external, signatures, registry,
                     k=config.k, variant=entry.variant, fill=config.fill, weighted=config.weighted,

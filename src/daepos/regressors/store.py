@@ -130,6 +130,14 @@ def _check_arrays(family: str, shapes: dict, arrays: dict) -> None:
             raise FormatError(f"{family} array {name!r} must be numeric, got {array.dtype}")
         if array.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, array.shape)):
             raise FormatError(f"{family} array {name!r} has shape {array.shape}, expected {shape}")
+        if not np.isfinite(array).all():
+            raise FormatError(f"{family} array {name!r} holds non-finite values")
+    if family == "network":  # predict divides by scaler_std and by sqrt(running_var + eps)
+        if (arrays["scaler_std"] <= 0).any():
+            raise FormatError("network array 'scaler_std' must be positive")
+        negative = [name for name in shapes if name.startswith("running_var") and (arrays[name] < 0).any()]
+        if negative:
+            raise FormatError(f"network array {negative[0]!r} holds a negative variance")
     if family == "knn" and not 0 < len(arrays["train_x"]) == len(arrays["train_y"]):
         raise FormatError("knn archive needs one label per training row, and at least one row")
 

@@ -8,8 +8,8 @@ vectors with missing readings imputed by a constant fill value.
 
 Canonical file format: CSV with header ``point_id,x,y,<ap_1>,...,<ap_n>``,
 one row per scan, empty cell = AP not detected.  Leading lines starting with
-``#`` are treated as comments.  A ``zenodo`` adapter maps wide fingerprint
-CSVs with different column conventions onto the same structure.
+``#`` are treated as comments.  The ``zenodo`` layout reads wide fingerprint
+CSVs with different column conventions through the same parser.
 """
 
 from __future__ import annotations
@@ -166,15 +166,51 @@ def reference_matrix(signatures: Sequence[RadioSignature]) -> np.ndarray:
 def parse_signatures(source, fmt: str = "canonical") -> list[RadioSignature]:
     """Parse a signature file in the given format into RadioSignatures.
 
-    ``source`` may be a path or an open text stream.  ``fmt`` is
-    ``canonical`` or ``zenodo``.
+    ``source`` may be a path or an open text stream.  ``fmt`` is one of
+    :data:`SIGNATURE_FORMATS`; it decides which columns hold the point id
+    and coordinates and which RSSI cells are missed detections.  Every
+    other column is an AP, whose names must be non-empty and unique.
     """
-    if fmt not in _ADAPTERS:
-        raise ContractError(f"unknown signature format {fmt!r}; expected one of {sorted(_ADAPTERS)}")
+    if fmt not in _LAYOUTS:
+        raise ContractError(f"unknown signature format {fmt!r}; expected one of {sorted(_LAYOUTS)}")
     rows = read_csv_rows(source)
     if not rows:
         raise DatasetError("empty signature file")
-    return _ADAPTERS[fmt](rows[0], rows[1:])
+    locate, sentinels = _LAYOUTS[fmt]
+    header = [h.strip() for h in rows[0]]
+    pi, xi, yi = locate(header)
+    ap_cols = [i for i in range(len(header)) if i not in {pi, xi, yi}]
+    ap_ids = [header[i] for i in ap_cols]
+    if not ap_ids:
+        raise FormatError("no AP columns left after removing coordinate/id columns")
+    if len(set(ap_ids)) != len(ap_ids) or not all(ap_ids):
+        raise FormatError("AP columns must be non-empty and unique")
+    if len(rows) == 1:
+        raise DatasetError("signature file has a header but no data rows")
+
+    signatures = []
+    for num, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
+        x = _parse_float(row[xi])
+        y = _parse_float(row[yi])
+        if x is None or y is None:
+            raise RowError(num, f"non-numeric coordinate ({row[xi]!r}, {row[yi]!r})")
+        readings = {}
+        for ap, i in zip(ap_ids, ap_cols):
+            cell = row[i].strip()
+            rssi = _parse_float(cell) if cell else None  # skipping empty cells first avoids slow exceptions
+            if rssi is None or (sentinels and (rssi == 0.0 or not RSSI_MIN <= rssi <= RSSI_MAX)):
+                continue  # unreadable cell (or sentinel) counts as a missed detection
+            readings[ap] = rssi
+        if not readings:
+            raise RowError(num, "scan contains no readings")
+        point_id = row[pi].strip() if pi is not None else f"row{num}"
+        try:
+            signatures.append(RadioSignature(point_id, Position2D(x, y), readings))
+        except ValueError as exc:
+            raise RowError(num, str(exc)) from None
+    return signatures
 
 
 def _parse_float(cell: str) -> float | None:
@@ -185,42 +221,13 @@ def _parse_float(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _parse_canonical(header: list[str], rows: list[list[str]]) -> list[RadioSignature]:
-    header = [h.strip() for h in header]
+def _canonical_columns(header: list[str]) -> tuple[int, int, int]:
     if len(header) < 4 or header[:3] != ["point_id", "x", "y"]:
         raise FormatError(
             "canonical header must be 'point_id,x,y,<ap_1>,...,<ap_n>', got "
             + ",".join(header[:4] or ["<empty>"])
         )
-    ap_ids = header[3:]
-    if len(set(ap_ids)) != len(ap_ids) or any(not ap for ap in ap_ids):
-        raise FormatError("AP columns must be non-empty and unique")
-    if not rows:
-        raise DatasetError("signature file has a header but no data rows")
-
-    signatures = []
-    for num, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
-        x = _parse_float(row[1])
-        y = _parse_float(row[2])
-        if x is None or y is None:
-            raise RowError(num, f"non-numeric coordinate ({row[1]!r}, {row[2]!r})")
-        readings = {}
-        for ap, cell in zip(ap_ids, row[3:]):
-            cell = cell.strip()
-            if not cell:
-                continue
-            rssi = _parse_float(cell)
-            if rssi is None:
-                continue  # unreadable cell counts as a missed detection
-            if not (RSSI_MIN <= rssi <= RSSI_MAX):
-                raise RowError(num, f"RSSI {rssi} dBm for AP {ap!r} outside [{RSSI_MIN}, {RSSI_MAX}]")
-            readings[ap] = rssi
-        if not readings:
-            raise RowError(num, "scan contains no readings")
-        signatures.append(RadioSignature(row[0].strip(), Position2D(x, y), readings))
-    return signatures
+    return 0, 1, 2
 
 
 # Column-name candidates used to locate coordinates / point labels in wide
@@ -230,55 +237,26 @@ _Y_NAMES = {"y", "pos_y", "ref_y", "y_m", "y_ref", "y_coord"}
 _ID_NAMES = {"point_id", "point", "pid", "id", "label", "location"}
 
 
-def _parse_zenodo(header: list[str], rows: list[list[str]]) -> list[RadioSignature]:
-    """Adapter for wide fingerprint CSVs with loose column conventions.
+def _zenodo_columns(header: list[str]) -> tuple[int | None, int, int]:
+    """Locate the id and coordinate columns of a wide fingerprint CSV by name (case-insensitive).
 
-    Coordinate and point-id columns are located by name (case-insensitive);
-    every other column is an AP.  Cells that are empty, non-numeric, or
-    outside the plausible RSSI range (sentinels such as 100 or -200) count
-    as missed detections.
+    Without an id column each scan is named ``row<n>``.
     """
-    header = [h.strip() for h in header]
     lower = [h.lower() for h in header]
 
     def find(names: set[str]) -> int | None:
-        for i, name in enumerate(lower):
-            if name in names:
-                return i
-        return None
+        return next((i for i, name in enumerate(lower) if name in names), None)
 
     xi, yi = find(_X_NAMES), find(_Y_NAMES)
     if xi is None or yi is None:
         raise FormatError(f"could not locate coordinate columns in header {header[:6]}...")
-    pi = find(_ID_NAMES)
-    ap_cols = [i for i in range(len(header)) if i not in {xi, yi, pi}]
-    if not ap_cols:
-        raise FormatError("no AP columns left after removing coordinate/id columns")
-    if not rows:
-        raise DatasetError("signature file has a header but no data rows")
-
-    signatures = []
-    for num, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
-        x = _parse_float(row[xi])
-        y = _parse_float(row[yi])
-        if x is None or y is None:
-            raise RowError(num, f"non-numeric coordinate ({row[xi]!r}, {row[yi]!r})")
-        readings = {}
-        for i in ap_cols:
-            rssi = _parse_float(row[i].strip()) if row[i].strip() else None
-            if rssi is None or not (RSSI_MIN <= rssi <= RSSI_MAX) or rssi == 0.0:
-                continue
-            readings[header[i]] = rssi
-        if not readings:
-            raise RowError(num, "scan contains no readings")
-        point_id = row[pi].strip() if pi is not None else f"row{num}"
-        signatures.append(RadioSignature(point_id, Position2D(x, y), readings))
-    return signatures
+    return find(_ID_NAMES), xi, yi
 
 
-_ADAPTERS = {"canonical": _parse_canonical, "zenodo": _parse_zenodo}
+# Format -> (column locator, whether 0 and out-of-range RSSI cells are
+# sentinels such as 0, 100 or -200 for a missed detection rather than errors).
+_LAYOUTS = {"canonical": (_canonical_columns, False), "zenodo": (_zenodo_columns, True)}
+SIGNATURE_FORMATS = tuple(_LAYOUTS)
 
 
 def write_signatures(

@@ -54,6 +54,16 @@ def test_ingest_normalizes_zenodo_layout(tmp_path):
     assert dict(sigs[0].readings) == {"aa:01": -60.0}
 
 
+@pytest.mark.parametrize("header", ["x,y,,ap2", "x,y,ap1,ap1"], ids=["empty-ap", "duplicate-ap"])
+def test_ingest_zenodo_exit_code_data_error_for_bad_ap_header(tmp_path, capsys, header):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(f"{header}\n0.5,1.5,-60,-70\n")
+    assert main(["ingest", str(raw), "--format", "zenodo", "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: AP columns must be non-empty and unique\n", err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_build_dataset_columns_and_rows(tmp_path, survey_csv):
     out = tmp_path / "dae.csv"
     run_ok(["build-dataset", str(survey_csv), "--folds", "4", "--seed", "2",
@@ -164,6 +174,24 @@ def test_run_with_holdout_adds_user_row(tmp_path, survey_csv):
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[-1].startswith("user,RF-xy (10),")
     assert (out / "user_rf_xy_pairs.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "holdout_models", ["RF-xy", [["RF-xy"]], ["RF-xy", "NN"]], ids=["string", "nested-list", "unknown-label"]
+)
+def test_run_checks_holdout_models_before_ingest(tmp_path, survey_csv, capsys, holdout_models):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "folds": 3,
+        "models": [{"family": "linear", "label": "RF-xy", "variant": "xy"}],
+        "holdout_models": holdout_models,
+    }))
+    out = tmp_path / "out"
+    argv = ["run", str(survey_csv), "--config", str(config), "--out", str(out), "--holdout-input", str(survey_csv)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: holdout") and err.count("\n") == 1, err
+    assert not list(out.glob("dae_*.csv"))
 
 
 def test_exit_code_config_error_for_bad_folds(tmp_path, survey_csv):
@@ -279,6 +307,13 @@ def _corrupt(arrays: dict, edit: str) -> None:
     elif edit.endswith("-shape"):
         name = edit[: -len("-shape")]
         arrays[name] = arrays[name][..., :-1]
+    elif edit.endswith("-nan"):
+        arrays[edit[: -len("-nan")]].flat[0] = np.nan
+    elif edit == "running_var0-negated":
+        arrays["running_var0"] = -arrays["running_var0"]
+        assert (arrays["running_var0"] < 0).any()
+    elif edit == "scaler_std-zero":
+        arrays["scaler_std"][0] = 0.0
     elif edit == "meta-not-json":
         arrays["meta_json"] = np.array("{not json")
     elif edit.startswith("meta-no-"):
@@ -304,6 +339,10 @@ _CORRUPT_ARCHIVES = {
     "no-param_W1": ("network", "error: network model file lacks"),
     "param_W1-shape": ("network", "error: network array 'param_W1'"),
     "scaler_std-shape": ("network", "error: network array 'scaler_std'"),
+    "param_W0-nan": ("network", "error: network array 'param_W0' holds non-finite"),
+    "running_var0-negated": ("network", "error: network array 'running_var0' holds a negative"),
+    "scaler_std-zero": ("network", "error: network array 'scaler_std' must be positive"),
+    "threshold-nan": ("forest", "error: forest array 'threshold' holds non-finite"),
     "meta-not-json": ("linear", "error: model metadata is not JSON"),
     "meta-no-family": ("knn", "error: model metadata entries missing"),
     "meta-no-spec": ("knn", "error: model metadata entries missing"),

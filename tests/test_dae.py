@@ -73,6 +73,17 @@ def test_fold_plan_by_point_never_splits_a_point():
     assert all(len(folds) == 1 for folds in fold_of_point.values())
 
 
+def test_fold_plan_by_signature_is_by_point_with_unique_ids():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        folds = int(rng.integers(2, n + 1))
+        seed = int(rng.integers(0, 10_000))
+        ids = [f"s{i}" for i in rng.permutation(n)]
+        by_point = make_fold_plan(n, folds, seed, grouping="by_point", point_ids=ids)
+        assert make_fold_plan(n, folds, seed) == by_point
+
+
 def test_fold_plan_too_few_folds_is_config_error():
     with pytest.raises(ConfigError):
         make_fold_plan(10, 1, seed=0)

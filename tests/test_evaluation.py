@@ -125,12 +125,6 @@ def test_cross_fit_estimates_nonnegative_by_default(survey_dataset_plain):
     assert (report.delta_est >= 0).all()
 
 
-def test_cross_fit_raw_outputs_can_go_negative(survey_dataset_plain):
-    clamped = evaluate_model(ModelSpec(family="linear"), survey_dataset_plain, clamp=True)
-    raw = evaluate_model(ModelSpec(family="linear"), survey_dataset_plain, clamp=False)
-    assert raw.delta_est.min() <= clamped.delta_est.min()
-
-
 def test_holdout_uses_fitted_model(survey_dataset_plain, survey_dataset_xy):
     model = fit(ModelSpec(family="knn", k=4), survey_dataset_plain)
     ds = survey_dataset_plain

@@ -74,8 +74,14 @@ def test_parse_unreadable_rssi_cell_is_missing():
 
 
 def test_parse_out_of_range_rssi_is_row_error():
-    with pytest.raises(RowError):
-        parse_text("point_id,x,y,ap1\np1,0,0,17.5\n")
+    with pytest.raises(RowError, match=r"^row 2: RSSI 17.5 dBm for AP 'ap1' outside \[-120.0, 0.0\]$"):
+        parse_text("point_id,x,y,ap1\np1,0,0,-50\np2,0,0,17.5\n")
+
+
+def test_zenodo_sentinels_are_misses_and_rows_without_id_are_numbered():
+    sigs = parse_text("x,y,ap1,ap2,ap3\n1,2,0,-200,-60\n3,4,-55,,100\n", fmt="zenodo")
+    assert [s.point_id for s in sigs] == ["row1", "row2"]
+    assert [dict(s.readings) for s in sigs] == [{"ap3": -60.0}, {"ap1": -55.0}]
 
 
 def test_parse_row_with_no_readings_is_row_error():
