@@ -23,7 +23,7 @@ from .dae import (
 from .errors import ConfigError, ContractError, DaeposError, DataError, DatasetError, FormatError, RowError
 from .evaluation import EvaluationReport, evaluate_model, summarize
 from .pipeline import PipelineConfig, config_hash, load_config, run_pipeline
-from .positioning import PositionEstimate, RadioMap, localize, nearest, rssi_distance
+from .positioning import PositionEstimate, RadioMap, localize, nearest
 from .regressors import ErrorRegressor, ModelSpec, fit, fit_arrays, load_model, save_model
 from .signatures import (
     ApRegistry,
@@ -77,7 +77,6 @@ __all__ = [
     "parse_signatures",
     "perimeter_aps",
     "read_dae_dataset",
-    "rssi_distance",
     "run_pipeline",
     "sample_signature",
     "save_model",

@@ -26,7 +26,7 @@ from .dae import (
     read_dae_dataset,
     write_dae_dataset,
 )
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, FormatError
 from .evaluation import evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
 from .pipeline import VARIANT_CHOICES, PipelineConfig, load_config, provenance, run_pipeline
 from .positioning import RadioMap, localize
@@ -114,8 +114,8 @@ def _cmd_build_dataset(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    dataset = read_dae_dataset(args.data)
     spec = ModelSpec(**{key: value for key, value in _fields_of(ModelSpec, args).items() if value is not None})
+    dataset = read_dae_dataset(args.data)
     model = fit(spec, dataset)
     context = {
         "feature_names": dataset.feature_names(),
@@ -154,6 +154,11 @@ def _cmd_predict(args) -> None:
         raise ContractError(
             "model file carries no AP column context; train it via the CLI to embed one"
         )
+    if not (isinstance(ap_ids, list) and all(isinstance(ap, str) and ap for ap in ap_ids)
+            and len(set(ap_ids)) == len(ap_ids)):
+        raise FormatError("model context ap_ids must be a list of distinct, non-empty AP names")
+    if variant not in VARIANTS:
+        raise FormatError(f"model context variant must be one of {VARIANTS}, got {variant!r}")
     registry = ApRegistry(aps=tuple(ap_ids), availability=tuple(0 for _ in ap_ids))
     expected = len(feature_names(registry.aps, variant))
     if model.input_width != expected:

@@ -110,7 +110,7 @@ def _entry_from_dict(d: dict, default_seed: int) -> ModelEntry:
         raise ConfigError(f"model entry {d!r} lacks a family")
     try:
         spec = ModelSpec(**{"seed": default_seed, **params})
-    except (TypeError, ValueError, ConfigError) as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"model entry {d!r}: {exc}") from None
     variant = d.get("variant", "plain")
     if variant not in VARIANTS:

@@ -78,31 +78,21 @@ class PositionEstimate:
     neighbor_distances: tuple[float, ...]
 
 
-def rssi_distance(a, b) -> float:
-    """Euclidean distance between two equal-length dBm vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ContractError(f"vector widths differ: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
 # Upper bound on the (rows, n, width) float64 difference block that
 # :func:`nearest` holds at once; queries are processed in chunks of that many
 # rows (at least one).
 _SCRATCH_BYTES = 8 * 2**20
 
 
-def nearest(queries, vectors, k: int, _root: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def nearest(queries, vectors, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``k`` rows of ``vectors`` nearest to each row of ``queries``.
 
     Returns ``(indices, keys)``, both (n_queries, min(k, n)), ordered by
-    ascending squared Euclidean distance; at equal distance the lower row
-    index comes first, exactly as a stable argsort of every row would rank
-    them.  ``_root`` ranks (and returns) Euclidean distances instead, whose
-    rounding can tie squared distances that differ.  The per-chunk
-    difference block stays within ``_SCRATCH_BYTES`` (or one query row, if
-    larger), however many queries are passed.
+    ascending squared Euclidean distance (the keys); at equal distance the
+    lower row index comes first, exactly as a stable argsort of every row
+    would rank them.  The per-chunk difference block stays within
+    ``_SCRATCH_BYTES`` (or one query row, if larger), however many queries
+    are passed.
     """
     Q = np.asarray(queries, dtype=float)
     V = np.asarray(vectors, dtype=float)
@@ -120,8 +110,6 @@ def nearest(queries, vectors, k: int, _root: bool = False) -> tuple[np.ndarray, 
         np.square(diff, out=diff)
         key = diff.sum(axis=2)
         del diff  # freed before the next chunk allocates its own
-        if _root:
-            np.sqrt(key, out=key)
         idx = _smallest(key, kk)
         indices[start : start + rows] = idx
         keys[start : start + rows] = key[np.arange(len(key))[:, None], idx]
@@ -151,13 +139,12 @@ def _smallest(key: np.ndarray, k: int) -> np.ndarray:
 def localize(query, radio_map: RadioMap, k: int = DEFAULT_K, weighted: bool = False) -> PositionEstimate:
     """Estimate the position of ``query`` against ``radio_map`` with k-NN.
 
-    Neighbors are the k map entries at smallest RSSI distance; ties at the
-    k-th distance are resolved in favor of the lower map-entry index.  The
-    estimate is the unweighted mean of the neighbors' reference positions,
-    or their inverse-distance weighted mean when ``weighted`` is set.
+    Neighbors are the k map entries at smallest RSSI distance, ranked by
+    :func:`nearest` on its square; ties at the k-th distance are resolved in
+    favor of the lower map-entry index.  The estimate is the unweighted mean
+    of the neighbors' reference positions, or their inverse-distance
+    weighted mean when ``weighted`` is set.
     """
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
     if len(radio_map) < k:
         raise DatasetError(f"radio map has {len(radio_map)} entries, fewer than k={k}")
     query = np.asarray(query, dtype=float)
@@ -168,8 +155,8 @@ def localize(query, radio_map: RadioMap, k: int = DEFAULT_K, weighted: bool = Fa
     if not np.isfinite(query).all():
         raise ContractError("query vector contains non-finite dBm values")
 
-    indices, distances = nearest(query[None, :], radio_map.vectors, k, _root=True)
-    idx, neighbor_dists = indices[0], distances[0]
+    indices, keys = nearest(query[None, :], radio_map.vectors, k)
+    idx, neighbor_dists = indices[0], np.sqrt(keys[0])
     refs = radio_map.references[idx]
 
     if weighted:

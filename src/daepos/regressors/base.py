@@ -8,6 +8,8 @@ model outputs at zero; ``predict_raw`` keeps the signed diagnostics.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +17,10 @@ import numpy as np
 from ..errors import ConfigError, ContractError
 
 MODEL_FAMILIES = ("linear", "knn", "forest", "network")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,18 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in MODEL_FAMILIES:
             raise ConfigError(f"unknown model family {self.family!r}; expected one of {MODEL_FAMILIES}")
-        if isinstance(self.layers, str):
-            raise ConfigError(f"layers must be a list of widths, got {self.layers!r}")
-        object.__setattr__(self, "layers", tuple(int(w) for w in self.layers))
+        for name in ("k", "trees", "max_depth", "min_samples_split", "max_features", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (value is None and name in ("max_depth", "max_features"))):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.bootstrap, bool):
+            raise ConfigError(f"bootstrap must be true or false, got {self.bootstrap!r}")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not (math.isfinite(rate) and rate > 0):
+            raise ConfigError(f"learning_rate must be a finite number above 0, got {rate!r}")
+        if not isinstance(self.layers, (list, tuple)) or not all(_is_int(w) for w in self.layers):
+            raise ConfigError(f"layers must be a list of integer widths, got {self.layers!r}")
+        object.__setattr__(self, "layers", tuple(self.layers))
         if self.seed < 0:
             raise ConfigError("model seed must be non-negative")
         if self.family == "knn" and self.k < 1:
@@ -62,7 +77,7 @@ class ModelSpec:
         if self.family == "network":
             if not self.layers or any(w < 1 for w in self.layers):
                 raise ConfigError(f"network needs non-empty positive layer widths, got {self.layers}")
-            if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
+            if self.epochs < 1 or self.batch_size < 1:
                 raise ConfigError("network training hyperparameters must be positive")
 
     def params_text(self) -> str:
@@ -101,6 +116,8 @@ class ErrorRegressor:
             raise ContractError(
                 f"feature width mismatch: model expects {self.input_width}, got {X.shape[-1]}"
             )
+        if not np.isfinite(X).all():
+            raise ContractError("features contain non-finite values")
         return X, single
 
     def predict_raw(self, features):

@@ -143,7 +143,12 @@ class ForestModel(ErrorRegressor):
         return np.stack([tree.predict(X) for tree in self.trees])
 
     def _raw(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([tree.predict(X) for tree in self.trees]).mean(axis=0)
+        # Tree by tree, as ``tree_predictions(X).mean(axis=0)`` sums for two or
+        # more rows, so a row gets the same bits alone as inside a batch.
+        total = self.trees[0].predict(X)
+        for tree in self.trees[1:]:
+            total += tree.predict(X)
+        return total / len(self.trees)
 
 
 def fit_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> ForestModel:

@@ -176,7 +176,7 @@ def load_model(source) -> ErrorRegressor:
         raise FormatError(f"model metadata entries missing or malformed: {malformed or ['input_width']}")
     try:
         spec = ModelSpec(**meta["spec"])
-    except (TypeError, ValueError, ConfigError) as exc:
+    except (TypeError, ConfigError) as exc:
         raise FormatError(f"model spec: {exc}") from None
     metadata = {**(meta.get("metadata") or {}), "context": meta.get("context") or {}}
     family, width = meta["family"], meta["input_width"]

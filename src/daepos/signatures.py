@@ -240,17 +240,20 @@ _ID_NAMES = {"point_id", "point", "pid", "id", "label", "location"}
 def _zenodo_columns(header: list[str]) -> tuple[int | None, int, int]:
     """Locate the id and coordinate columns of a wide fingerprint CSV by name (case-insensitive).
 
-    Without an id column each scan is named ``row<n>``.
+    Without an id column each scan is named ``row<n>``.  Two columns named
+    from one set (say ``x`` and ``pos_x``) are a ``FormatError``.
     """
-    lower = [h.lower() for h in header]
 
-    def find(names: set[str]) -> int | None:
-        return next((i for i, name in enumerate(lower) if name in names), None)
+    def find(role: str, names: set[str]) -> int | None:
+        hits = [i for i, name in enumerate(header) if name.lower() in names]
+        if len(hits) > 1:
+            raise FormatError(f"header has more than one {role} column: {', '.join(header[i] for i in hits)}")
+        return hits[0] if hits else None
 
-    xi, yi = find(_X_NAMES), find(_Y_NAMES)
+    xi, yi = find("x", _X_NAMES), find("y", _Y_NAMES)
     if xi is None or yi is None:
         raise FormatError(f"could not locate coordinate columns in header {header[:6]}...")
-    return find(_ID_NAMES), xi, yi
+    return find("id", _ID_NAMES), xi, yi
 
 
 # Format -> (column locator, whether 0 and out-of-range RSSI cells are

@@ -64,6 +64,16 @@ def test_ingest_zenodo_exit_code_data_error_for_bad_ap_header(tmp_path, capsys, 
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("header", ["id,x,pos_x,y,ap1", ",X,Pos_X,Y_M"], ids=["x-and-pos_x", "X-and-Pos_X"])
+def test_ingest_zenodo_exit_code_data_error_for_two_coordinate_columns(tmp_path, capsys, header):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(f"{header}\np1,0.5,-1.5,1.0,-60\n")
+    assert main(["ingest", str(raw), "--format", "zenodo", "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: header has more than one x column") and err.count("\n") == 1, err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_build_dataset_columns_and_rows(tmp_path, survey_csv):
     out = tmp_path / "dae.csv"
     run_ok(["build-dataset", str(survey_csv), "--folds", "4", "--seed", "2",
@@ -202,6 +212,11 @@ def test_exit_code_config_error_for_bad_flag_value(tmp_path, survey_csv):
     assert main(["build-dataset", str(survey_csv), "--grouping", "by_magic",
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["nonsense-command"]) == 1
+    # rejected before the (absent) dataset is read
+    for flags in (["network", "--learning-rate", "nan"], ["network", "--learning-rate", "inf"],
+                  ["forest", "--trees", "0"]):
+        assert main(["train", str(tmp_path / "absent.csv"), "--family", *flags,
+                     "--out", str(tmp_path / "m.npz")]) == 1
 
 
 def test_exit_code_data_error_for_missing_file(tmp_path):
@@ -322,6 +337,18 @@ def _corrupt(arrays: dict, edit: str) -> None:
     elif edit == "spec-unknown-key":
         meta["spec"]["bogus"] = 1
         arrays["meta_json"] = np.array(json.dumps(meta))
+    elif edit == "spec-k-bool":
+        meta["spec"]["k"] = True
+        arrays["meta_json"] = np.array(json.dumps(meta))
+    elif edit.startswith("context-"):
+        ap_ids = meta["context"]["ap_ids"]
+        meta["context"].update({
+            "context-ap_ids-duplicate": {"ap_ids": [ap_ids[0], *ap_ids[:-1]]},
+            "context-ap_ids-integer": {"ap_ids": [0, *ap_ids[1:]]},
+            "context-ap_ids-string": {"ap_ids": ",".join(ap_ids)},
+            "context-variant-unknown": {"variant": "xyz"},
+        }[edit])
+        arrays["meta_json"] = np.array(json.dumps(meta))
     else:
         raise AssertionError(edit)
 
@@ -348,6 +375,11 @@ _CORRUPT_ARCHIVES = {
     "meta-no-spec": ("knn", "error: model metadata entries missing"),
     "meta-no-input_width": ("forest", "error: model metadata entries missing"),
     "spec-unknown-key": ("network", "error: model spec"),
+    "spec-k-bool": ("knn", "error: model spec: k must be an integer"),
+    "context-ap_ids-duplicate": ("forest", "error: model context ap_ids"),
+    "context-ap_ids-integer": ("forest", "error: model context ap_ids"),
+    "context-ap_ids-string": ("forest", "error: model context ap_ids"),
+    "context-variant-unknown": ("forest", "error: model context variant"),
     "truncated": ("forest", "error: not a model file"),
     "text": ("linear", "error: not a model file"),
 }
@@ -386,8 +418,12 @@ def test_predict_exit_code_data_error_for_corrupt_forest_archive(tmp_path, train
         {"family": "network", "layers": "88"},  # not read as widths 8 and 8
         {"family": "knn", "k": "four"},
         "RF",
+        {"family": "knn", "k": True},
+        {"family": "forest", "trees": 2.5},
+        {"family": "network", "layers": [2.7]},
     ],
-    ids=["unknown-key", "layers-text", "layers-digits", "k-text", "not-an-object"],
+    ids=["unknown-key", "layers-text", "layers-digits", "k-text", "not-an-object", "k-bool", "trees-float",
+         "layers-float"],
 )
 def test_run_exit_code_config_error_for_malformed_model_entry(tmp_path, survey_csv, capsys, entry):
     config = tmp_path / "config.json"

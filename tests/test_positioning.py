@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from daepos import (
@@ -14,7 +14,6 @@ from daepos import (
     localize,
     nearest,
     positioning,
-    rssi_distance,
 )
 
 
@@ -39,34 +38,17 @@ def brute_force_neighbors(vectors, query, k):
     return tuple(order[:k])
 
 
-def test_distance_zero_iff_identical():
-    assert rssi_distance([-50.0, -60.0], [-50.0, -60.0]) == 0.0
-    assert rssi_distance([-50.0], [-51.0]) > 0.0
-
-
-def test_distance_hand_computed_345():
-    assert rssi_distance([-50.0, -60.0], [-53.0, -56.0]) == pytest.approx(5.0)
-
-
-def test_distance_symmetry():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        a = rng.uniform(-110, -30, size=6)
-        b = rng.uniform(-110, -30, size=6)
-        assert rssi_distance(a, b) == rssi_distance(b, a)
-
-
-def test_distance_width_mismatch_is_contract_error():
-    with pytest.raises(ContractError):
-        rssi_distance([-50.0, -60.0], [-50.0])
-
-
 def test_localize_exact_match_k1():
     radio_map = make_map([[-50.0, -60.0], [-70.0, -80.0]], [[1.0, 2.0], [5.0, 6.0]])
-    est = localize([-70.0, -80.0], radio_map, k=1)
-    assert est.position == Position2D(5.0, 6.0)
-    assert est.neighbor_distances == (0.0,)
-    assert est.neighbor_indices == (1,)
+    # an exact match, and a 3-4-5 triangle away from the first entry
+    for query, index, position, distance in (
+        ([-70.0, -80.0], 1, Position2D(5.0, 6.0), 0.0),
+        ([-53.0, -56.0], 0, Position2D(1.0, 2.0), 5.0),
+    ):
+        est = localize(query, radio_map, k=1)
+        assert est.position == position
+        assert est.neighbor_distances == (distance,)
+        assert est.neighbor_indices == (index,)
 
 
 def test_localize_unit_square_centroid():
@@ -210,15 +192,26 @@ def search_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=search_cases(), root=st.booleans())
-def test_nearest_equals_full_stable_argsort(case, root):
+@given(case=search_cases())
+def test_nearest_equals_full_stable_argsort(case):
     Q, V, k, cap = case
     key = np.sum((Q[:, None, :] - V[None]) ** 2, axis=2)
-    if root:
-        key = np.sqrt(key)
     expected = np.argsort(key, axis=1, kind="stable")[:, :k]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(positioning, "_SCRATCH_BYTES", cap)
-        indices, keys = nearest(Q, V, k, _root=root)
+        indices, keys = nearest(Q, V, k)
     np.testing.assert_array_equal(indices, expected)
     np.testing.assert_array_equal(keys, np.take_along_axis(key, expected, axis=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=search_cases())
+def test_localize_is_first_row_of_nearest(case):
+    Q, V, k, _ = case
+    # localize rejects non-finite input and maps smaller than k
+    assume(np.isfinite(Q[0]).all() and np.isfinite(V).all() and k <= len(V))
+    radio_map = make_map(V, np.arange(2.0 * len(V)).reshape(-1, 2))
+    est = localize(Q[0], radio_map, k=k)
+    indices, keys = nearest(Q[:1], V, k)
+    assert est.neighbor_indices == tuple(indices[0])
+    assert est.neighbor_distances == tuple(np.sqrt(keys[0]))

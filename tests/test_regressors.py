@@ -36,15 +36,37 @@ def test_spec_rejects_unknown_family():
         ModelSpec(family="boosting")
 
 
+# Out of range, or of the wrong type: a float, a bool or a string where an
+# integer, a bool or a finite positive rate belongs.
+_BAD_SPECS = [
+    {"family": "knn", "k": 0},
+    {"family": "forest", "trees": 0},
+    {"family": "network", "layers": ()},
+    {"family": "network", "learning_rate": 0.0},
+    {"family": "knn", "k": True},
+    {"family": "knn", "k": 2.0},
+    {"family": "forest", "trees": 2.5},
+    {"family": "forest", "max_depth": 2.5},
+    {"family": "forest", "max_features": True},
+    {"family": "forest", "min_samples_split": "2"},
+    {"family": "forest", "bootstrap": 1},
+    {"family": "network", "layers": (2.7,)},
+    {"family": "network", "layers": [8, False]},
+    {"family": "network", "layers": 8},
+    {"family": "network", "epochs": 1.5},
+    {"family": "network", "batch_size": True},
+    {"family": "network", "learning_rate": float("nan")},
+    {"family": "network", "learning_rate": float("inf")},
+    {"family": "network", "learning_rate": True},
+    {"family": "network", "learning_rate": "0.1"},
+    {"family": "linear", "seed": 1.0},
+]
+
+
 def test_spec_rejects_bad_family_parameters():
-    with pytest.raises(ConfigError):
-        ModelSpec(family="knn", k=0)
-    with pytest.raises(ConfigError):
-        ModelSpec(family="forest", trees=0)
-    with pytest.raises(ConfigError):
-        ModelSpec(family="network", layers=())
-    with pytest.raises(ConfigError):
-        ModelSpec(family="network", learning_rate=0.0)
+    for params in _BAD_SPECS:
+        with pytest.raises(ConfigError):
+            ModelSpec(**params)
 
 
 def test_fit_non_finite_training_data_is_contract_error():
@@ -380,6 +402,15 @@ def test_model_file_rejects_garbage(tmp_path):
     np.savez(open(path, "wb"), something=np.zeros(3))
     with pytest.raises(FormatError):
         load_model(path)
+    # a well-formed knn archive whose spec holds a value of the wrong type
+    arrays = dict(_saved_arrays("knn"))
+    meta = json.loads(str(arrays.pop("meta_json")))
+    for key, value in (("k", True), ("k", 2.0), ("trees", 2.5), ("layers", [2.7]), ("learning_rate", "nan")):
+        buf = io.BytesIO()
+        np.savez(buf, meta_json=np.array(json.dumps({**meta, "spec": {**meta["spec"], key: value}})), **arrays)
+        buf.seek(0)
+        with pytest.raises(FormatError):
+            load_model(buf)
 
 
 _TINY_SPECS = {
@@ -391,10 +422,15 @@ _TINY_SPECS = {
 
 
 @functools.lru_cache(maxsize=None)
-def _saved_arrays(family: str) -> dict:
+def _tiny_model(family: str):
     X, y = regression_problem(np.random.default_rng(5), n=12, d=3)
+    return fit_arrays(_TINY_SPECS[family], X, y)
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_arrays(family: str) -> dict:
     buf = io.BytesIO()
-    save_model(fit_arrays(_TINY_SPECS[family], X, y), buf)
+    save_model(_tiny_model(family), buf)
     buf.seek(0)
     with np.load(buf) as data:
         return {name: data[name] for name in data.files}
@@ -447,6 +483,52 @@ def test_fuzzed_model_archive_predicts_or_is_format_error(archive):
         return
     with np.errstate(all="ignore"):  # edited weights may make NaN estimates; that is not this test's concern
         assert model.predict(np.zeros((2, model.input_width))).shape == (2,)
+
+
+@pytest.mark.parametrize("family", sorted(_TINY_SPECS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("shape", [(3,), (4, 3)], ids=["row", "matrix"])
+def test_predict_non_finite_features_is_contract_error(family, bad, shape):
+    features = np.full(shape, -60.0)
+    features.flat[-1] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        _tiny_model(family).predict(features)
+
+
+# --- one row alone or inside a batch ------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_model(family: str):
+    X, y = regression_problem(np.random.default_rng(6), n=40, d=3)
+    spec = {
+        "linear": ModelSpec(family="linear"),
+        "knn": ModelSpec(family="knn", k=3),
+        "forest": ModelSpec(family="forest", trees=12, seed=4),  # enough trees for pairwise and sequential sums to differ
+        "network": ModelSpec(family="network", layers=(8, 8), epochs=5, seed=4),
+    }[family]
+    return fit_arrays(spec, X, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["knn", "forest"]),
+    X=hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.just(3)), elements=st.floats(-110, -30)),
+)
+def test_knn_and_forest_predict_a_row_alone_bit_for_bit_as_in_a_batch(family, X):
+    model = _batch_model(family)
+    batch = model.predict_raw(X)
+    for i in range(len(X)):
+        assert model.predict_raw(X[i : i + 1]).tobytes() == batch[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("family", ["linear", "network"])
+def test_linear_and_network_rows_alone_match_the_batch_within_blas_rounding(family):
+    # BLAS picks its summation order by row count, so the last bits may differ
+    model = _batch_model(family)
+    X = np.random.default_rng(7).uniform(-110, -30, size=(50, 3))
+    alone = np.array([model.predict_raw(row) for row in X])
+    np.testing.assert_allclose(alone, model.predict_raw(X), rtol=1e-12, atol=0)
 
 
 def test_params_text_matches_report_layout():
