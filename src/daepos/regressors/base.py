@@ -56,7 +56,11 @@ class ModelSpec:
         if not isinstance(self.bootstrap, bool):
             raise ConfigError(f"bootstrap must be true or false, got {self.bootstrap!r}")
         rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not (math.isfinite(rate) and rate > 0):
+        try:
+            valid_rate = not isinstance(rate, bool) and isinstance(rate, numbers.Real) and math.isfinite(float(rate))
+        except OverflowError:  # an int too large for a float
+            valid_rate = False
+        if not (valid_rate and rate > 0):
             raise ConfigError(f"learning_rate must be a finite number above 0, got {rate!r}")
         if not isinstance(self.layers, (list, tuple)) or not all(_is_int(w) for w in self.layers):
             raise ConfigError(f"layers must be a list of integer widths, got {self.layers!r}")

@@ -421,9 +421,10 @@ def test_predict_exit_code_data_error_for_corrupt_forest_archive(tmp_path, train
         {"family": "knn", "k": True},
         {"family": "forest", "trees": 2.5},
         {"family": "network", "layers": [2.7]},
+        {"family": "network", "learning_rate": 10**400},
     ],
     ids=["unknown-key", "layers-text", "layers-digits", "k-text", "not-an-object", "k-bool", "trees-float",
-         "layers-float"],
+         "layers-float", "learning_rate-huge-int"],
 )
 def test_run_exit_code_config_error_for_malformed_model_entry(tmp_path, survey_csv, capsys, entry):
     config = tmp_path / "config.json"

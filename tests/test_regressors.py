@@ -59,6 +59,7 @@ _BAD_SPECS = [
     {"family": "network", "learning_rate": float("inf")},
     {"family": "network", "learning_rate": True},
     {"family": "network", "learning_rate": "0.1"},
+    {"family": "network", "learning_rate": 10**400},
     {"family": "linear", "seed": 1.0},
 ]
 
@@ -405,7 +406,8 @@ def test_model_file_rejects_garbage(tmp_path):
     # a well-formed knn archive whose spec holds a value of the wrong type
     arrays = dict(_saved_arrays("knn"))
     meta = json.loads(str(arrays.pop("meta_json")))
-    for key, value in (("k", True), ("k", 2.0), ("trees", 2.5), ("layers", [2.7]), ("learning_rate", "nan")):
+    for key, value in (("k", True), ("k", 2.0), ("trees", 2.5), ("layers", [2.7]), ("learning_rate", "nan"),
+                       ("learning_rate", 10**400)):
         buf = io.BytesIO()
         np.savez(buf, meta_json=np.array(json.dumps({**meta, "spec": {**meta["spec"], key: value}})), **arrays)
         buf.seek(0)

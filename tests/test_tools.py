@@ -13,7 +13,7 @@ def test_cli_digests_listing_is_the_same_on_a_rerun(tmp_path):
     listings = []
     for name in ("first", "second"):
         result = subprocess.run(
-            [sys.executable, str(CLI_DIGESTS), str(tmp_path / name), "--grid", "4x3"],
+            [sys.executable, str(CLI_DIGESTS), str(tmp_path / name)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert result.returncode == 0, result.stderr

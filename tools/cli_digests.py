@@ -2,7 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python tools/cli_digests.py OUT_DIR [--grid 5x4]
+    PYTHONPATH=src python tools/cli_digests.py OUT_DIR
 
 The sequence uses whichever ``daepos`` is importable, so pointing
 ``PYTHONPATH`` at two checkouts' ``src/`` and diffing the two listings shows
@@ -71,11 +71,11 @@ def _daepos(*argv: str) -> str:
     return out.getvalue()
 
 
-def run_sequence(grid: str) -> None:
+def run_sequence() -> None:
     """Write every output of the fixed sequence into the current directory."""
     for sub in ("ingest", "models", "predict"):
         Path(sub).mkdir()
-    _daepos("synth", "--grid", grid, "--aps", "8", "--scans", "3", "--seed", "11", "--out", "survey.csv")
+    _daepos("synth", "--grid", "4x3", "--aps", "8", "--scans", "3", "--seed", "11", "--out", "survey.csv")
     _daepos("synth", "--grid", "3x3", "--aps", "8", "--scans", "2", "--seed", "12", "--out", "holdout.csv")
     Path("zenodo.csv").write_text(ZENODO_TEXT)
     _daepos("ingest", "survey.csv", "--out", "ingest/canonical.csv")
@@ -110,7 +110,6 @@ def digests(root: Path) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path, help="directory to write into; must be empty or absent")
-    parser.add_argument("--grid", default="5x4", help="survey grid as NXxNY (default 5x4)")
     args = parser.parse_args(argv)
     out = args.out_dir.resolve()
     out.mkdir(parents=True, exist_ok=True)
@@ -119,7 +118,7 @@ def main(argv=None) -> int:
     cwd = os.getcwd()
     os.chdir(out)
     try:
-        run_sequence(args.grid)
+        run_sequence()
     finally:
         os.chdir(cwd)
     print("\n".join(digests(out)))
