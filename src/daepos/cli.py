@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: ingest, build-dataset, train, evaluate, predict, synth, and
-run (the full pipeline).  Exit codes: 0 success, 1 configuration error,
-2 data error, 3 contract error.  Every output file starts with a comment
-line carrying the hash of the resolved parameters and the seed, so a run
-can be traced back to its configuration.
+run (the full pipeline).  A command exits 0 on success, with the
+``exit_code`` of the package error that stopped it, or 2 on an ``OSError``.
+Every output file starts with a comment line carrying the hash of the
+resolved parameters and the seed, so a run can be traced back to its
+configuration.
 """
 
 from __future__ import annotations
@@ -29,9 +30,17 @@ from .dae import (
 from .errors import ConfigError, ContractError, DataError, FormatError
 from .evaluation import evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
 from .pipeline import VARIANT_CHOICES, PipelineConfig, load_config, provenance, run_pipeline
-from .positioning import RadioMap, localize
+from .positioning import DEFAULT_K, RadioMap, localize
 from .regressors import MODEL_FAMILIES, ModelSpec, fit, load_model, save_model
-from .signatures import SIGNATURE_FORMATS, ApRegistry, build_registry, parse_signatures, vectorize, write_signatures
+from .signatures import (
+    DEFAULT_FILL_DBM,
+    SIGNATURE_FORMATS,
+    ApRegistry,
+    build_registry,
+    parse_signatures,
+    vectorize,
+    write_signatures,
+)
 from .synth import GridSpec, SynthWorld, generate_grid_dataset, perimeter_aps
 
 
@@ -219,8 +228,8 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="signature CSV to read")
     add_format(p)
     p.add_argument("--ap-count", type=int, default=35, help="APs to retain by availability")
-    p.add_argument("--fill", type=_fill_dbm, default=-99.0, help="imputation dBm for missing readings")
-    p.add_argument("--k", type=int, default=4, help="positioning neighbors")
+    p.add_argument("--fill", type=_fill_dbm, default=DEFAULT_FILL_DBM, help="imputation dBm for missing readings")
+    p.add_argument("--k", type=int, default=DEFAULT_K, help="positioning neighbors")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--grouping", choices=GROUPINGS, default="by_signature")
     p.add_argument("--variant", choices=VARIANTS, default="plain",
@@ -256,8 +265,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="model file from train")
     p.add_argument("--map", required=True, help="canonical CSV acting as the radio map")
     add_format(p)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--fill", type=_fill_dbm, default=-99.0)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--fill", type=_fill_dbm, default=DEFAULT_FILL_DBM)
     p.add_argument("--weighted", action="store_true")
     p.set_defaults(func=_cmd_predict)
 
@@ -288,15 +297,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.func(args)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, DataError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

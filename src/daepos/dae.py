@@ -49,10 +49,6 @@ class FoldPlan:
 
     n_folds: int
     assignment: tuple[int, ...]
-    seed: int
-
-    def fold_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.assignment) == fold)
 
 
 def make_fold_plan(
@@ -86,7 +82,7 @@ def make_fold_plan(
         raise ConfigError(f"{n_folds} folds exceed {n_groups} {unit}")
     group_fold = np.empty(n_groups, dtype=int)
     group_fold[np.random.default_rng(seed).permutation(n_groups)] = np.arange(n_groups) % n_folds
-    return FoldPlan(n_folds=n_folds, assignment=tuple(group_fold[group_of].tolist()), seed=seed)
+    return FoldPlan(n_folds=n_folds, assignment=tuple(group_fold[group_of].tolist()))
 
 
 class DaeRecord(NamedTuple):
@@ -158,10 +154,6 @@ class DaeDataset:
         """The rows as :class:`DaeRecord` tuples, built on each access."""
         columns = zip(self.X, self.y.tolist(), self.point_ids, self.folds.tolist())
         return tuple(DaeRecord(*row) for row in columns)
-
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
 
     def features(self) -> np.ndarray:
         return self.X

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError (and
-subclasses) -> 2, ContractError -> 3.
+``ConfigError``, ``DataError`` (with its subclasses) and ``ContractError``
+each carry the ``exit_code`` the CLI ends with when one of them escapes.
 """
 
 
@@ -12,9 +12,13 @@ class DaeposError(Exception):
 class ConfigError(DaeposError):
     """Invalid configuration value or command-line usage."""
 
+    exit_code = 1
+
 
 class DataError(DaeposError):
     """Problem with dataset contents."""
+
+    exit_code = 2
 
 
 class FormatError(DataError):
@@ -39,3 +43,5 @@ class DatasetError(DataError):
 
 class ContractError(DaeposError):
     """A call violated an API precondition, e.g. mismatched vector widths."""
+
+    exit_code = 3

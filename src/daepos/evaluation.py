@@ -3,8 +3,8 @@
 The central quantity is the signed estimation error ``delta_est -
 delta_pos``: positive values mean the model was pessimistic, negative
 values optimistic.  Reports carry MAE/MSE of the signed error, the Pearson
-correlation between true and estimated errors, the raw pairs, and ECDF
-samples of the signed error for external plotting.
+correlation between true and estimated errors and the raw pairs; the ECDF
+of the signed error is written from the pairs for external plotting.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class EvaluationReport:
     pearson: float | None  # None when undefined (fewer than 2 pairs or zero variance)
     delta_pos: np.ndarray
     delta_est: np.ndarray
-    ecdf: tuple[tuple[float, float], ...]  # (signed error, cumulative fraction)
     parameters: str = "-"
     protocol: str = ""
 
@@ -47,7 +46,7 @@ class EvaluationReport:
 
 
 def summarize(delta_pos, delta_est, label: str = "") -> EvaluationReport:
-    """MAE/MSE/Pearson and the signed-error ECDF of true versus estimated errors."""
+    """MAE/MSE/Pearson of true versus estimated errors."""
     delta_pos = np.asarray(delta_pos, dtype=float)
     delta_est = np.asarray(delta_est, dtype=float)
     if delta_pos.ndim != 1 or delta_est.shape != delta_pos.shape:
@@ -65,9 +64,6 @@ def summarize(delta_pos, delta_est, label: str = "") -> EvaluationReport:
     pearson = None
     if len(errors) >= 2 and delta_pos.std() > 0 and delta_est.std() > 0:
         pearson = float(np.corrcoef(delta_pos, delta_est)[0, 1])
-
-    ordered = np.sort(errors)
-    fractions = np.arange(1, len(ordered) + 1) / len(ordered)
     return EvaluationReport(
         label=label,
         mae=float(np.mean(np.abs(errors))),
@@ -75,7 +71,6 @@ def summarize(delta_pos, delta_est, label: str = "") -> EvaluationReport:
         pearson=pearson,
         delta_pos=delta_pos,
         delta_est=delta_est,
-        ecdf=tuple(zip(ordered.tolist(), fractions.tolist())),
     )
 
 
@@ -150,7 +145,9 @@ def write_pairs_csv(report: EvaluationReport, dest, comment: str | None = None) 
 
 
 def write_ecdf_csv(report: EvaluationReport, dest, comment: str | None = None) -> None:
+    """ECDF of the signed errors: each sorted value with its cumulative fraction."""
+    ordered = np.sort(report.signed_errors())
+    fractions = np.arange(1, len(ordered) + 1) / len(ordered)
     with csv_writer(dest, comment) as writer:
         writer.writerow(["signed_error", "fraction"])
-        for value, fraction in report.ecdf:
-            writer.writerow([repr(float(value)), repr(float(fraction))])
+        writer.writerows(zip(map(repr, ordered.tolist()), map(repr, fractions.tolist())))

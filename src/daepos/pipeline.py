@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -22,8 +21,9 @@ from .csvio import csv_writer
 from .dae import GROUPINGS, VARIANTS, build_dae_dataset, build_holdout_dataset, make_fold_plan, write_dae_dataset
 from .errors import ConfigError, DaeposError
 from .evaluation import EvaluationReport, evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
-from .regressors import ModelSpec, fit
-from .signatures import DEFAULT_FILL_DBM, build_registry, parse_signatures
+from .regressors import ModelSpec
+from .regressors.base import _is_finite_number, _is_int
+from .signatures import DEFAULT_FILL_DBM, SIGNATURE_FORMATS, build_registry, parse_signatures
 
 # The default lineup: every family with and without the appended location
 # estimate, using the parameter choices reported for each family.
@@ -69,13 +69,22 @@ class PipelineConfig:
         self.validate()
 
     def validate(self):
-        if not self.input:
-            raise ConfigError("an input signature file is required")
-        if not self.out_dir:
-            raise ConfigError("an output directory is required")
+        if not (isinstance(self.input, str) and self.input):
+            raise ConfigError(f"an input signature file is required, got {self.input!r}")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ConfigError(f"an output directory is required, got {self.out_dir!r}")
+        if not (self.holdout_input is None or isinstance(self.holdout_input, str)):
+            raise ConfigError(f"holdout_input must be a file path or null, got {self.holdout_input!r}")
+        if self.fmt not in SIGNATURE_FORMATS:
+            raise ConfigError(f"unknown signature format {self.fmt!r}; expected one of {SIGNATURE_FORMATS}")
+        for name in ("ap_count", "k", "folds", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.weighted, bool):
+            raise ConfigError(f"weighted must be true or false, got {self.weighted!r}")
         if self.ap_count < 1:
             raise ConfigError(f"ap_count must be >= 1, got {self.ap_count}")
-        if not isinstance(self.fill, (int, float)) or not math.isfinite(self.fill):
+        if not _is_finite_number(self.fill):
             raise ConfigError(f"fill must be a finite dBm value, got {self.fill!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
@@ -168,8 +177,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> PipelineConf
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
+    seed = merged.get("seed", 0)
+    if not _is_int(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     try:
-        seed = int(merged.get("seed", 0))
         if merged.get("models") is not None:
             merged["models"] = [_entry_from_dict(m, seed) for m in merged["models"]]
         holdout = merged.get("holdout_models")
@@ -259,9 +270,8 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
                     external, signatures, registry,
                     k=config.k, variant=entry.variant, fill=config.fill, weighted=config.weighted,
                 )
-                fitted = fit(entry.spec, datasets[entry.variant])
                 report = evaluate_model(
-                    fitted, datasets[entry.variant], protocol="holdout", holdout=external_ds, label="user"
+                    entry.spec, datasets[entry.variant], protocol="holdout", holdout=external_ds, label="user"
                 )
                 bare = entry.spec.params_text().split("=", 1)[-1]  # "trees=300" -> "300"
                 report = dataclasses.replace(report, parameters=f"{entry.label} ({bare})")

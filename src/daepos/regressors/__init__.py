@@ -50,6 +50,4 @@ def fit_arrays(spec: ModelSpec, X, y) -> ErrorRegressor:
 
 def fit(spec: ModelSpec, dataset: DaeDataset) -> ErrorRegressor:
     """Fit on an error-regression dataset."""
-    if len(dataset) == 0:
-        raise DatasetError("cannot fit on an empty dataset")
     return fit_arrays(spec, dataset.features(), dataset.labels())

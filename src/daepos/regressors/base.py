@@ -23,6 +23,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite_number(value) -> bool:
+    """A real number, not a bool, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Family choice plus every tunable the families expose.
@@ -55,13 +65,8 @@ class ModelSpec:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.bootstrap, bool):
             raise ConfigError(f"bootstrap must be true or false, got {self.bootstrap!r}")
-        rate = self.learning_rate
-        try:
-            valid_rate = not isinstance(rate, bool) and isinstance(rate, numbers.Real) and math.isfinite(float(rate))
-        except OverflowError:  # an int too large for a float
-            valid_rate = False
-        if not (valid_rate and rate > 0):
-            raise ConfigError(f"learning_rate must be a finite number above 0, got {rate!r}")
+        if not (_is_finite_number(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be a finite number above 0, got {self.learning_rate!r}")
         if not isinstance(self.layers, (list, tuple)) or not all(_is_int(w) for w in self.layers):
             raise ConfigError(f"layers must be a list of integer widths, got {self.layers!r}")
         object.__setattr__(self, "layers", tuple(self.layers))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -62,15 +62,6 @@ class RadioSignature:
                 raise ValueError(f"RSSI {rssi} dBm for AP {ap!r} outside [{RSSI_MIN}, {RSSI_MAX}]")
         # Freeze the mapping so signatures are safe to share between workers.
         object.__setattr__(self, "readings", MappingProxyType(dict(self.readings)))
-
-    def __eq__(self, other):
-        if not isinstance(other, RadioSignature):
-            return NotImplemented
-        return (
-            self.point_id == other.point_id
-            and self.reference == other.reference
-            and dict(self.readings) == dict(other.readings)
-        )
 
     def __hash__(self):
         return hash((self.point_id, self.reference, tuple(sorted(self.readings.items()))))
@@ -262,25 +253,15 @@ _LAYOUTS = {"canonical": (_canonical_columns, False), "zenodo": (_zenodo_columns
 SIGNATURE_FORMATS = tuple(_LAYOUTS)
 
 
-def write_signatures(
-    signatures: Sequence[RadioSignature],
-    dest,
-    ap_order: Iterable[str] | None = None,
-    comment: str | None = None,
-) -> None:
+def write_signatures(signatures: Sequence[RadioSignature], dest, comment: str | None = None) -> None:
     """Write signatures as canonical CSV to a path or text stream.
 
-    Column order defaults to the sorted union of all AP ids.  Floats are
-    written with ``repr`` precision so a parse round-trip is exact.
+    The AP columns are the sorted union of all AP ids.  Floats are written
+    with ``repr`` precision so a parse round-trip is exact.
     """
     if not signatures:
         raise DatasetError("refusing to write an empty signature file")
-    if ap_order is None:
-        aps: set[str] = set()
-        for sig in signatures:
-            aps.update(sig.readings)
-        ap_order = sorted(aps)
-    ap_order = list(ap_order)
+    ap_order = sorted(set().union(*(sig.readings for sig in signatures)))
 
     with csv_writer(dest, comment) as writer:
         writer.writerow(["point_id", "x", "y", *ap_order])

@@ -18,6 +18,9 @@ from .signatures import RSSI_MAX, RSSI_MIN, Position2D, RadioSignature
 
 REFERENCE_DISTANCE_M = 1.0
 
+# How far outside the surveyed rectangle :func:`perimeter_aps` places its APs.
+PERIMETER_MARGIN_M = 1.0
+
 
 @dataclass(frozen=True)
 class SynthWorld:
@@ -83,19 +86,19 @@ def sample_signature(
 
 @dataclass(frozen=True)
 class GridSpec:
+    """An ``nx`` by ``ny`` survey grid whose first node is at (0, 0)."""
+
     nx: int
     ny: int
     spacing: float = 2.0
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1 or self.spacing <= 0:
             raise ConfigError(f"grid needs nx, ny >= 1 and positive spacing, got {self}")
 
     def positions(self) -> list[tuple[str, Position2D]]:
-        x0, y0 = self.origin
         return [
-            (f"p{ix:02d}_{iy:02d}", Position2D(x0 + ix * self.spacing, y0 + iy * self.spacing))
+            (f"p{ix:02d}_{iy:02d}", Position2D(ix * self.spacing, iy * self.spacing))
             for iy in range(self.ny)
             for ix in range(self.nx)
         ]
@@ -112,16 +115,16 @@ def generate_grid_dataset(world: SynthWorld, grid: GridSpec, scans_per_point: in
     return signatures
 
 
-def perimeter_aps(n_aps: int, width: float, height: float, margin: float = 1.0) -> tuple[Position2D, ...]:
-    """Place APs evenly along the rectangle perimeter expanded by ``margin``.
+def perimeter_aps(n_aps: int, width: float, height: float) -> tuple[Position2D, ...]:
+    """Place APs evenly along the rectangle perimeter expanded by :data:`PERIMETER_MARGIN_M`.
 
     Convenience geometry for CLI-generated worlds; coverage of the interior
     is roughly uniform for typical indoor extents.
     """
     if n_aps < 1:
         raise ConfigError(f"need at least one AP, got {n_aps}")
-    w = width + 2 * margin
-    h = height + 2 * margin
+    w = width + 2 * PERIMETER_MARGIN_M
+    h = height + 2 * PERIMETER_MARGIN_M
     perimeter = 2 * (w + h)
     positions = []
     for i in range(n_aps):
@@ -134,5 +137,5 @@ def perimeter_aps(n_aps: int, width: float, height: float, margin: float = 1.0) 
             x, y = w - (s - w - h), h
         else:
             x, y = 0.0, h - (s - 2 * w - h)
-        positions.append(Position2D(x - margin, y - margin))
+        positions.append(Position2D(x - PERIMETER_MARGIN_M, y - PERIMETER_MARGIN_M))
     return tuple(positions)

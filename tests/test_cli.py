@@ -204,6 +204,43 @@ def test_run_checks_holdout_models_before_ingest(tmp_path, survey_csv, capsys, h
     assert not list(out.glob("dae_*.csv"))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("k", "2.5"),
+        ("folds", "2.5"),
+        ("seed", "1e400"),
+        ("seed", "true"),
+        ("ap_count", "true"),
+        ("fill", "true"),
+        ("fill", "1" + "0" * 400),
+        ("weighted", '"no"'),
+        ("fmt", '"zenodoo"'),
+        ("input", "5"),
+        ("out_dir", "5"),
+        ("holdout_input", "5"),
+    ],
+    ids=["k-float", "folds-float", "seed-huge-float", "seed-bool", "ap_count-bool", "fill-bool", "fill-huge-int",
+         "weighted-text", "fmt-unknown", "input-int", "out_dir-int", "holdout_input-int"],
+)
+def test_run_checks_config_types_before_ingest(tmp_path, survey_csv, capsys, key, value):
+    out = tmp_path / "out"
+    fields = {
+        "input": json.dumps(str(survey_csv)),
+        "out_dir": json.dumps(str(out)),
+        "folds": "3",
+        "models": '[{"family": "linear"}]',
+        "holdout_models": '["LR"]',
+        key: value,  # raw JSON text, so that 1e400 reaches the config as written
+    }
+    config = tmp_path / "config.json"
+    config.write_text("{" + ", ".join(f'"{name}": {text}' for name, text in fields.items()) + "}")
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()  # rejected before anything is read or written
+
+
 def test_exit_code_config_error_for_bad_folds(tmp_path, survey_csv):
     assert main(["build-dataset", str(survey_csv), "--folds", "1", "--out", str(tmp_path / "x.csv")]) == 1
 

@@ -54,10 +54,9 @@ def test_true_error_symmetry():
 
 def test_fold_plan_balanced_partition():
     plan = make_fold_plan(6, 3, seed=0)
-    sizes = [len(plan.fold_indices(f)) for f in range(3)]
+    sizes = [plan.assignment.count(f) for f in range(3)]
     assert sizes == [2, 2, 2]
-    covered = sorted(i for f in range(3) for i in plan.fold_indices(f))
-    assert covered == list(range(6))
+    assert len(plan.assignment) == sum(sizes) == 6  # each signature is in exactly one of the folds
 
 
 def test_fold_plan_same_seed_same_assignment():
@@ -185,7 +184,7 @@ def test_dataset_noise_free_exact_match_labels_zero():
     registry = build_registry(sigs, 35)
     # scans are point-major: i % 3 puts one sibling scan of every point in
     # each fold, so an identical vector is always present in the map
-    plan = FoldPlan(n_folds=3, assignment=tuple(i % 3 for i in range(len(sigs))), seed=0)
+    plan = FoldPlan(n_folds=3, assignment=tuple(i % 3 for i in range(len(sigs))))
     ds = build_dae_dataset(sigs, registry, plan, k=1)
     assert np.all(ds.labels() == 0.0)
 

@@ -41,6 +41,13 @@ def test_summarize_rejects_non_finite_and_mismatched_pairs():
 # --- summarize --------------------------------------------------------------------
 
 
+def _ecdf_rows(report) -> list[tuple[float, float]]:
+    """The ``(signed error, fraction)`` rows :func:`write_ecdf_csv` writes for ``report``."""
+    buf = io.StringIO()
+    write_ecdf_csv(report, buf)
+    return [tuple(float(cell) for cell in line.split(",")) for line in buf.getvalue().splitlines()[1:]]
+
+
 def test_summarize_hand_computed_mae_mse():
     report = summarize([1.0, 2.0], [2.0, 1.0])  # signed errors +1, -1
     assert report.mae == 1.0
@@ -50,8 +57,9 @@ def test_summarize_hand_computed_mae_mse():
 def test_summarize_perfect_estimates_degenerate_ecdf():
     report = summarize([1.0, 2.0, 0.5], [1.0, 2.0, 0.5])
     assert report.mae == 0.0 and report.mse == 0.0
-    assert all(value == 0.0 for value, _ in report.ecdf)
-    assert report.ecdf[-1][1] == 1.0
+    ecdf = _ecdf_rows(report)
+    assert all(value == 0.0 for value, _ in ecdf)
+    assert ecdf[-1][1] == 1.0
 
 
 def test_summarize_empty_is_dataset_error():
@@ -86,8 +94,9 @@ def test_summarize_mae_never_exceeds_rmse():
 def test_ecdf_nondecreasing_and_reaches_one():
     rng = np.random.default_rng(5)
     report = summarize(rng.uniform(0, 4, 30), rng.uniform(0, 4, 30))
-    values = [v for v, _ in report.ecdf]
-    fractions = [f for _, f in report.ecdf]
+    ecdf = _ecdf_rows(report)
+    values = [v for v, _ in ecdf]
+    fractions = [f for _, f in ecdf]
     assert values == sorted(values)
     assert fractions == sorted(fractions)
     assert fractions[0] == pytest.approx(1 / 30)

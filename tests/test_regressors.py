@@ -353,7 +353,7 @@ def test_all_families_predictions_nonnegative():
 
 def test_fit_on_dataset_object(survey_dataset_xy):
     model = fit(ModelSpec(family="knn", k=4), survey_dataset_xy)
-    assert model.input_width == survey_dataset_xy.n_features
+    assert model.input_width == survey_dataset_xy.X.shape[1]
 
 
 def test_cross_family_determinism_spec_equality():

@@ -134,7 +134,7 @@ def test_out_of_coverage_position_raises():
 
 
 def test_perimeter_aps_count_and_margin():
-    aps = perimeter_aps(8, 10.0, 6.0, margin=1.0)
+    aps = perimeter_aps(8, 10.0, 6.0)
     assert len(aps) == 8
     for ap in aps:
         assert -1.0 <= ap.x <= 11.0

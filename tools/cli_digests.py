@@ -11,12 +11,14 @@ must be empty or absent): ``synth`` of a survey and a holdout survey;
 ``ingest`` of the canonical survey and of a zenodo-layout file; ``run`` with
 ``--holdout-input``, then again with ``--weighted``; ``build-dataset`` with
 both groupings; ``train`` of all four families on both datasets;
-``evaluate`` and ``predict`` with every model.  Every path handed to the CLI
-is relative to OUT_DIR, so the provenance stamps do not depend on where
+``evaluate`` and ``predict`` with every model.  Then it makes one failing
+call per error exit code (1, 2 and 3).  Every path handed to the CLI is
+relative to OUT_DIR, so the provenance stamps do not depend on where
 OUT_DIR lives.
 
 It prints one ``sha256  relative/path`` line per file, sorted by path; the
-stdout of each ``predict`` call is captured to ``predict/<model>.txt``.
+stdout of each ``predict`` call is captured to ``predict/<model>.txt``, and
+the exit code and stderr of each failing call to ``errors/<name>.txt``.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ q2,2.5,-1.0,-70,-50,0
 q3,-1.0,3.25,,-81,-200
 """
 
+# One call per error exit code, each failing in a way the sequence above sets up.
+FAILING_CALLS = {
+    "folds": ("build-dataset", "survey.csv", "--folds", "1", "--out", "errors/folds.csv"),
+    "absent": ("train", "absent.csv", "--family", "linear", "--out", "errors/absent.npz"),
+    "width": ("evaluate", "--model", "models/linear_xy.npz", "--data", "dae_xy.csv", "--holdout", "dae_plain.csv",
+              "--out", "errors/width"),
+}
+
 
 def _daepos(*argv: str) -> str:
     """Run one CLI command in-process and return its stdout; a non-zero exit aborts."""
@@ -99,6 +109,13 @@ def run_sequence() -> None:
             stdout = _daepos("predict", "holdout.csv", "--model", f"models/{name}.npz", "--map", "survey.csv",
                              "--k", "3")
             Path(f"predict/{name}.txt").write_text(stdout)
+
+    Path("errors").mkdir()
+    for name, argv in FAILING_CALLS.items():
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = daepos_main(list(argv))
+        Path(f"errors/{name}.txt").write_text(f"exit {code}\n{err.getvalue()}")
 
 
 def digests(root: Path) -> list[str]:
