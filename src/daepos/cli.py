@@ -66,6 +66,13 @@ def _fill_dbm(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _stamp(args, **resolved) -> str:
     """The provenance stamp of every parsed argument but ``--out``, with ``resolved`` values on top."""
     params = {key: value for key, value in vars(args).items() if key not in ("func", "out")}
@@ -227,9 +234,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build-dataset", help="build the error-regression dataset from signatures")
     p.add_argument("input", help="signature CSV to read")
     add_format(p)
-    p.add_argument("--ap-count", type=int, default=35, help="APs to retain by availability")
+    p.add_argument("--ap-count", type=_positive_int, default=35, help="APs to retain by availability")
     p.add_argument("--fill", type=_fill_dbm, default=DEFAULT_FILL_DBM, help="imputation dBm for missing readings")
-    p.add_argument("--k", type=int, default=DEFAULT_K, help="positioning neighbors")
+    p.add_argument("--k", type=_positive_int, default=DEFAULT_K, help="positioning neighbors")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--grouping", choices=GROUPINGS, default="by_signature")
     p.add_argument("--variant", choices=VARIANTS, default="plain",
@@ -265,7 +272,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="model file from train")
     p.add_argument("--map", required=True, help="canonical CSV acting as the radio map")
     add_format(p)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--k", type=_positive_int, default=DEFAULT_K)
     p.add_argument("--fill", type=_fill_dbm, default=DEFAULT_FILL_DBM)
     p.add_argument("--weighted", action="store_true")
     p.set_defaults(func=_cmd_predict)

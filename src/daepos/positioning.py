@@ -78,21 +78,30 @@ class PositionEstimate:
     neighbor_distances: tuple[float, ...]
 
 
-# Upper bound on the (rows, n, width) float64 difference block that
-# :func:`nearest` holds at once; queries are processed in chunks of that many
-# rows (at least one).
+# Upper bound on the scratch memory :func:`nearest` holds at once: the
+# filter's (rows, n) float64 blocks, or the exact path's (rows, n, width)
+# difference block.  Queries are processed in chunks of that many rows (at
+# least one).
 _SCRATCH_BYTES = 8 * 2**20
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+# Squared norms up to this keep every sum the filter forms finite; larger
+# ones (and NaN or inf) send their block to the exact path.
+_NORM_LIMIT = np.finfo(float).max / 8
 
 
 def nearest(queries, vectors, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``k`` rows of ``vectors`` nearest to each row of ``queries``.
 
     Returns ``(indices, keys)``, both (n_queries, min(k, n)), ordered by
-    ascending squared Euclidean distance (the keys); at equal distance the
-    lower row index comes first, exactly as a stable argsort of every row
-    would rank them.  The per-chunk difference block stays within
-    ``_SCRATCH_BYTES`` (or one query row, if larger), however many queries
-    are passed.
+    ascending squared Euclidean distance (the keys, each the sum of the
+    squared per-column differences); at equal distance the lower row index
+    comes first, exactly as a stable argsort of every row would rank them.
+    A BLAS pre-filter rules most entries out, and only the rest are keyed
+    and ranked exactly, so the result is that of the full ranking.  The
+    per-chunk scratch stays within ``_SCRATCH_BYTES`` (or one query row, if
+    larger), however many queries are passed.
     """
     Q = np.asarray(queries, dtype=float)
     V = np.asarray(vectors, dtype=float)
@@ -100,17 +109,101 @@ def nearest(queries, vectors, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError(f"query block {Q.shape} does not match vectors {V.shape}")
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    n, width = V.shape
+    n = len(V)
     kk = min(k, n)
+    norms = np.einsum("ij,ij->i", V, V)
+    # `not <=` is also true for a NaN maximum
+    if kk == n or not norms.max() <= _NORM_LIMIT:
+        return _exact(Q, V, kk)
     indices = np.empty((len(Q), kk), dtype=np.intp)
     keys = np.empty((len(Q), kk))
-    rows = max(1, _SCRATCH_BYTES // max(1, 8 * n * width))
+    # 64 bytes per (query, entry): the filter's three float blocks take 24;
+    # with every entry a candidate, the four per-candidate arrays take 32 and
+    # the key slices in _filtered another 3/8 of the scratch
+    rows = max(1, _SCRATCH_BYTES // (64 * n))
     for start in range(0, len(Q), rows):
-        diff = Q[start : start + rows, None, :] - V[None, :, :]
+        block = Q[start : start + rows]
+        block_norms = np.einsum("ij,ij->i", block, block)
+        if block_norms.max() <= _NORM_LIMIT:
+            found = _filtered(block, V, kk, block_norms, norms)
+        else:
+            found = _exact(block, V, kk)
+        indices[start : start + rows], keys[start : start + rows] = found
+    return indices, keys
+
+
+def _filtered(block, V, k, block_norms, norms):
+    """:func:`nearest` for ``k < n`` and norms within ``_NORM_LIMIT``: filter, then rank exactly.
+
+    Error bound.  Let u = eps/2 be the unit roundoff, w the width and, per
+    (query q, entry v), s = |q|^2 + |v|^2 and D = |q - v|^2 <= 2s.  A sum of
+    w products, in any order, errs by at most gamma_w = w*u/(1 - w*u) times
+    the sum of their magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 3.1), whatever order BLAS uses.  So:
+
+    - the exact key fl(sum (q_j - v_j)^2) carries at most w + 2 rounding
+      factors per non-negative term (the difference's, squared, the square's
+      and w - 1 from the sum): |key - D| <= gamma_{w+2} D <= 2 gamma_{w+2} s;
+    - approx = fl(fl(-2 q.v) + fl(|q|^2) + fl(|v|^2)): the dot product errs
+      by gamma_w * sum|q_j v_j| <= gamma_w * s/2 (doubling is exact), the
+      norms by gamma_w * s together, and the two additions, whose partial
+      sums are at most about 2s, by 2u * 2s: |approx - D| <= 2 gamma_w s + 4u s.
+
+    Hence |approx - key| <= (4w + 8) u s (1 + O(wu)) = 2(w + 2) eps s, and
+    the slack 8(w + 8) eps s is at least four times that, which also absorbs
+    the roundings of forming the slack, approx +- slack and the threshold.
+    Gradual underflow adds at most u * tiny per product (4w of them), which
+    the ``tiny`` added to s covers.  Both norms are at most _NORM_LIMIT, so s
+    and the partial sums stay finite.  With approx - slack <= key <= approx +
+    slack on every entry, the k-th smallest approx + slack (thr) is at least
+    the k-th smallest key, so every entry whose key is at most the k-th
+    smallest key, ties included, has approx - slack <= thr and is a candidate.
+    """
+    width = V.shape[1]
+    approx = block @ V.T
+    approx *= -2.0
+    approx += block_norms[:, None]
+    approx += norms
+    c = 8 * (width + 8) * _EPS
+    slack = np.add.outer(c * block_norms, c * (norms + _TINY))
+    upper = approx + slack
+    upper.partition(k - 1, axis=1)
+    thr = upper[:, k - 1 : k].copy()
+    del upper
+    approx -= slack
+    del slack
+    r_idx, c_idx = np.nonzero(approx <= thr)
+    del approx
+    # exact subtract-square-sum keys of the candidates, in slices whose three
+    # (candidates, width) arrays take 3/8 of the scratch
+    key = np.empty(len(r_idx))
+    step = max(1, _SCRATCH_BYTES // (64 * max(1, width)))
+    for a in range(0, len(r_idx), step):
+        diff = block[r_idx[a : a + step]] - V[c_idx[a : a + step]]
+        np.square(diff, out=diff)
+        key[a : a + step] = diff.sum(axis=1)
+    order = np.lexsort((c_idx, key, r_idx))
+    # r_idx is sorted, so each row's candidates start after the earlier rows'
+    pick = order[np.searchsorted(r_idx, np.arange(len(block)))[:, None] + np.arange(k)]
+    return c_idx[pick], key[pick]
+
+
+def _exact(block, V, k):
+    """:func:`nearest` by keying every (query, entry) pair.
+
+    For ``k >= n``, and for blocks with a squared norm that is not finite or
+    exceeds ``_NORM_LIMIT`` (a non-finite value, or one near the float range).
+    """
+    n, width = V.shape
+    indices = np.empty((len(block), k), dtype=np.intp)
+    keys = np.empty((len(block), k))
+    rows = max(1, _SCRATCH_BYTES // max(1, 8 * n * width))
+    for start in range(0, len(block), rows):
+        diff = block[start : start + rows, None, :] - V[None, :, :]
         np.square(diff, out=diff)
         key = diff.sum(axis=2)
         del diff  # freed before the next chunk allocates its own
-        idx = _smallest(key, kk)
+        idx = _smallest(key, k)
         indices[start : start + rows] = idx
         keys[start : start + rows] = key[np.arange(len(key))[:, None], idx]
     return indices, keys

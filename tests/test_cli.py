@@ -256,6 +256,23 @@ def test_exit_code_config_error_for_bad_flag_value(tmp_path, survey_csv):
                      "--out", str(tmp_path / "m.npz")]) == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["build-dataset", "--ap-count", "0"], ["build-dataset", "--k", "0"], ["predict", "--k", "0"]],
+    ids=["build-dataset-ap-count", "build-dataset-k", "predict-k"],
+)
+def test_exit_code_config_error_for_non_positive_count_flag(tmp_path, trained_models, capsys, flags):
+    command, *rest = flags
+    survey = str(trained_models / "survey.csv")
+    if command == "predict":
+        argv = ["predict", survey, "--model", str(trained_models / "linear.npz"), "--map", survey, *rest]
+    else:
+        argv = ["build-dataset", survey, *rest, "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_exit_code_data_error_for_missing_file(tmp_path):
     assert main(["ingest", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "out.csv")]) == 2
 

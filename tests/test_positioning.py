@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,17 +192,85 @@ def search_cases(draw):
     return Q, V, k, cap
 
 
+def assert_nearest_is_full_stable_argsort(Q, V, k, cap):
+    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:  # inf keys rank last
+        key = np.sum((Q[:, None, :] - V[None]) ** 2, axis=2)
+        mp.setattr(positioning, "_SCRATCH_BYTES", cap)
+        indices, keys = nearest(Q, V, k)
+    expected = np.argsort(key, axis=1, kind="stable")[:, :k]
+    np.testing.assert_array_equal(indices, expected)
+    np.testing.assert_array_equal(keys, np.take_along_axis(key, expected, axis=1))
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=search_cases())
 def test_nearest_equals_full_stable_argsort(case):
-    Q, V, k, cap = case
-    key = np.sum((Q[:, None, :] - V[None]) ** 2, axis=2)
-    expected = np.argsort(key, axis=1, kind="stable")[:, :k]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(positioning, "_SCRATCH_BYTES", cap)
-        indices, keys = nearest(Q, V, k)
-    np.testing.assert_array_equal(indices, expected)
-    np.testing.assert_array_equal(keys, np.take_along_axis(key, expected, axis=1))
+    assert_nearest_is_full_stable_argsort(*case)
+
+
+@st.composite
+def filter_cases(draw):
+    """Finite inputs with k < n, which take the pre-filter: ties and near-ties."""
+    n = draw(st.integers(2, 200))
+    width = draw(st.integers(1, 40))
+    n_queries = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(["dbm-grid", "large-near-ties", "mixed-columns", "underflow", "overflow"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dbm-grid":
+        # integer dBm rows, many duplicated; some queries repeat map rows
+        pool = rng.integers(-100, -29, size=(draw(st.integers(1, n)), width)).astype(float)
+        V = pool[rng.integers(0, len(pool), size=n)]
+        Q = rng.integers(-100, -29, size=(n_queries, width)).astype(float)
+        repeat = rng.random(n_queries) < 0.5
+        Q[repeat] = V[rng.integers(0, n, size=repeat.sum())]
+    elif kind == "large-near-ties":
+        # differences of 1-4 ulps on a -1e4 dBm base: the expansion cancels
+        # to noise far above the keys, so only the slack keeps the true ones
+        ulp = np.spacing(1e4)
+        V = -1e4 + rng.integers(-4, 5, size=(n, width)) * ulp
+        Q = -1e4 + rng.integers(-4, 5, size=(n_queries, width)) * ulp
+    elif kind in ("underflow", "overflow"):
+        # squares in the subnormal range, where rounding errs by an absolute
+        # amount the relative slack alone would not cover; or near the top of
+        # the float range, where the expansion's sums would overflow
+        scale = 10.0 ** draw(st.floats(-163, -155) if kind == "underflow" else st.floats(150, 155))
+        V = rng.integers(-20, 21, size=(n, width)) * scale
+        Q = rng.integers(-20, 21, size=(n_queries, width)) * scale
+    else:
+        # dBm columns next to 0-80 m estimated-coordinate columns
+        V = np.hstack([rng.integers(-100, -29, size=(n, width)), rng.uniform(0, 80, size=(n, 2))])
+        Q = np.hstack([rng.integers(-100, -29, size=(n_queries, width)),
+                       rng.uniform(0, 80, size=(n_queries, 2))])
+        Q[: n_queries // 2] = V[rng.integers(0, n, size=n_queries // 2)]
+    cap = draw(st.integers(1, (n_queries + 1) * 64 * n))
+    return Q, V, k, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=filter_cases())
+def test_nearest_filter_keeps_every_tie_of_the_full_stable_argsort(case):
+    assert_nearest_is_full_stable_argsort(*case)
+
+
+@pytest.mark.parametrize("kind", ["random", "all-ties"])
+def test_nearest_peak_memory_is_the_scratch_bound_plus_outputs(kind):
+    rng = np.random.default_rng(5)
+    if kind == "random":
+        V = rng.uniform(-110, -30, size=(1920, 37))
+        Q = rng.uniform(-110, -30, size=(2000, 37))
+    else:  # every entry a candidate: the per-candidate arrays are largest
+        V = np.full((1920, 37), -60.0)
+        Q = np.full((200, 37), -60.0)
+    k = 4
+    outputs = len(Q) * k * (np.dtype(np.intp).itemsize + 8)
+    tracemalloc.start()
+    try:
+        nearest(Q, V, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= positioning._SCRATCH_BYTES + outputs + 64 * 1024
 
 
 @settings(max_examples=100, deadline=None)
