@@ -79,15 +79,14 @@ class PositionEstimate:
 
 
 # Upper bound on the scratch memory :func:`nearest` holds at once: the
-# filter's (rows, n) float64 blocks, or the exact path's (rows, n, width)
-# difference block.  Queries are processed in chunks of that many rows (at
-# least one).
+# filter's (rows, n) float64 blocks and the per-candidate arrays.  Queries
+# are processed in chunks of that many rows (at least one).
 _SCRATCH_BYTES = 8 * 2**20
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# Squared norms up to this keep every sum the filter forms finite; larger
-# ones (and NaN or inf) send their block to the exact path.
+# Squared norms up to this keep every sum the filter forms finite; with a
+# larger one (or NaN or inf) in a block, all its pairs are candidates.
 _NORM_LIMIT = np.finfo(float).max / 8
 
 
@@ -109,31 +108,43 @@ def nearest(queries, vectors, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError(f"query block {Q.shape} does not match vectors {V.shape}")
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    n = len(V)
-    kk = min(k, n)
+    n, width = V.shape
+    k = min(k, n)
     norms = np.einsum("ij,ij->i", V, V)
-    # `not <=` is also true for a NaN maximum
-    if kk == n or not norms.max() <= _NORM_LIMIT:
-        return _exact(Q, V, kk)
-    indices = np.empty((len(Q), kk), dtype=np.intp)
-    keys = np.empty((len(Q), kk))
+    indices = np.empty((len(Q), k), dtype=np.intp)
+    keys = np.empty((len(Q), k))
     # 64 bytes per (query, entry): the filter's three float blocks take 24;
     # with every entry a candidate, the four per-candidate arrays take 32 and
-    # the key slices in _filtered another 3/8 of the scratch
-    rows = max(1, _SCRATCH_BYTES // (64 * n))
+    # the key slices below another 3/8 of the scratch
+    rows = max(1, _SCRATCH_BYTES // (64 * max(1, n)))
+    step = max(1, _SCRATCH_BYTES // (64 * max(1, width)))
     for start in range(0, len(Q), rows):
         block = Q[start : start + rows]
-        block_norms = np.einsum("ij,ij->i", block, block)
-        if block_norms.max() <= _NORM_LIMIT:
-            found = _filtered(block, V, kk, block_norms, norms)
-        else:
-            found = _exact(block, V, kk)
-        indices[start : start + rows], keys[start : start + rows] = found
+        r_idx, c_idx = _candidates(block, V, k, norms)
+        # exact subtract-square-sum keys of the candidates, in slices whose
+        # three (candidates, width) arrays take 3/8 of the scratch
+        key = np.empty(len(r_idx))
+        for a in range(0, len(r_idx), step):
+            diff = block[r_idx[a : a + step]] - V[c_idx[a : a + step]]
+            np.square(diff, out=diff)
+            key[a : a + step] = diff.sum(axis=1)
+        # NaN keys sort last, like the stable argsort's
+        order = np.lexsort((c_idx, key, r_idx))
+        # r_idx is sorted, so each row's candidates start after the earlier rows'
+        pick = order[np.searchsorted(r_idx, np.arange(len(block)))[:, None] + np.arange(k)]
+        indices[start : start + rows] = c_idx[pick]
+        keys[start : start + rows] = key[pick]
     return indices, keys
 
 
-def _filtered(block, V, k, block_norms, norms):
-    """:func:`nearest` for ``k < n`` and norms within ``_NORM_LIMIT``: filter, then rank exactly.
+def _candidates(block, V, k, norms):
+    """Row-major (row, column) pairs of ``block`` x ``V`` that may rank among each row's ``k`` nearest.
+
+    ``norms`` holds the squared norms of ``V``'s rows.  Every pair is a
+    candidate for ``k >= n``, and when the block or ``V`` holds a squared
+    norm that is not finite or exceeds ``_NORM_LIMIT`` (a non-finite value,
+    or one near the float range).  Otherwise a BLAS expansion of the
+    squared distance rules out the pairs that cannot rank.
 
     Error bound.  Let u = eps/2 be the unit roundoff, w the width and, per
     (query q, entry v), s = |q|^2 + |v|^2 and D = |q - v|^2 <= 2s.  A sum of
@@ -159,7 +170,11 @@ def _filtered(block, V, k, block_norms, norms):
     the k-th smallest key, so every entry whose key is at most the k-th
     smallest key, ties included, has approx - slack <= thr and is a candidate.
     """
-    width = V.shape[1]
+    n, width = V.shape
+    block_norms = np.einsum("ij,ij->i", block, block)
+    # `not <=` is also true for a NaN maximum
+    if k == n or not (block_norms.max() <= _NORM_LIMIT and norms.max() <= _NORM_LIMIT):
+        return np.divmod(np.arange(len(block) * n), n)
     approx = block @ V.T
     approx *= -2.0
     approx += block_norms[:, None]
@@ -172,61 +187,7 @@ def _filtered(block, V, k, block_norms, norms):
     del upper
     approx -= slack
     del slack
-    r_idx, c_idx = np.nonzero(approx <= thr)
-    del approx
-    # exact subtract-square-sum keys of the candidates, in slices whose three
-    # (candidates, width) arrays take 3/8 of the scratch
-    key = np.empty(len(r_idx))
-    step = max(1, _SCRATCH_BYTES // (64 * max(1, width)))
-    for a in range(0, len(r_idx), step):
-        diff = block[r_idx[a : a + step]] - V[c_idx[a : a + step]]
-        np.square(diff, out=diff)
-        key[a : a + step] = diff.sum(axis=1)
-    order = np.lexsort((c_idx, key, r_idx))
-    # r_idx is sorted, so each row's candidates start after the earlier rows'
-    pick = order[np.searchsorted(r_idx, np.arange(len(block)))[:, None] + np.arange(k)]
-    return c_idx[pick], key[pick]
-
-
-def _exact(block, V, k):
-    """:func:`nearest` by keying every (query, entry) pair.
-
-    For ``k >= n``, and for blocks with a squared norm that is not finite or
-    exceeds ``_NORM_LIMIT`` (a non-finite value, or one near the float range).
-    """
-    n, width = V.shape
-    indices = np.empty((len(block), k), dtype=np.intp)
-    keys = np.empty((len(block), k))
-    rows = max(1, _SCRATCH_BYTES // max(1, 8 * n * width))
-    for start in range(0, len(block), rows):
-        diff = block[start : start + rows, None, :] - V[None, :, :]
-        np.square(diff, out=diff)
-        key = diff.sum(axis=2)
-        del diff  # freed before the next chunk allocates its own
-        idx = _smallest(key, k)
-        indices[start : start + rows] = idx
-        keys[start : start + rows] = key[np.arange(len(key))[:, None], idx]
-    return indices, keys
-
-
-def _smallest(key: np.ndarray, k: int) -> np.ndarray:
-    """Per row, ``np.argsort(key, kind="stable")[:, :k]`` without the full sort."""
-    if k >= key.shape[1]:
-        return np.argsort(key, axis=1, kind="stable")[:, :k]
-    rows = np.arange(len(key))
-    # Partitioning at column k leaves the k smallest keys before it, in
-    # arbitrary order and with arbitrary members among equal keys, and the
-    # next-smallest key at it.  Order the picks by (key, index).
-    part = np.argpartition(key, k, axis=1)
-    cand = np.sort(part[:, :k], axis=1)
-    picked = key[rows[:, None], cand]
-    idx = cand[rows[:, None], np.argsort(picked, axis=1, kind="stable")]
-    # Unless the next key exceeds every pick, a tie may straddle the cut and
-    # have dropped a lower index (or a key is NaN): rank such rows in full.
-    straddled = ~(key[rows, part[:, k]] > picked.max(axis=1))
-    for r in np.flatnonzero(straddled):
-        idx[r] = np.argsort(key[r], kind="stable")[:k]
-    return idx
+    return np.nonzero(approx <= thr)
 
 
 def localize(query, radio_map: RadioMap, k: int = DEFAULT_K, weighted: bool = False) -> PositionEstimate:

@@ -187,30 +187,15 @@ def search_cases(draw):
     elif nan_at == "vector":
         V[draw(st.integers(0, n - 1)), 0] = math.nan
     # cap between one and n_queries + 1 whole query rows, often not a multiple
-    row_bytes = 8 * n * width
+    row_bytes = 64 * n
     cap = draw(st.integers(1, (n_queries + 1) * row_bytes))
     return Q, V, k, cap
 
 
-def assert_nearest_is_full_stable_argsort(Q, V, k, cap):
-    with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:  # inf keys rank last
-        key = np.sum((Q[:, None, :] - V[None]) ** 2, axis=2)
-        mp.setattr(positioning, "_SCRATCH_BYTES", cap)
-        indices, keys = nearest(Q, V, k)
-    expected = np.argsort(key, axis=1, kind="stable")[:, :k]
-    np.testing.assert_array_equal(indices, expected)
-    np.testing.assert_array_equal(keys, np.take_along_axis(key, expected, axis=1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=search_cases())
-def test_nearest_equals_full_stable_argsort(case):
-    assert_nearest_is_full_stable_argsort(*case)
-
-
 @st.composite
 def filter_cases(draw):
-    """Finite inputs with k < n, which take the pre-filter: ties and near-ties."""
+    """Finite inputs with k < n: ties and near-ties the pre-filter must keep,
+    and magnitudes at both ends of the float range."""
     n = draw(st.integers(2, 200))
     width = draw(st.integers(1, 40))
     n_queries = draw(st.integers(1, 8))
@@ -244,24 +229,36 @@ def filter_cases(draw):
                        rng.uniform(0, 80, size=(n_queries, 2))])
         Q[: n_queries // 2] = V[rng.integers(0, n, size=n_queries // 2)]
     cap = draw(st.integers(1, (n_queries + 1) * 64 * n))
-    return Q, V, k, cap
+    return Q, V, k, cap, kind == "overflow"
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=filter_cases())
-def test_nearest_filter_keeps_every_tie_of_the_full_stable_argsort(case):
-    assert_nearest_is_full_stable_argsort(*case)
+@settings(max_examples=600, deadline=None)
+@given(case=st.one_of(search_cases().map(lambda case: (*case, False)), filter_cases()))
+def test_nearest_equals_full_stable_argsort(case):
+    Q, V, k, cap, overflows = case
+    with np.errstate(over="ignore"):  # inf keys rank last
+        key = np.sum((Q[:, None, :] - V[None]) ** 2, axis=2)
+    expected = np.argsort(key, axis=1, kind="stable")[:, :k]
+    with np.errstate(over="ignore" if overflows else "raise"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(positioning, "_SCRATCH_BYTES", cap)
+        indices, keys = nearest(Q, V, k)
+    np.testing.assert_array_equal(indices, expected)
+    np.testing.assert_array_equal(keys, np.take_along_axis(key, expected, axis=1))
 
 
-@pytest.mark.parametrize("kind", ["random", "all-ties"])
+@pytest.mark.parametrize("kind", ["random", "all-ties", "non-finite"])
 def test_nearest_peak_memory_is_the_scratch_bound_plus_outputs(kind):
     rng = np.random.default_rng(5)
     if kind == "random":
         V = rng.uniform(-110, -30, size=(1920, 37))
         Q = rng.uniform(-110, -30, size=(2000, 37))
-    else:  # every entry a candidate: the per-candidate arrays are largest
+    elif kind == "all-ties":  # every entry a candidate: the per-candidate arrays are largest
         V = np.full((1920, 37), -60.0)
         Q = np.full((200, 37), -60.0)
+    else:  # no filter: every entry a candidate
+        V = rng.uniform(-110, -30, size=(1920, 37))
+        V[0, 0] = np.nan
+        Q = rng.uniform(-110, -30, size=(200, 37))
     k = 4
     outputs = len(Q) * k * (np.dtype(np.intp).itemsize + 8)
     tracemalloc.start()
