@@ -69,6 +69,8 @@ def make_fold_plan(
         raise ConfigError(f"unknown grouping {grouping!r}; expected one of {GROUPINGS}")
     if n_folds < 2:
         raise ConfigError(f"at least 2 folds are required to separate map from test, got {n_folds}")
+    if seed < 0:
+        raise ConfigError(f"fold seed must be non-negative, got {seed}")
 
     if grouping == "by_signature":
         group_of, n_groups, unit = np.arange(n_signatures), n_signatures, "signatures"
@@ -283,6 +285,8 @@ def read_dae_dataset(source) -> DaeDataset:
     if len(header) < 4 or header[0] != "point_id" or header[1] != "fold" or header[-1] != "delta_pos":
         raise FormatError("dataset header must be 'point_id,fold,<features...>,delta_pos'")
     names = header[2:-1]
+    if not all(names) or len(set(names)) != len(names):
+        raise FormatError("dataset feature columns must be non-empty and unique")
     variant = "xy" if tuple(names[-2:]) == XY_COLUMNS else "plain"
     ap_ids = names[:-2] if variant == "xy" else names
     if not ap_ids:

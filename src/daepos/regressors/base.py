@@ -38,18 +38,13 @@ class ModelSpec:
     """Family choice plus every tunable the families expose.
 
     Only the fields relevant to ``family`` are used: ``k`` for knn;
-    ``trees``, ``max_depth``, ``min_samples_split``, ``max_features`` and
-    ``bootstrap`` for the forest; ``layers`` and the training
-    hyperparameters for the network.
+    ``trees`` for the forest; ``layers`` and the training hyperparameters
+    for the network.
     """
 
     family: str
     k: int = 4
     trees: int = 100
-    max_depth: int | None = None
-    min_samples_split: int = 2
-    max_features: int | None = None  # None = consider all features per split
-    bootstrap: bool = True
     layers: tuple[int, ...] = (128, 128, 128)
     learning_rate: float = 1e-3
     epochs: int = 200
@@ -59,12 +54,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in MODEL_FAMILIES:
             raise ConfigError(f"unknown model family {self.family!r}; expected one of {MODEL_FAMILIES}")
-        for name in ("k", "trees", "max_depth", "min_samples_split", "max_features", "epochs", "batch_size", "seed"):
+        for name in ("k", "trees", "epochs", "batch_size", "seed"):
             value = getattr(self, name)
-            if not (_is_int(value) or (value is None and name in ("max_depth", "max_features"))):
+            if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.bootstrap, bool):
-            raise ConfigError(f"bootstrap must be true or false, got {self.bootstrap!r}")
         if not (_is_finite_number(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be a finite number above 0, got {self.learning_rate!r}")
         if not isinstance(self.layers, (list, tuple)) or not all(_is_int(w) for w in self.layers):
@@ -74,15 +67,8 @@ class ModelSpec:
             raise ConfigError("model seed must be non-negative")
         if self.family == "knn" and self.k < 1:
             raise ConfigError(f"knn needs k >= 1, got {self.k}")
-        if self.family == "forest":
-            if self.trees < 1:
-                raise ConfigError(f"forest needs at least one tree, got {self.trees}")
-            if self.min_samples_split < 2:
-                raise ConfigError("min_samples_split must be >= 2")
-            if self.max_depth is not None and self.max_depth < 1:
-                raise ConfigError("max_depth must be >= 1 or None")
-            if self.max_features is not None and self.max_features < 1:
-                raise ConfigError("max_features must be >= 1 or None")
+        if self.family == "forest" and self.trees < 1:
+            raise ConfigError(f"forest needs at least one tree, got {self.trees}")
         if self.family == "network":
             if not self.layers or any(w < 1 for w in self.layers):
                 raise ConfigError(f"network needs non-empty positive layer widths, got {self.layers}")

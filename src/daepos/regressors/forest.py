@@ -27,7 +27,6 @@ class Tree:
     left: np.ndarray  # int32
     right: np.ndarray  # int32
     value: np.ndarray  # float64, leaf prediction
-    bootstrap_indices: np.ndarray  # training rows this tree saw
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -79,8 +78,8 @@ def _best_split(X: np.ndarray, y: np.ndarray):
     return c, float(threshold)
 
 
-def _fit_tree(X, y, rng, max_depth, min_samples_split, max_features) -> Tree:
-    n, d = X.shape
+def _fit_tree(X, y) -> Tree:
+    """Grow one tree to purity: a node is a leaf once its labels are equal or no column splits it."""
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -95,30 +94,20 @@ def _fit_tree(X, y, rng, max_depth, min_samples_split, max_features) -> Tree:
         value.append(0.0)
         return len(feature) - 1
 
-    stack = [(np.arange(n), 0, new_node())]
+    stack = [(np.arange(len(X)), new_node())]
     while stack:
-        idx, depth, nid = stack.pop()
+        idx, nid = stack.pop()
         ysub = y[idx]
-        depth_capped = max_depth is not None and depth >= max_depth
-        if len(idx) < min_samples_split or depth_capped or ysub.max() == ysub.min():
-            value[nid] = float(ysub.mean())
-            continue
-        if max_features is not None and max_features < d:
-            cols = np.sort(rng.choice(d, size=max_features, replace=False))
-        else:
-            cols = None
-        split = _best_split(X[np.ix_(idx, cols)] if cols is not None else X[idx], ysub)
+        split = None if ysub.max() == ysub.min() else _best_split(X[idx], ysub)
         if split is None:
             value[nid] = float(ysub.mean())
             continue
         col, thr = split
-        if cols is not None:
-            col = int(cols[col])
         mask = X[idx, col] <= thr
         lid, rid = new_node(), new_node()
         feature[nid], threshold[nid], left[nid], right[nid] = col, thr, lid, rid
-        stack.append((idx[~mask], depth + 1, rid))
-        stack.append((idx[mask], depth + 1, lid))
+        stack.append((idx[~mask], rid))
+        stack.append((idx[mask], lid))
 
     return Tree(
         feature=np.array(feature, dtype=np.int32),
@@ -126,7 +115,6 @@ def _fit_tree(X, y, rng, max_depth, min_samples_split, max_features) -> Tree:
         left=np.array(left, dtype=np.int32),
         right=np.array(right, dtype=np.int32),
         value=np.array(value, dtype=float),
-        bootstrap_indices=np.arange(n),
     )
 
 
@@ -155,14 +143,6 @@ def fit_forest(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> ForestModel:
     n = len(X)
     trees = []
     for seq in np.random.SeedSequence(spec.seed).spawn(spec.trees):
-        rng = np.random.default_rng(seq)
-        if spec.bootstrap:
-            sample = rng.integers(0, n, size=n)
-        else:
-            sample = np.arange(n)
-        tree = _fit_tree(
-            X[sample], y[sample], rng, spec.max_depth, spec.min_samples_split, spec.max_features
-        )
-        tree.bootstrap_indices = sample
-        trees.append(tree)
+        sample = np.random.default_rng(seq).integers(0, n, size=n)
+        trees.append(_fit_tree(X[sample], y[sample]))
     return ForestModel(spec, trees=trees, input_width=X.shape[1])

@@ -23,7 +23,7 @@ from .knn import KnnModel
 from .linear import LinearModel
 from .network import NetworkModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _FOREST_NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
@@ -49,7 +49,6 @@ def save_model(model: ErrorRegressor, dest, context: dict | None = None) -> None
         arrays["offsets"] = np.cumsum([0] + [t.n_nodes for t in model.trees]).astype(np.int64)
         for name in _FOREST_NODE_ARRAYS:
             arrays[name] = np.concatenate([getattr(t, name) for t in model.trees])
-        arrays["bootstrap"] = np.stack([t.bootstrap_indices for t in model.trees])
     elif isinstance(model, NetworkModel):
         arrays["scaler_mean"] = model.scaler_mean
         arrays["scaler_std"] = model.scaler_std
@@ -85,8 +84,6 @@ def _check_forest(arrays: dict, input_width: int) -> None:
         raise FormatError("forest offsets must be increasing")
     if any(arrays[name].shape != (n_total,) for name in _FOREST_NODE_ARRAYS):
         raise FormatError("forest node arrays must all have one entry per node")
-    if len(arrays["bootstrap"]) != len(sizes):
-        raise FormatError("forest archive needs one bootstrap sample per tree")
     split = feature >= 0
     if (feature[split] >= input_width).any():
         raise FormatError(f"forest feature index out of range for input width {input_width}")
@@ -105,7 +102,7 @@ def _array_shapes(family: str, spec: ModelSpec, width: int) -> dict:
     if family == "knn":
         return {"train_x": (None, width), "train_y": (None,)}
     if family == "forest":  # _check_forest matches the sizes to the offsets
-        return {"offsets": (None,), **dict.fromkeys(_FOREST_NODE_ARRAYS, (None,)), "bootstrap": (None, None)}
+        return {"offsets": (None,), **dict.fromkeys(_FOREST_NODE_ARRAYS, (None,))}
     if family != "network":
         raise FormatError(f"unknown model family {family!r} in file")
     shapes = {"scaler_mean": (width,), "scaler_std": (width,)}
@@ -170,7 +167,7 @@ def load_model(source) -> ErrorRegressor:
         raise FormatError(f"model metadata is not JSON: {exc}") from None
     version = meta.get("format_version") if isinstance(meta, dict) else None
     if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported model format version {version!r}")
+        raise FormatError(f"unsupported model format version {version!r}; this daepos reads version {FORMAT_VERSION}")
     malformed = [key for key, kind in _META_TYPES.items() if not isinstance(meta.get(key), kind)]
     if malformed or meta["input_width"] < 1:
         raise FormatError(f"model metadata entries missing or malformed: {malformed or ['input_width']}")
@@ -190,8 +187,8 @@ def load_model(source) -> ErrorRegressor:
         _check_forest(arrays, width)
         offsets = arrays["offsets"]
         trees = [
-            Tree(**{name: arrays[name][lo:hi] for name in _FOREST_NODE_ARRAYS}, bootstrap_indices=bootstrap)
-            for lo, hi, bootstrap in zip(offsets[:-1], offsets[1:], arrays["bootstrap"])
+            Tree(**{name: arrays[name][lo:hi] for name in _FOREST_NODE_ARRAYS})
+            for lo, hi in zip(offsets[:-1], offsets[1:])
         ]
         return ForestModel(spec, trees=trees, input_width=width, metadata=metadata)
     params = {k[len("param_") :]: v for k, v in arrays.items() if k.startswith("param_")}

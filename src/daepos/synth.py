@@ -34,10 +34,12 @@ class SynthWorld:
     def __post_init__(self):
         if not self.ap_positions:
             raise ConfigError("a synthetic world needs at least one AP")
-        if self.path_loss_exponent <= 0:
-            raise ConfigError(f"path loss exponent must be positive, got {self.path_loss_exponent}")
-        if self.shadowing_sigma < 0:
-            raise ConfigError(f"shadowing sigma must be >= 0, got {self.shadowing_sigma}")
+        if not (math.isfinite(self.path_loss_exponent) and self.path_loss_exponent > 0):
+            raise ConfigError(f"path loss exponent must be finite and positive, got {self.path_loss_exponent}")
+        if not (math.isfinite(self.shadowing_sigma) and self.shadowing_sigma >= 0):
+            raise ConfigError(f"shadowing sigma must be finite and >= 0, got {self.shadowing_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"synth seed must be non-negative, got {self.seed}")
         if not (RSSI_MIN <= self.detection_floor < self.tx_power <= RSSI_MAX):
             raise ConfigError(
                 f"need {RSSI_MIN} <= detection_floor < tx_power <= {RSSI_MAX}, "
@@ -93,8 +95,8 @@ class GridSpec:
     spacing: float = 2.0
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1 or self.spacing <= 0:
-            raise ConfigError(f"grid needs nx, ny >= 1 and positive spacing, got {self}")
+        if self.nx < 1 or self.ny < 1 or not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ConfigError(f"grid needs nx, ny >= 1 and finite positive spacing, got {self}")
 
     def positions(self) -> list[tuple[str, Position2D]]:
         return [

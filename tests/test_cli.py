@@ -258,8 +258,9 @@ def test_exit_code_config_error_for_bad_flag_value(tmp_path, survey_csv):
 
 @pytest.mark.parametrize(
     "flags",
-    [["build-dataset", "--ap-count", "0"], ["build-dataset", "--k", "0"], ["predict", "--k", "0"]],
-    ids=["build-dataset-ap-count", "build-dataset-k", "predict-k"],
+    [["build-dataset", "--ap-count", "0"], ["build-dataset", "--k", "0"], ["predict", "--k", "0"],
+     ["build-dataset", "--seed", "-1"]],
+    ids=["build-dataset-ap-count", "build-dataset-k", "predict-k", "build-dataset-seed-negative"],
 )
 def test_exit_code_config_error_for_non_positive_count_flag(tmp_path, trained_models, capsys, flags):
     command, *rest = flags
@@ -271,6 +272,33 @@ def test_exit_code_config_error_for_non_positive_count_flag(tmp_path, trained_mo
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--sigma", "nan"], ["--sigma", "inf"], ["--exponent", "nan"], ["--exponent", "inf"], ["--spacing", "nan"],
+     ["--spacing", "inf"], ["--seed", "-1"]],
+    ids=["sigma-nan", "sigma-inf", "exponent-nan", "exponent-inf", "spacing-nan", "spacing-inf", "seed-negative"],
+)
+def test_synth_exit_code_config_error_for_out_of_range_flag(tmp_path, capsys, flags):
+    out = tmp_path / "survey.csv"
+    assert main(["synth", "--grid", "3x3", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("names", ["a,a", "a,"], ids=["duplicate", "empty"])
+def test_exit_code_data_error_for_bad_dataset_feature_columns(tmp_path, trained_models, capsys, names):
+    dae = tmp_path / "dae.csv"
+    dae.write_text(f"point_id,fold,{names},delta_pos\np,0,{'-60,' * (names.count(',') + 1)}1.5\n")
+    for argv in (["train", str(dae), "--family", "linear", "--out", str(tmp_path / "m.npz")],
+                 ["evaluate", "--model", str(trained_models / "linear.npz"), "--data", str(dae),
+                  "--out", str(tmp_path / "ev")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset feature columns") and err.count("\n") == 1, err
+    assert not (tmp_path / "m.npz").exists()
 
 
 def test_exit_code_data_error_for_missing_file(tmp_path):
@@ -476,9 +504,10 @@ def test_predict_exit_code_data_error_for_corrupt_forest_archive(tmp_path, train
         {"family": "forest", "trees": 2.5},
         {"family": "network", "layers": [2.7]},
         {"family": "network", "learning_rate": 10**400},
+        {"family": "forest", "max_depth": 3},  # not a ModelSpec field
     ],
     ids=["unknown-key", "layers-text", "layers-digits", "k-text", "not-an-object", "k-bool", "trees-float",
-         "layers-float", "learning_rate-huge-int"],
+         "layers-float", "learning_rate-huge-int", "forest-max_depth"],
 )
 def test_run_exit_code_config_error_for_malformed_model_entry(tmp_path, survey_csv, capsys, entry):
     config = tmp_path / "config.json"
@@ -515,14 +544,13 @@ def test_stamps_match_pinned_digests(tmp_path, monkeypatch):
         "ev/report.csv": evaluate,
         "ev/pairs.csv": evaluate,
         "ev/ecdf.csv": evaluate,
-        "run/report.csv": "# config_hash=7e086f1c3c17 seed=2",
+        "run/report.csv": "# config_hash=f423378532d1 seed=2",
     }
     specs = []
     for name in ("nn.model", "knn.model"):
         with np.load(name) as data:
             specs.append(json.loads(str(data["meta_json"]))["spec"])
-    defaults = {"batch_size": 32, "bootstrap": True, "epochs": 200, "k": 4, "layers": [128, 128, 128],
-                "learning_rate": 0.001, "max_depth": None, "max_features": None, "min_samples_split": 2,
+    defaults = {"batch_size": 32, "epochs": 200, "k": 4, "layers": [128, 128, 128], "learning_rate": 0.001,
                 "seed": 0, "trees": 100}
     assert specs == [
         {**defaults, "family": "network", "batch_size": 8, "epochs": 2, "layers": [4, 3], "learning_rate": 0.01,

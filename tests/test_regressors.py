@@ -19,6 +19,7 @@ from daepos.regressors import (
     save_model,
 )
 from daepos.regressors import network as net
+from daepos.regressors.forest import _fit_tree
 
 
 def regression_problem(rng, n=60, d=5, noise=0.3):
@@ -46,10 +47,6 @@ _BAD_SPECS = [
     {"family": "knn", "k": True},
     {"family": "knn", "k": 2.0},
     {"family": "forest", "trees": 2.5},
-    {"family": "forest", "max_depth": 2.5},
-    {"family": "forest", "max_features": True},
-    {"family": "forest", "min_samples_split": "2"},
-    {"family": "forest", "bootstrap": 1},
     {"family": "network", "layers": (2.7,)},
     {"family": "network", "layers": [8, False]},
     {"family": "network", "layers": 8},
@@ -200,22 +197,15 @@ def test_forest_prediction_is_exact_mean_of_trees():
 
 
 def test_forest_bootstrap_sample_size_equals_dataset():
+    # tree i grows on n rows drawn with replacement from the i-th stream spawned off the seed
     rng = np.random.default_rng(10)
     X, y = regression_problem(rng, n=30)
     model = fit_arrays(ModelSpec(family="forest", trees=10, seed=1), X, y)
-    for tree in model.trees:
-        assert tree.bootstrap_indices.shape == (30,)
-        assert tree.bootstrap_indices.min() >= 0 and tree.bootstrap_indices.max() < 30
-    # with bootstrap on, at least one tree must repeat a row
-    assert any(len(np.unique(t.bootstrap_indices)) < 30 for t in model.trees)
-
-
-def test_forest_without_bootstrap_sees_every_row_once():
-    rng = np.random.default_rng(11)
-    X, y = regression_problem(rng, n=20)
-    model = fit_arrays(ModelSpec(family="forest", trees=3, bootstrap=False, seed=1), X, y)
-    for tree in model.trees:
-        assert np.array_equal(tree.bootstrap_indices, np.arange(20))
+    for tree, seq in zip(model.trees, np.random.SeedSequence(1).spawn(10), strict=True):
+        s = np.random.default_rng(seq).integers(0, 30, size=30)
+        alone = _fit_tree(X[s], y[s])
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(tree, name), getattr(alone, name))
 
 
 def test_forest_constant_labels_exact():
@@ -227,12 +217,11 @@ def test_forest_constant_labels_exact():
 
 
 def test_forest_pure_training_fit_without_bootstrap():
-    # unlimited depth + all features: exact memorization of distinct rows
+    # a tree grown to purity on distinct rows memorizes every label
     rng = np.random.default_rng(13)
     X = rng.uniform(-110, -30, size=(30, 5))
     y = rng.uniform(0, 4, size=30)
-    model = fit_arrays(ModelSpec(family="forest", trees=2, bootstrap=False, seed=0), X, y)
-    assert np.allclose(model.predict(X), y, atol=1e-12)
+    assert np.array_equal(_fit_tree(X, y).predict(X), y)
 
 
 def test_forest_deterministic_for_seed():
@@ -244,16 +233,6 @@ def test_forest_deterministic_for_seed():
     assert np.array_equal(a.predict(probes), b.predict(probes))
     c = fit_arrays(ModelSpec(family="forest", trees=8, seed=6), X, y)
     assert not np.array_equal(a.predict(probes), c.predict(probes))
-
-
-def test_forest_max_depth_and_feature_subsetting():
-    rng = np.random.default_rng(15)
-    X, y = regression_problem(rng, n=60)
-    shallow = fit_arrays(ModelSpec(family="forest", trees=5, max_depth=1, seed=1), X, y)
-    for tree in shallow.trees:
-        assert tree.n_nodes <= 3  # a stump: root plus two leaves
-    subset = fit_arrays(ModelSpec(family="forest", trees=5, max_features=2, seed=1), X, y)
-    assert subset.predict(X).shape == (60,)
 
 
 # --- network ----------------------------------------------------------------------
@@ -413,6 +392,16 @@ def test_model_file_rejects_garbage(tmp_path):
         buf.seek(0)
         with pytest.raises(FormatError):
             load_model(buf)
+    # a forest archive as format version 1 wrote it: the four removed spec knobs and a bootstrap array
+    arrays = dict(_saved_arrays("forest"))
+    meta = json.loads(str(arrays.pop("meta_json")))
+    meta["format_version"] = 1
+    meta["spec"].update(max_depth=None, min_samples_split=2, max_features=None, bootstrap=True)
+    buf = io.BytesIO()
+    np.savez(buf, meta_json=np.array(json.dumps(meta)), **{**arrays, "bootstrap": np.zeros((2, 12), dtype=np.int64)})
+    buf.seek(0)
+    with pytest.raises(FormatError, match="version 1"):
+        load_model(buf)
 
 
 _TINY_SPECS = {
