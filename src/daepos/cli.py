@@ -29,7 +29,7 @@ from .dae import (
 )
 from .errors import ConfigError, ContractError, DataError, FormatError
 from .evaluation import evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
-from .pipeline import VARIANT_CHOICES, PipelineConfig, load_config, provenance, run_pipeline
+from .pipeline import PipelineConfig, load_config, provenance, run_pipeline
 from .positioning import DEFAULT_K, RadioMap, localize
 from .regressors import MODEL_FAMILIES, ModelSpec, fit, load_model, save_model
 from .signatures import (
@@ -123,7 +123,7 @@ def _cmd_build_dataset(args) -> None:
     )
     dataset = build_dae_dataset(
         signatures, registry, plan,
-        k=args.k, variant=args.variant, fill=args.fill, weighted=args.weighted,
+        k=args.k, variant=args.variant, fill=args.fill,
     )
     write_dae_dataset(dataset, args.out, comment=_stamp(args))
     print(f"wrote {len(dataset)} records to {args.out}")
@@ -189,7 +189,7 @@ def _cmd_predict(args) -> None:
     writer = sys.stdout
     for scan in scans:
         vector = vectorize(scan, registry, args.fill)
-        estimate = localize(vector, radio_map, k=args.k, weighted=args.weighted)
+        estimate = localize(vector, radio_map, k=args.k)
         radius = model.predict(feature_rows(vector, [estimate.position.x, estimate.position.y], variant))
         writer.write(f"{estimate.position.x:.3f},{estimate.position.y:.3f},{radius:.3f}\n")
 
@@ -241,7 +241,6 @@ def build_parser() -> _Parser:
     p.add_argument("--grouping", choices=GROUPINGS, default="by_signature")
     p.add_argument("--variant", choices=VARIANTS, default="plain",
                    help="append the estimated coordinates to the features")
-    p.add_argument("--weighted", action="store_true", help="inverse-distance weighted positioning")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="dataset CSV to write")
     p.set_defaults(func=_cmd_build_dataset)
@@ -274,7 +273,6 @@ def build_parser() -> _Parser:
     add_format(p)
     p.add_argument("--k", type=_positive_int, default=DEFAULT_K)
     p.add_argument("--fill", type=_fill_dbm, default=DEFAULT_FILL_DBM)
-    p.add_argument("--weighted", action="store_true")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
@@ -287,10 +285,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int)
     p.add_argument("--folds", type=int)
     p.add_argument("--grouping", choices=GROUPINGS)
-    p.add_argument("--variant", choices=VARIANT_CHOICES)
     p.add_argument("--seed", type=int)
     p.add_argument("--holdout-input", help="external signature CSV for the transfer row")
-    p.add_argument("--weighted", action="store_true", default=None)
     p.set_defaults(func=_cmd_run)
     # `run --format` should not silently force canonical over a config value
     p.set_defaults(format=None)

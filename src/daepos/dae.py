@@ -172,13 +172,12 @@ def _label_signatures(
     test_vectors: np.ndarray,
     radio_map: RadioMap,
     k: int,
-    weighted: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Position estimates (n, 2) and true errors (n,) of the test signatures, one ``localize`` each."""
     estimates = np.empty((len(test_vectors), 2))
     labels = np.empty(len(test_vectors))
     for i, (sig, vec) in enumerate(zip(test_signatures, test_vectors)):
-        position = localize(vec, radio_map, k=k, weighted=weighted).position
+        position = localize(vec, radio_map, k=k).position
         estimates[i] = position.x, position.y
         labels[i] = true_error(position, sig.reference)
     return estimates, labels
@@ -191,7 +190,6 @@ def build_dae_dataset(
     k: int = 4,
     variant: str = "plain",
     fill: float = DEFAULT_FILL_DBM,
-    weighted: bool = False,
 ) -> DaeDataset:
     """Label every signature with its leave-fold-out positioning error.
 
@@ -229,7 +227,7 @@ def build_dae_dataset(
             point_ids=tuple(ids[i] for i in train_idx),
         )
         estimates[test_idx], labels[test_idx] = _label_signatures(
-            [signatures[i] for i in test_idx], matrix[test_idx], radio_map, k, weighted
+            [signatures[i] for i in test_idx], matrix[test_idx], radio_map, k
         )
         order.append(test_idx)
     order = np.concatenate(order)
@@ -244,7 +242,6 @@ def build_holdout_dataset(
     k: int = 4,
     variant: str = "plain",
     fill: float = DEFAULT_FILL_DBM,
-    weighted: bool = False,
 ) -> DaeDataset:
     """Label external signatures against the full calibration map.
 
@@ -253,7 +250,7 @@ def build_holdout_dataset(
     """
     radio_map = RadioMap.from_signatures(map_signatures, registry, fill)
     vectors = feature_matrix(test_signatures, registry, fill)
-    estimates, labels = _label_signatures(test_signatures, vectors, radio_map, k, weighted)
+    estimates, labels = _label_signatures(test_signatures, vectors, radio_map, k)
     X = feature_rows(vectors, estimates, variant)
     ids = tuple(s.point_id for s in test_signatures)
     return DaeDataset(X, labels, ids, np.full(len(labels), EXTERNAL_FOLD), variant, registry)

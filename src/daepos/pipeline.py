@@ -38,7 +38,9 @@ DEFAULT_LINEUP: tuple[tuple[str, dict, str], ...] = (
     ("NN-xy", {"family": "network", "layers": [256, 512, 256]}, "xy"),
 )
 
-VARIANT_CHOICES = ("plain", "xy", "both")
+
+def _slug(label: str) -> str:
+    return re.sub(r"[^a-z0-9]+", "_", label.lower()).strip("_")
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,7 @@ class PipelineConfig:
     k: int = 4
     folds: int = 5
     grouping: str = "by_signature"
-    variant: str = "both"
     seed: int = 0
-    weighted: bool = False
     models: list[ModelEntry] = field(default_factory=list)  # empty = default lineup
     holdout_input: str | None = None
     holdout_models: tuple[str, ...] = ("RF-xy",)
@@ -80,8 +80,6 @@ class PipelineConfig:
         for name in ("ap_count", "k", "folds", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not isinstance(self.weighted, bool):
-            raise ConfigError(f"weighted must be true or false, got {self.weighted!r}")
         if self.ap_count < 1:
             raise ConfigError(f"ap_count must be >= 1, got {self.ap_count}")
         if not _is_finite_number(self.fill):
@@ -94,14 +92,21 @@ class PipelineConfig:
             raise ConfigError("seed must be non-negative")
         if self.grouping not in GROUPINGS:
             raise ConfigError(f"unknown grouping {self.grouping!r}; expected one of {GROUPINGS}")
-        if self.variant not in VARIANT_CHOICES:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANT_CHOICES}")
+        # each model's pairs and ECDF files are named by the slug of its label
+        labels = [e.label for e in self.active_models()]
+        if self.holdout_input:
+            labels += [f"user_{label}" for label in self.holdout_models]
+        owners = {}
+        for label in labels:
+            slug = _slug(label)
+            if not slug:
+                raise ConfigError(f"model label {label!r} has no letter or digit to name its output files")
+            if slug in owners:
+                raise ConfigError(f"model labels {owners[slug]!r} and {label!r} both name the files {slug}_*.csv")
+            owners[slug] = label
 
     def active_models(self) -> list[ModelEntry]:
-        entries = self.models or default_lineup(self.seed)
-        if self.variant == "both":
-            return list(entries)
-        return [e for e in entries if e.variant == self.variant]
+        return self.models or default_lineup(self.seed)
 
 
 def default_lineup(seed: int) -> list[ModelEntry]:
@@ -124,7 +129,9 @@ def _entry_from_dict(d: dict, default_seed: int) -> ModelEntry:
     variant = d.get("variant", "plain")
     if variant not in VARIANTS:
         raise ConfigError(f"model entry variant must be plain or xy, got {variant!r}")
-    label = d.get("label") or spec.default_label() + ("-xy" if variant == "xy" else "")
+    label = d.get("label", spec.default_label() + ("-xy" if variant == "xy" else ""))
+    if not (isinstance(label, str) and label):
+        raise ConfigError(f"model entry {d!r}: label must be a non-empty string")
     return ModelEntry(label=label, spec=spec, variant=variant)
 
 
@@ -202,17 +209,11 @@ def _stage(name: str):
         raise
 
 
-def _slug(label: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "_", label.lower()).strip("_")
-
-
 def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
     """Execute every stage and write artifacts into ``config.out_dir``."""
     config.validate()
     stamp = provenance(config_to_dict(config))
     entries = config.active_models()
-    if not entries:
-        raise ConfigError(f"no models selected for variant {config.variant!r}")
     by_label = {e.label: e for e in entries}
     missing = [label for label in config.holdout_models if label not in by_label]
     if config.holdout_input and missing:
@@ -242,7 +243,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
         for variant in sorted({e.variant for e in entries}):
             dataset = build_dae_dataset(
                 signatures, registry, plan,
-                k=config.k, variant=variant, fill=config.fill, weighted=config.weighted,
+                k=config.k, variant=variant, fill=config.fill,
             )
             datasets[variant] = dataset
             path = out / f"dae_{variant}.csv"
@@ -268,7 +269,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
                 entry = by_label[label]
                 external_ds = build_holdout_dataset(
                     external, signatures, registry,
-                    k=config.k, variant=entry.variant, fill=config.fill, weighted=config.weighted,
+                    k=config.k, variant=entry.variant, fill=config.fill,
                 )
                 report = evaluate_model(
                     entry.spec, datasets[entry.variant], protocol="holdout", holdout=external_ds, label="user"

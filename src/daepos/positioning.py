@@ -75,7 +75,6 @@ class RadioMap:
 class PositionEstimate:
     position: Position2D
     neighbor_indices: tuple[int, ...]
-    neighbor_distances: tuple[float, ...]
 
 
 # Upper bound on the scratch memory :func:`nearest` holds at once: the
@@ -190,14 +189,13 @@ def _candidates(block, V, k, norms):
     return np.nonzero(approx <= thr)
 
 
-def localize(query, radio_map: RadioMap, k: int = DEFAULT_K, weighted: bool = False) -> PositionEstimate:
+def localize(query, radio_map: RadioMap, k: int = DEFAULT_K) -> PositionEstimate:
     """Estimate the position of ``query`` against ``radio_map`` with k-NN.
 
     Neighbors are the k map entries at smallest RSSI distance, ranked by
     :func:`nearest` on its square; ties at the k-th distance are resolved in
-    favor of the lower map-entry index.  The estimate is the unweighted mean
-    of the neighbors' reference positions, or their inverse-distance
-    weighted mean when ``weighted`` is set.
+    favor of the lower map-entry index.  The estimate is the mean of the
+    neighbors' reference positions.
     """
     if len(radio_map) < k:
         raise DatasetError(f"radio map has {len(radio_map)} entries, fewer than k={k}")
@@ -209,23 +207,10 @@ def localize(query, radio_map: RadioMap, k: int = DEFAULT_K, weighted: bool = Fa
     if not np.isfinite(query).all():
         raise ContractError("query vector contains non-finite dBm values")
 
-    indices, keys = nearest(query[None, :], radio_map.vectors, k)
-    idx, neighbor_dists = indices[0], np.sqrt(keys[0])
-    refs = radio_map.references[idx]
-
-    if weighted:
-        zero = neighbor_dists == 0.0
-        if zero.any():
-            # Exact fingerprint matches dominate: average only those.
-            pos = refs[zero].mean(axis=0)
-        else:
-            w = 1.0 / neighbor_dists
-            pos = (refs * w[:, None]).sum(axis=0) / w.sum()
-    else:
-        pos = refs.mean(axis=0)
-
+    indices, _ = nearest(query[None, :], radio_map.vectors, k)
+    idx = indices[0]
+    pos = radio_map.references[idx].mean(axis=0)
     return PositionEstimate(
         position=Position2D(float(pos[0]), float(pos[1])),
         neighbor_indices=tuple(int(i) for i in idx),
-        neighbor_distances=tuple(float(d) for d in neighbor_dists),
     )

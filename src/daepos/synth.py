@@ -97,6 +97,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1 or not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ConfigError(f"grid needs nx, ny >= 1 and finite positive spacing, got {self}")
+        if not math.isfinite((max(self.nx, self.ny) - 1) * self.spacing):
+            raise ConfigError(f"grid extent (max(nx, ny) - 1) * spacing overflows, got {self}")
 
     def positions(self) -> list[tuple[str, Position2D]]:
         return [
@@ -128,6 +130,8 @@ def perimeter_aps(n_aps: int, width: float, height: float) -> tuple[Position2D, 
     w = width + 2 * PERIMETER_MARGIN_M
     h = height + 2 * PERIMETER_MARGIN_M
     perimeter = 2 * (w + h)
+    if not math.isfinite(perimeter):
+        raise ConfigError(f"AP perimeter around a {width:g} x {height:g} m area overflows")
     positions = []
     for i in range(n_aps):
         s = (i / n_aps) * perimeter

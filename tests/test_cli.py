@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import pytest
 import daepos
 from daepos import parse_signatures, read_dae_dataset
 from daepos.cli import build_parser, main
+from daepos.pipeline import PipelineConfig
 
 
 @pytest.fixture()
@@ -214,14 +216,15 @@ def test_run_checks_holdout_models_before_ingest(tmp_path, survey_csv, capsys, h
         ("ap_count", "true"),
         ("fill", "true"),
         ("fill", "1" + "0" * 400),
-        ("weighted", '"no"'),
+        ("weighted", "true"),
+        ("variant", '"both"'),
         ("fmt", '"zenodoo"'),
         ("input", "5"),
         ("out_dir", "5"),
         ("holdout_input", "5"),
     ],
     ids=["k-float", "folds-float", "seed-huge-float", "seed-bool", "ap_count-bool", "fill-bool", "fill-huge-int",
-         "weighted-text", "fmt-unknown", "input-int", "out_dir-int", "holdout_input-int"],
+         "weighted-removed", "variant-removed", "fmt-unknown", "input-int", "out_dir-int", "holdout_input-int"],
 )
 def test_run_checks_config_types_before_ingest(tmp_path, survey_csv, capsys, key, value):
     out = tmp_path / "out"
@@ -239,6 +242,39 @@ def test_run_checks_config_types_before_ingest(tmp_path, survey_csv, capsys, key
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()  # rejected before anything is read or written
+
+
+def test_every_run_flag_is_a_config_field():
+    # `run` keeps only the arguments named like config fields; any other flag would be silently ignored
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for action in subcommands.choices["run"]._actions} - {"help", "config", "format"}
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)} - {"fmt", "models", "holdout_models"}
+    assert dests == fields
+
+
+@pytest.mark.parametrize(
+    "models, holdout_models",
+    [
+        ([{"family": "linear"}, {"family": "knn", "label": "!!!"}], ["LR"]),
+        ([{"family": "linear"}, {"family": "linear", "label": "A"}, {"family": "knn", "label": "A"}], ["LR"]),
+        ([{"family": "linear"}, {"family": "forest", "trees": 5, "label": "RF xy"},
+          {"family": "linear", "label": "rf-xy"}], ["LR"]),
+        ([{"family": "linear"}], ["LR", "LR"]),
+        ([{"family": "linear"}, {"family": "knn", "label": "user LR"}], ["LR"]),
+    ],
+    ids=["punctuation-only", "same-label", "same-slug", "holdout-twice", "user-prefix-clash"],
+)
+def test_run_rejects_labels_without_their_own_output_files_before_ingest(
+    tmp_path, survey_csv, capsys, models, holdout_models
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"folds": 3, "models": models, "holdout_models": holdout_models}))
+    out = tmp_path / "out"
+    argv = ["run", str(survey_csv), "--config", str(config), "--out", str(out), "--holdout-input", str(survey_csv)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_exit_code_config_error_for_bad_folds(tmp_path, survey_csv):
@@ -277,8 +313,9 @@ def test_exit_code_config_error_for_non_positive_count_flag(tmp_path, trained_mo
 @pytest.mark.parametrize(
     "flags",
     [["--sigma", "nan"], ["--sigma", "inf"], ["--exponent", "nan"], ["--exponent", "inf"], ["--spacing", "nan"],
-     ["--spacing", "inf"], ["--seed", "-1"]],
-    ids=["sigma-nan", "sigma-inf", "exponent-nan", "exponent-inf", "spacing-nan", "spacing-inf", "seed-negative"],
+     ["--spacing", "inf"], ["--spacing", "1e308"], ["--spacing", "6e307"], ["--seed", "-1"]],
+    ids=["sigma-nan", "sigma-inf", "exponent-nan", "exponent-inf", "spacing-nan", "spacing-inf",
+         "spacing-extent-overflow", "spacing-perimeter-overflow", "seed-negative"],
 )
 def test_synth_exit_code_config_error_for_out_of_range_flag(tmp_path, capsys, flags):
     out = tmp_path / "survey.csv"
@@ -505,9 +542,12 @@ def test_predict_exit_code_data_error_for_corrupt_forest_archive(tmp_path, train
         {"family": "network", "layers": [2.7]},
         {"family": "network", "learning_rate": 10**400},
         {"family": "forest", "max_depth": 3},  # not a ModelSpec field
+        {"family": "linear", "label": 5},
+        {"family": "linear", "label": True},
+        {"family": "linear", "label": ""},
     ],
     ids=["unknown-key", "layers-text", "layers-digits", "k-text", "not-an-object", "k-bool", "trees-float",
-         "layers-float", "learning_rate-huge-int", "forest-max_depth"],
+         "layers-float", "learning_rate-huge-int", "forest-max_depth", "label-int", "label-bool", "label-empty"],
 )
 def test_run_exit_code_config_error_for_malformed_model_entry(tmp_path, survey_csv, capsys, entry):
     config = tmp_path / "config.json"
@@ -523,14 +563,14 @@ def test_stamps_match_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_ok(["synth", "--grid", "4x3", "--aps", "6", "--scans", "2", "--seed", "5", "--out", "survey.csv"])
     run_ok(["ingest", "survey.csv", "--out", "ingested.csv"])
-    run_ok(["build-dataset", "survey.csv", "--folds", "3", "--variant", "xy", "--weighted", "--out", "dae.csv"])
+    run_ok(["build-dataset", "survey.csv", "--folds", "3", "--variant", "xy", "--out", "dae.csv"])
     run_ok(["train", "dae.csv", "--family", "network", "--layers", "4,3", "--epochs", "2",
             "--learning-rate", "0.01", "--batch-size", "8", "--seed", "6", "--out", "nn.model"])
     run_ok(["train", "dae.csv", "--family", "knn", "--neighbors", "3", "--out", "knn.model"])
     run_ok(["evaluate", "--model", "knn.model", "--data", "dae.csv", "--out", "ev"])
     config = {"folds": 3, "models": [{"family": "linear", "label": "LR-xy", "variant": "xy"}]}
     Path("cfg.json").write_text(json.dumps(config))
-    run_ok(["run", "survey.csv", "--config", "cfg.json", "--out", "run", "--k", "3", "--weighted", "--seed", "2"])
+    run_ok(["run", "survey.csv", "--config", "cfg.json", "--out", "run", "--k", "3", "--seed", "2"])
     stamps = {
         name: Path(name).read_text().splitlines()[0]
         for name in ("survey.csv", "ingested.csv", "dae.csv", "ev/report.csv", "ev/pairs.csv", "ev/ecdf.csv",
@@ -540,11 +580,11 @@ def test_stamps_match_pinned_digests(tmp_path, monkeypatch):
     assert stamps == {
         "survey.csv": "# config_hash=2b2d2ee46eb2 seed=5",
         "ingested.csv": "# config_hash=3463ca24869b seed=0",
-        "dae.csv": "# config_hash=57fc99a2ddaa seed=0",
+        "dae.csv": "# config_hash=09649614f346 seed=0",
         "ev/report.csv": evaluate,
         "ev/pairs.csv": evaluate,
         "ev/ecdf.csv": evaluate,
-        "run/report.csv": "# config_hash=f423378532d1 seed=2",
+        "run/report.csv": "# config_hash=b16bd4a48a85 seed=2",
     }
     specs = []
     for name in ("nn.model", "knn.model"):
@@ -564,8 +604,7 @@ _ARGUMENT_CHANGES = {
     "synth": {"--grid": "3x4", "--spacing": "2.5", "--aps": "7", "--scans": "2", "--sigma": "1.5",
               "--exponent": "3", "--tx-power": "-41", "--floor": "-90", "--seed": "6"},
     "build-dataset": {"input": "copy.csv", "--format": "zenodo", "--ap-count": "5", "--fill": "-95", "--k": "3",
-                      "--folds": "4", "--grouping": "by_point", "--variant": "xy", "--weighted": None,
-                      "--seed": "1"},
+                      "--folds": "4", "--grouping": "by_point", "--variant": "xy", "--seed": "1"},
 }
 
 

@@ -26,20 +26,11 @@ def test_default_lineup_matches_reference_rows():
     ]
 
 
-def test_variant_filter_selects_matching_models():
-    plain_only = minimal_config(variant="plain")
-    assert all(e.variant == "plain" for e in plain_only.active_models())
-    assert len(plain_only.active_models()) == 4
-    assert len(minimal_config(variant="both").active_models()) == 8
-
-
 def test_config_validation_rejects_single_fold():
     with pytest.raises(ConfigError):
         minimal_config(folds=1)
     with pytest.raises(ConfigError):
         minimal_config(ap_count=0)
-    with pytest.raises(ConfigError):
-        minimal_config(variant="mixed")
 
 
 def test_config_hash_stable_and_sensitive():

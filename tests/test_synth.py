@@ -113,7 +113,6 @@ def test_noise_free_exact_match_pipeline_end_to_end():
     vec = radio_map.vectors[7]
     est = localize(vec, radio_map, k=1)
     assert est.position == query.reference
-    assert est.neighbor_distances == (0.0,)
 
 
 def test_world_validation():

@@ -9,12 +9,11 @@ The sequence uses whichever ``daepos`` is importable, so pointing
 whether a change alters any output byte.  It runs, inside OUT_DIR (which
 must be empty or absent): ``synth`` of a survey and a holdout survey;
 ``ingest`` of the canonical survey and of a zenodo-layout file; ``run`` with
-``--holdout-input``, then again with ``--weighted``; ``build-dataset`` with
-both groupings; ``train`` of all four families on both datasets;
-``evaluate`` and ``predict`` with every model.  Then it makes one failing
-call per error exit code (1, 2 and 3).  Every path handed to the CLI is
-relative to OUT_DIR, so the provenance stamps do not depend on where
-OUT_DIR lives.
+``--holdout-input``; ``build-dataset`` with both groupings; ``train`` of all
+four families on both datasets; ``evaluate`` and ``predict`` with every
+model.  Then it makes one failing call per error exit code (1, 2 and 3).
+Every path handed to the CLI is relative to OUT_DIR, so the provenance
+stamps do not depend on where OUT_DIR lives.
 
 It prints one ``sha256  relative/path`` line per file, sorted by path; the
 stdout of each ``predict`` call is captured to ``predict/<model>.txt``, and
@@ -42,7 +41,6 @@ FAMILY_FLAGS = {
 }
 
 RUN_CONFIG = {
-    "variant": "both",
     "folds": 3,
     "k": 3,
     "models": [
@@ -93,8 +91,6 @@ def run_sequence() -> None:
 
     Path("config.json").write_text(json.dumps(RUN_CONFIG, indent=1))
     _daepos("run", "survey.csv", "--config", "config.json", "--holdout-input", "holdout.csv", "--out", "run")
-    _daepos("run", "survey.csv", "--config", "config.json", "--holdout-input", "holdout.csv", "--weighted",
-            "--out", "run_weighted")
 
     datasets = {"plain": "by_signature", "xy": "by_point"}
     for variant, grouping in datasets.items():
