@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -33,7 +32,6 @@ from .pipeline import PipelineConfig, load_config, provenance, run_pipeline
 from .positioning import DEFAULT_K, RadioMap, localize
 from .regressors import MODEL_FAMILIES, ModelSpec, fit, load_model, save_model
 from .signatures import (
-    DEFAULT_FILL_DBM,
     SIGNATURE_FORMATS,
     ApRegistry,
     build_registry,
@@ -57,13 +55,6 @@ def _parse_layers(text: str) -> tuple[int, ...]:
     if not layers:
         raise ConfigError("at least one layer width is required")
     return layers
-
-
-def _fill_dbm(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"fill must be a finite dBm value, got {text!r}")
-    return value
 
 
 def _positive_int(text: str) -> int:
@@ -123,7 +114,7 @@ def _cmd_build_dataset(args) -> None:
     )
     dataset = build_dae_dataset(
         signatures, registry, plan,
-        k=args.k, variant=args.variant, fill=args.fill,
+        k=args.k, variant=args.variant,
     )
     write_dae_dataset(dataset, args.out, comment=_stamp(args))
     print(f"wrote {len(dataset)} records to {args.out}")
@@ -183,12 +174,15 @@ def _cmd_predict(args) -> None:
         )
 
     map_signatures = parse_signatures(args.map, args.format)
-    radio_map = RadioMap.from_signatures(map_signatures, registry, fill=args.fill)
+    radio_map = RadioMap.from_signatures(map_signatures, registry)
     scans = parse_signatures(args.scans, args.format)
 
     writer = sys.stdout
     for scan in scans:
-        vector = vectorize(scan, registry, args.fill)
+        if all(registry.index_of(ap) is None for ap in scan.readings):
+            print(f"warning: scan {scan.point_id} has no reading from the model's {len(registry)} APs; "
+                  "it is located from the imputed value alone", file=sys.stderr)
+        vector = vectorize(scan, registry)
         estimate = localize(vector, radio_map, k=args.k)
         radius = model.predict(feature_rows(vector, [estimate.position.x, estimate.position.y], variant))
         writer.write(f"{estimate.position.x:.3f},{estimate.position.y:.3f},{radius:.3f}\n")
@@ -235,7 +229,6 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="signature CSV to read")
     add_format(p)
     p.add_argument("--ap-count", type=_positive_int, default=35, help="APs to retain by availability")
-    p.add_argument("--fill", type=_fill_dbm, default=DEFAULT_FILL_DBM, help="imputation dBm for missing readings")
     p.add_argument("--k", type=_positive_int, default=DEFAULT_K, help="positioning neighbors")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--grouping", choices=GROUPINGS, default="by_signature")
@@ -272,7 +265,6 @@ def build_parser() -> _Parser:
     p.add_argument("--map", required=True, help="canonical CSV acting as the radio map")
     add_format(p)
     p.add_argument("--k", type=_positive_int, default=DEFAULT_K)
-    p.add_argument("--fill", type=_fill_dbm, default=DEFAULT_FILL_DBM)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
@@ -281,7 +273,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", dest="out_dir", help="output directory (overrides the config file)")
     add_format(p)
     p.add_argument("--ap-count", type=int)
-    p.add_argument("--fill", type=float)
     p.add_argument("--k", type=int)
     p.add_argument("--folds", type=int)
     p.add_argument("--grouping", choices=GROUPINGS)

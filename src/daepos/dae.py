@@ -17,9 +17,8 @@ import numpy as np
 
 from .csvio import csv_writer, read_csv_rows
 from .errors import ConfigError, ContractError, DatasetError, FormatError, RowError
-from .positioning import RadioMap, localize
+from .positioning import DEFAULT_K, RadioMap, localize
 from .signatures import (
-    DEFAULT_FILL_DBM,
     ApRegistry,
     Position2D,
     RadioSignature,
@@ -187,9 +186,8 @@ def build_dae_dataset(
     signatures: Sequence[RadioSignature],
     registry: ApRegistry,
     plan: FoldPlan,
-    k: int = 4,
+    k: int = DEFAULT_K,
     variant: str = "plain",
-    fill: float = DEFAULT_FILL_DBM,
 ) -> DaeDataset:
     """Label every signature with its leave-fold-out positioning error.
 
@@ -205,7 +203,7 @@ def build_dae_dataset(
             f"fold plan covers {len(plan.assignment)} signatures, dataset has {len(signatures)}"
         )
 
-    matrix = feature_matrix(signatures, registry, fill)
+    matrix = feature_matrix(signatures, registry)
     refs = reference_matrix(signatures)
     ids = tuple(s.point_id for s in signatures)
     assignment = np.asarray(plan.assignment)
@@ -239,17 +237,16 @@ def build_holdout_dataset(
     test_signatures: Sequence[RadioSignature],
     map_signatures: Sequence[RadioSignature],
     registry: ApRegistry,
-    k: int = 4,
+    k: int = DEFAULT_K,
     variant: str = "plain",
-    fill: float = DEFAULT_FILL_DBM,
 ) -> DaeDataset:
     """Label external signatures against the full calibration map.
 
     Used for transfer experiments: the records carry fold index -1 because
     they never participate in cross-validation.
     """
-    radio_map = RadioMap.from_signatures(map_signatures, registry, fill)
-    vectors = feature_matrix(test_signatures, registry, fill)
+    radio_map = RadioMap.from_signatures(map_signatures, registry)
+    vectors = feature_matrix(test_signatures, registry)
     estimates, labels = _label_signatures(test_signatures, vectors, radio_map, k)
     X = feature_rows(vectors, estimates, variant)
     ids = tuple(s.point_id for s in test_signatures)

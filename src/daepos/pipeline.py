@@ -21,9 +21,10 @@ from .csvio import csv_writer
 from .dae import GROUPINGS, VARIANTS, build_dae_dataset, build_holdout_dataset, make_fold_plan, write_dae_dataset
 from .errors import ConfigError, DaeposError
 from .evaluation import EvaluationReport, evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
+from .positioning import DEFAULT_K
 from .regressors import ModelSpec
-from .regressors.base import _is_finite_number, _is_int
-from .signatures import DEFAULT_FILL_DBM, SIGNATURE_FORMATS, build_registry, parse_signatures
+from .regressors.base import _is_int
+from .signatures import SIGNATURE_FORMATS, build_registry, parse_signatures
 
 # The default lineup: every family with and without the appended location
 # estimate, using the parameter choices reported for each family.
@@ -56,8 +57,7 @@ class PipelineConfig:
     out_dir: str
     fmt: str = "canonical"
     ap_count: int = 35
-    fill: float = DEFAULT_FILL_DBM
-    k: int = 4
+    k: int = DEFAULT_K
     folds: int = 5
     grouping: str = "by_signature"
     seed: int = 0
@@ -73,7 +73,7 @@ class PipelineConfig:
             raise ConfigError(f"an input signature file is required, got {self.input!r}")
         if not (isinstance(self.out_dir, str) and self.out_dir):
             raise ConfigError(f"an output directory is required, got {self.out_dir!r}")
-        if not (self.holdout_input is None or isinstance(self.holdout_input, str)):
+        if not (self.holdout_input is None or (isinstance(self.holdout_input, str) and self.holdout_input)):
             raise ConfigError(f"holdout_input must be a file path or null, got {self.holdout_input!r}")
         if self.fmt not in SIGNATURE_FORMATS:
             raise ConfigError(f"unknown signature format {self.fmt!r}; expected one of {SIGNATURE_FORMATS}")
@@ -82,8 +82,6 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.ap_count < 1:
             raise ConfigError(f"ap_count must be >= 1, got {self.ap_count}")
-        if not _is_finite_number(self.fill):
-            raise ConfigError(f"fill must be a finite dBm value, got {self.fill!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.folds < 2:
@@ -119,8 +117,8 @@ def default_lineup(seed: int) -> list[ModelEntry]:
 def _entry_from_dict(d: dict, default_seed: int) -> ModelEntry:
     if not isinstance(d, dict):
         raise ConfigError(f"model entry {d!r} must be a JSON object")
-    params = d.get("spec") or {k: v for k, v in d.items() if k not in ("label", "variant")}
-    if not isinstance(params, dict) or "family" not in params:
+    params = {k: v for k, v in d.items() if k not in ("label", "variant")}
+    if "family" not in params:
         raise ConfigError(f"model entry {d!r} lacks a family")
     try:
         spec = ModelSpec(**{"seed": default_seed, **params})
@@ -163,8 +161,8 @@ def config_hash(config: PipelineConfig) -> str:
 def load_config(path: str | None, overrides: dict | None = None) -> PipelineConfig:
     """Build a config from an optional JSON file plus flag overrides.
 
-    Flags win over file values; ``models`` entries come from the file (or
-    the default lineup when absent).
+    Flags win over file values; ``models`` entries come from the file as a
+    list (the default lineup when absent or empty).
     """
     raw: dict = {}
     if path is not None:
@@ -184,11 +182,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> PipelineConf
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
+    if "models" in merged and not isinstance(merged["models"], list):
+        raise ConfigError(f"models must be a list of model entries, got {merged['models']!r}")
     seed = merged.get("seed", 0)
     if not _is_int(seed):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     try:
-        if merged.get("models") is not None:
+        if "models" in merged:
             merged["models"] = [_entry_from_dict(m, seed) for m in merged["models"]]
         holdout = merged.get("holdout_models")
         if holdout is not None:
@@ -243,7 +243,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
         for variant in sorted({e.variant for e in entries}):
             dataset = build_dae_dataset(
                 signatures, registry, plan,
-                k=config.k, variant=variant, fill=config.fill,
+                k=config.k, variant=variant,
             )
             datasets[variant] = dataset
             path = out / f"dae_{variant}.csv"
@@ -269,7 +269,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
                 entry = by_label[label]
                 external_ds = build_holdout_dataset(
                     external, signatures, registry,
-                    k=config.k, variant=entry.variant, fill=config.fill,
+                    k=config.k, variant=entry.variant,
                 )
                 report = evaluate_model(
                     entry.spec, datasets[entry.variant], protocol="holdout", holdout=external_ds, label="user"

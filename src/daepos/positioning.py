@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ContractError, DatasetError
 from .signatures import (
-    DEFAULT_FILL_DBM,
     ApRegistry,
     Position2D,
     RadioSignature,
@@ -57,15 +56,10 @@ class RadioMap:
         return len(self.vectors)
 
     @classmethod
-    def from_signatures(
-        cls,
-        signatures: Sequence[RadioSignature],
-        registry: ApRegistry,
-        fill: float = DEFAULT_FILL_DBM,
-    ) -> "RadioMap":
+    def from_signatures(cls, signatures: Sequence[RadioSignature], registry: ApRegistry) -> "RadioMap":
         return cls(
             registry=registry,
-            vectors=feature_matrix(signatures, registry, fill),
+            vectors=feature_matrix(signatures, registry),
             references=reference_matrix(signatures),
             point_ids=tuple(s.point_id for s in signatures),
         )

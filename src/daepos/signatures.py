@@ -4,7 +4,7 @@ A radio signature is one Wi-Fi scan: per-access-point RSSI readings in dBm
 annotated with the 2-D reference position where the scan was taken.  This
 module parses signature files, selects the access points to keep (by how
 often each one was detected), and turns signatures into fixed-width feature
-vectors with missing readings imputed by a constant fill value.
+vectors with missing readings imputed by the constant :data:`FILL_DBM`.
 
 Canonical file format: CSV with header ``point_id,x,y,<ap_1>,...,<ap_n>``,
 one row per scan, empty cell = AP not detected.  Leading lines starting with
@@ -28,8 +28,9 @@ from .errors import ContractError, DatasetError, FormatError, RowError
 RSSI_MIN = -120.0
 RSSI_MAX = 0.0
 
-# Imputation constant for undetected APs, below any observable reading.
-DEFAULT_FILL_DBM = -99.0
+# Imputation constant for undetected APs, below any observable reading.  The
+# positioner and the error model share it, so it is not a parameter.
+FILL_DBM = -99.0
 
 
 @dataclass(frozen=True)
@@ -120,15 +121,15 @@ def build_registry(signatures: Sequence[RadioSignature], m: int) -> ApRegistry:
     return ApRegistry(aps=tuple(kept), availability=tuple(counts[ap] for ap in kept))
 
 
-def vectorize(signature: RadioSignature, registry: ApRegistry, fill: float = DEFAULT_FILL_DBM) -> np.ndarray:
+def vectorize(signature: RadioSignature, registry: ApRegistry) -> np.ndarray:
     """Impute ``signature`` into a vector aligned with ``registry`` order.
 
     Readings for APs outside the registry are dropped; registry APs the
-    signature did not detect get ``fill``.
+    signature did not detect get :data:`FILL_DBM`.
     """
     if len(registry) == 0:
         raise ContractError("cannot vectorize against an empty registry")
-    vec = np.full(len(registry), float(fill))
+    vec = np.full(len(registry), FILL_DBM)
     for ap, rssi in signature.readings.items():
         slot = registry.index_of(ap)
         if slot is not None:
@@ -136,13 +137,11 @@ def vectorize(signature: RadioSignature, registry: ApRegistry, fill: float = DEF
     return vec
 
 
-def feature_matrix(
-    signatures: Sequence[RadioSignature], registry: ApRegistry, fill: float = DEFAULT_FILL_DBM
-) -> np.ndarray:
+def feature_matrix(signatures: Sequence[RadioSignature], registry: ApRegistry) -> np.ndarray:
     """Stack :func:`vectorize` over all signatures into an (n, width) matrix."""
     if not signatures:
         raise DatasetError("cannot build a feature matrix from an empty dataset")
-    return np.stack([vectorize(sig, registry, fill) for sig in signatures])
+    return np.stack([vectorize(sig, registry) for sig in signatures])
 
 
 def reference_matrix(signatures: Sequence[RadioSignature]) -> np.ndarray:

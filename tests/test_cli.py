@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import daepos
-from daepos import parse_signatures, read_dae_dataset
+from daepos import ApRegistry, build_holdout_dataset, load_model, parse_signatures, read_dae_dataset
 from daepos.cli import build_parser, main
 from daepos.pipeline import PipelineConfig
+from daepos.signatures import FILL_DBM
 
 
 @pytest.fixture()
@@ -145,6 +146,39 @@ def test_predict_zero_radius_for_memorized_exact_match(tmp_path, capsys):
     assert radii.min() >= 0.0
 
 
+def test_predict_warns_for_a_scan_without_a_retained_ap(tmp_path, trained_models, capsys):
+    survey = trained_models / "survey.csv"
+    ap = next(iter(parse_signatures(survey)[0].readings))
+    scans = tmp_path / "scans.csv"
+    scans.write_text(f"point_id,x,y,{ap},zz1,zz2\nseen,1.0,2.0,-60,,\nlonely,4.5,2.0,,-60,-70\n")
+    capsys.readouterr()
+    run_ok(["predict", str(scans), "--model", str(trained_models / "forest.npz"), "--map", str(survey)])
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 2  # every scan still gets its answer line
+    assert err.startswith("warning: scan lonely ") and err.count("\n") == 1, err
+
+
+def test_predict_prints_the_holdout_dataset_row_of_every_scan(tmp_path, capsys):
+    # predict and dataset building must form the same feature row, imputed cells included
+    survey, scans, dae, model = (tmp_path / name for name in ("survey.csv", "scans.csv", "dae.csv", "rf.npz"))
+    world = ["--spacing", "2", "--aps", "8", "--floor", "-70"]
+    run_ok(["synth", "--grid", "8x6", *world, "--scans", "2", "--seed", "3", "--out", str(survey)])
+    run_ok(["synth", "--grid", "8x6", *world, "--scans", "1", "--seed", "4", "--out", str(scans)])
+    run_ok(["build-dataset", str(survey), "--folds", "3", "--k", "3", "--variant", "xy", "--out", str(dae)])
+    run_ok(["train", str(dae), "--family", "forest", "--trees", "10", "--out", str(model)])
+    capsys.readouterr()
+    run_ok(["predict", str(scans), "--model", str(model), "--map", str(survey), "--k", "3"])
+    printed = capsys.readouterr().out.splitlines()
+
+    forest = load_model(model)
+    aps = tuple(forest.metadata["context"]["ap_ids"])
+    registry = ApRegistry(aps=aps, availability=(0,) * len(aps))
+    holdout = build_holdout_dataset(parse_signatures(scans), parse_signatures(survey), registry, k=3, variant="xy")
+    assert (holdout.X == FILL_DBM).any()  # the floor leaves cells to impute
+    # the forest predicts a row alone with the same bits as in a batch, so equality is exact
+    assert printed == [f"{row[-2]:.3f},{row[-1]:.3f},{forest.predict(row):.3f}" for row in holdout.X]
+
+
 def test_run_full_lineup_report_layout(tmp_path, survey_csv):
     out = tmp_path / "out"
     config = tmp_path / "config.json"
@@ -214,8 +248,7 @@ def test_run_checks_holdout_models_before_ingest(tmp_path, survey_csv, capsys, h
         ("seed", "1e400"),
         ("seed", "true"),
         ("ap_count", "true"),
-        ("fill", "true"),
-        ("fill", "1" + "0" * 400),
+        ("fill", "-99"),
         ("weighted", "true"),
         ("variant", '"both"'),
         ("fmt", '"zenodoo"'),
@@ -223,7 +256,7 @@ def test_run_checks_holdout_models_before_ingest(tmp_path, survey_csv, capsys, h
         ("out_dir", "5"),
         ("holdout_input", "5"),
     ],
-    ids=["k-float", "folds-float", "seed-huge-float", "seed-bool", "ap_count-bool", "fill-bool", "fill-huge-int",
+    ids=["k-float", "folds-float", "seed-huge-float", "seed-bool", "ap_count-bool", "fill-removed",
          "weighted-removed", "variant-removed", "fmt-unknown", "input-int", "out_dir-int", "holdout_input-int"],
 )
 def test_run_checks_config_types_before_ingest(tmp_path, survey_csv, capsys, key, value):
@@ -242,6 +275,26 @@ def test_run_checks_config_types_before_ingest(tmp_path, survey_csv, capsys, key
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()  # rejected before anything is read or written
+
+
+@pytest.mark.parametrize(
+    "key, config, flags",
+    [
+        ("models", {"models": {}}, []),
+        ("models", {"models": 5}, []),
+        ("holdout_input", {"holdout_input": ""}, []),
+        ("holdout_input", {}, ["--holdout-input", ""]),
+    ],
+    ids=["models-object", "models-int", "holdout_input-empty", "holdout-input-flag-empty"],
+)
+def test_run_names_the_malformed_key_before_ingest(tmp_path, survey_csv, capsys, key, config, flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", str(survey_csv), "--config", str(path), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_every_run_flag_is_a_config_field():
@@ -372,22 +425,20 @@ def test_run_reports_failing_stage_by_name(tmp_path, capsys):
     assert "stage ingest" in capsys.readouterr().err
 
 
-def test_negative_fill_flag_value(tmp_path, survey_csv):
-    out = tmp_path / "dae.csv"
-    run_ok(["build-dataset", str(survey_csv), "--folds", "3", "--fill", "-90", "--out", str(out)])
-    dataset = read_dae_dataset(out)
-    assert (dataset.features() >= -90.0 - 1e-9).any()
-
-
-@pytest.mark.parametrize("fill", ["nan", "inf", "-inf"])
-def test_exit_code_config_error_for_non_finite_fill(tmp_path, survey_csv, fill):
-    assert main(["build-dataset", str(survey_csv), "--fill", fill, "--out", str(tmp_path / "x.csv")]) == 1
-    assert not (tmp_path / "x.csv").exists()
-    assert main(["predict", str(survey_csv), "--model", str(tmp_path / "m.bin"),
-                 "--map", str(survey_csv), "--fill", fill]) == 1
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"fill": float(fill)}))
-    assert main(["run", str(survey_csv), "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+@pytest.mark.parametrize("fill", ["nan", "inf", "-inf", "-99"])
+def test_exit_code_config_error_for_non_finite_fill(tmp_path, trained_models, capsys, fill):
+    # no command takes --fill, a finite value included: the imputation value is the constant FILL_DBM
+    survey = str(trained_models / "survey.csv")
+    out = tmp_path / "out"
+    for argv in (
+        ["build-dataset", survey, "--out", str(out)],
+        ["predict", survey, "--model", str(trained_models / "forest.npz"), "--map", survey],
+        ["run", survey, "--out", str(out)],
+    ):
+        assert main([*argv, "--fill", fill]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -545,9 +596,11 @@ def test_predict_exit_code_data_error_for_corrupt_forest_archive(tmp_path, train
         {"family": "linear", "label": 5},
         {"family": "linear", "label": True},
         {"family": "linear", "label": ""},
+        {"family": "linear", "spec": {"family": "knn"}, "label": "X"},  # one entry form: the keys are the spec
     ],
     ids=["unknown-key", "layers-text", "layers-digits", "k-text", "not-an-object", "k-bool", "trees-float",
-         "layers-float", "learning_rate-huge-int", "forest-max_depth", "label-int", "label-bool", "label-empty"],
+         "layers-float", "learning_rate-huge-int", "forest-max_depth", "label-int", "label-bool", "label-empty",
+         "spec-nested"],
 )
 def test_run_exit_code_config_error_for_malformed_model_entry(tmp_path, survey_csv, capsys, entry):
     config = tmp_path / "config.json"
@@ -580,11 +633,11 @@ def test_stamps_match_pinned_digests(tmp_path, monkeypatch):
     assert stamps == {
         "survey.csv": "# config_hash=2b2d2ee46eb2 seed=5",
         "ingested.csv": "# config_hash=3463ca24869b seed=0",
-        "dae.csv": "# config_hash=09649614f346 seed=0",
+        "dae.csv": "# config_hash=5da8d8f309db seed=0",
         "ev/report.csv": evaluate,
         "ev/pairs.csv": evaluate,
         "ev/ecdf.csv": evaluate,
-        "run/report.csv": "# config_hash=b16bd4a48a85 seed=2",
+        "run/report.csv": "# config_hash=ea8fde93f4e5 seed=2",
     }
     specs = []
     for name in ("nn.model", "knn.model"):
@@ -603,7 +656,7 @@ def test_stamps_match_pinned_digests(tmp_path, monkeypatch):
 _ARGUMENT_CHANGES = {
     "synth": {"--grid": "3x4", "--spacing": "2.5", "--aps": "7", "--scans": "2", "--sigma": "1.5",
               "--exponent": "3", "--tx-power": "-41", "--floor": "-90", "--seed": "6"},
-    "build-dataset": {"input": "copy.csv", "--format": "zenodo", "--ap-count": "5", "--fill": "-95", "--k": "3",
+    "build-dataset": {"input": "copy.csv", "--format": "zenodo", "--ap-count": "5", "--k": "3",
                       "--folds": "4", "--grouping": "by_point", "--variant": "xy", "--seed": "1"},
 }
 

@@ -19,7 +19,7 @@ from daepos import (
     vectorize,
     write_signatures,
 )
-from daepos.signatures import RSSI_MAX, RSSI_MIN
+from daepos.signatures import FILL_DBM, RSSI_MAX, RSSI_MIN
 
 
 def parse_text(text, fmt="canonical"):
@@ -204,13 +204,13 @@ def test_registry_empty_dataset_is_dataset_error():
 def test_vectorize_fills_missing_with_constant():
     registry = ApRegistry(aps=("AP1", "AP2"), availability=(1, 0))
     sig = RadioSignature("p", Position2D(0, 0), {"AP1": -50.0})
-    assert vectorize(sig, registry, fill=-99.0).tolist() == [-50.0, -99.0]
+    assert vectorize(sig, registry).tolist() == [-50.0, FILL_DBM]
 
 
 def test_vectorize_complete_signature_uses_no_fill():
     registry = ApRegistry(aps=("b", "a"), availability=(1, 1))
     sig = RadioSignature("p", Position2D(0, 0), {"a": -40.0, "b": -70.0})
-    assert vectorize(sig, registry, fill=-99.0).tolist() == [-70.0, -40.0]
+    assert vectorize(sig, registry).tolist() == [-70.0, -40.0]
 
 
 def test_vectorize_drops_readings_outside_registry():
@@ -225,12 +225,11 @@ def test_vectorize_fill_count_matches_missing_count():
     for _ in range(50):
         sigs = random_signatures(rng, int(rng.integers(2, 15)), ap_pool=pool)
         registry = build_registry(sigs, int(rng.integers(1, 9)))
-        fill = -99.0
         for sig in sigs:
-            vec = vectorize(sig, registry, fill)
+            vec = vectorize(sig, registry)
             assert vec.shape == (len(registry),)
             overlap = sum(1 for ap in sig.readings if registry.index_of(ap) is not None)
-            assert int(np.sum(vec == fill)) == len(registry) - overlap
+            assert int(np.sum(vec == FILL_DBM)) == len(registry) - overlap
 
 
 def test_feature_matrix_shape(survey, survey_registry):
