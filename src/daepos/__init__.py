@@ -29,6 +29,7 @@ from .signatures import (
     ApRegistry,
     Position2D,
     RadioSignature,
+    SignatureTable,
     build_registry,
     feature_matrix,
     parse_signatures,
@@ -59,6 +60,7 @@ __all__ = [
     "RadioMap",
     "RadioSignature",
     "RowError",
+    "SignatureTable",
     "SynthWorld",
     "build_dae_dataset",
     "build_holdout_dataset",

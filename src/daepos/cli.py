@@ -15,6 +15,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dae import (
     GROUPINGS,
@@ -35,8 +37,8 @@ from .signatures import (
     SIGNATURE_FORMATS,
     ApRegistry,
     build_registry,
+    feature_matrix,
     parse_signatures,
-    vectorize,
     write_signatures,
 )
 from .synth import GridSpec, SynthWorld, generate_grid_dataset, perimeter_aps
@@ -110,7 +112,7 @@ def _cmd_build_dataset(args) -> None:
     registry = build_registry(signatures, args.ap_count)
     plan = make_fold_plan(
         len(signatures), args.folds, args.seed, args.grouping,
-        point_ids=[s.point_id for s in signatures],
+        point_ids=signatures.point_ids,
     )
     dataset = build_dae_dataset(
         signatures, registry, plan,
@@ -176,13 +178,15 @@ def _cmd_predict(args) -> None:
     map_signatures = parse_signatures(args.map, args.format)
     radio_map = RadioMap.from_signatures(map_signatures, registry)
     scans = parse_signatures(args.scans, args.format)
+    vectors = feature_matrix(scans, registry)
+    retained = [j for j, ap in enumerate(scans.ap_ids) if registry.index_of(ap) is not None]
+    blind = np.isnan(scans.rssi[:, retained]).all(axis=1).tolist()
 
     writer = sys.stdout
-    for scan in scans:
-        if all(registry.index_of(ap) is None for ap in scan.readings):
-            print(f"warning: scan {scan.point_id} has no reading from the model's {len(registry)} APs; "
+    for point_id, vector, alone in zip(scans.point_ids, vectors, blind):
+        if alone:
+            print(f"warning: scan {point_id} has no reading from the model's {len(registry)} APs; "
                   "it is located from the imputed value alone", file=sys.stderr)
-        vector = vectorize(scan, registry)
         estimate = localize(vector, radio_map, k=args.k)
         radius = model.predict(feature_rows(vector, [estimate.position.x, estimate.position.y], variant))
         writer.write(f"{estimate.position.x:.3f},{estimate.position.y:.3f},{radius:.3f}\n")

@@ -3,6 +3,8 @@
 Every file the package writes may start with one ``# comment`` line (the
 provenance stamp), and every reader skips leading ``#`` lines.  Rows end in
 ``\\n``; a cell holding ``\\r`` or ``\\n`` is quoted, and reads back intact.
+Files are read in chunks, one row at a time, so a reader never holds the
+whole text.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import os
 from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
+_CHUNK = 1 << 16  # characters per read
+
 
 def _opened(target, mode: str):
     """``target`` itself when it is a stream, else the file at that path, opened."""
@@ -21,28 +25,37 @@ def _opened(target, mode: str):
     return open(os.fspath(target), mode, encoding="utf-8", newline="")
 
 
-def _physical_lines(text: str):
-    """The lines of ``text`` with their ends, broken only at ``\\r``, ``\\n`` or ``\\r\\n``.
+def _physical_lines(stream):
+    """The lines of a text stream with their ends, broken only at ``\\r``, ``\\n`` or ``\\r\\n``.
 
     ``str.splitlines`` also breaks at characters such as U+2028 or ``\\x1c``,
-    which a cell may hold; those pieces are joined back.
+    which a cell may hold; those pieces are joined back.  A line that ends a
+    read without ``\\n`` waits for the next read, which may complete it or a
+    ``\\r\\n`` split between the two.
     """
-    pending = ""
-    for piece in text.splitlines(keepends=True):
-        pending += piece
-        if piece.endswith(("\n", "\r")):
-            yield pending
-            pending = ""
-    if pending:
-        yield pending
+    line = ""
+    while chunk := stream.read(_CHUNK):
+        pieces = (line + chunk).splitlines(keepends=True)
+        line = ""
+        for piece in pieces[:-1]:
+            line += piece
+            if piece.endswith(("\n", "\r")):
+                yield line
+                line = ""
+        line += pieces[-1]
+        if line.endswith("\n"):
+            yield line
+            line = ""
+    if line:
+        yield line
 
 
-def read_csv_rows(source) -> list[list[str]]:
-    """The non-empty CSV rows of a path or text stream, leading ``#`` lines skipped."""
+@contextmanager
+def csv_rows(source):
+    """An iterator over the non-empty CSV rows of a path or text stream, leading ``#`` lines skipped."""
     with _opened(source, "r") as stream:
-        text = stream.read()
-    lines = itertools.dropwhile(lambda line: line.lstrip().startswith("#"), _physical_lines(text))
-    return [row for row in csv.reader(lines) if row]
+        lines = itertools.dropwhile(lambda line: line.lstrip().startswith("#"), _physical_lines(stream))
+        yield filter(None, csv.reader(lines))
 
 
 @contextmanager

@@ -10,21 +10,16 @@ that contains it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .csvio import csv_writer, read_csv_rows
+from .csvio import csv_rows, csv_writer
 from .errors import ConfigError, ContractError, DatasetError, FormatError, RowError
 from .positioning import DEFAULT_K, RadioMap, localize
-from .signatures import (
-    ApRegistry,
-    Position2D,
-    RadioSignature,
-    feature_matrix,
-    reference_matrix,
-)
+from .signatures import ApRegistry, Position2D, RadioSignature, SignatureTable, feature_matrix
 
 GROUPINGS = ("by_signature", "by_point")
 VARIANTS = ("plain", "xy")
@@ -167,18 +162,21 @@ class DaeDataset:
 
 
 def _label_signatures(
-    test_signatures: Sequence[RadioSignature],
+    test_references: np.ndarray,
     test_vectors: np.ndarray,
     radio_map: RadioMap,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Position estimates (n, 2) and true errors (n,) of the test signatures, one ``localize`` each."""
+    """Position estimates (n, 2) and true errors (n,) of the test rows, one ``localize`` each.
+
+    ``test_references`` holds the (n, 2) surveyed positions of the rows.
+    """
     estimates = np.empty((len(test_vectors), 2))
     labels = np.empty(len(test_vectors))
-    for i, (sig, vec) in enumerate(zip(test_signatures, test_vectors)):
+    for i, (reference, vec) in enumerate(zip(test_references.tolist(), test_vectors)):
         position = localize(vec, radio_map, k=k).position
         estimates[i] = position.x, position.y
-        labels[i] = true_error(position, sig.reference)
+        labels[i] = true_error(position, Position2D(*reference))
     return estimates, labels
 
 
@@ -198,18 +196,18 @@ def build_dae_dataset(
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if len(plan.assignment) != len(signatures):
+    table = SignatureTable.of(signatures)
+    if len(plan.assignment) != len(table):
         raise ContractError(
-            f"fold plan covers {len(plan.assignment)} signatures, dataset has {len(signatures)}"
+            f"fold plan covers {len(plan.assignment)} signatures, dataset has {len(table)}"
         )
 
-    matrix = feature_matrix(signatures, registry)
-    refs = reference_matrix(signatures)
-    ids = tuple(s.point_id for s in signatures)
+    matrix = feature_matrix(table, registry)
+    refs, ids = table.references, table.point_ids
     assignment = np.asarray(plan.assignment)
 
-    estimates = np.empty((len(signatures), 2))
-    labels = np.empty(len(signatures))
+    estimates = np.empty((len(table), 2))
+    labels = np.empty(len(table))
     order = []
     for fold in range(plan.n_folds):
         test_idx = np.flatnonzero(assignment == fold)
@@ -225,7 +223,7 @@ def build_dae_dataset(
             point_ids=tuple(ids[i] for i in train_idx),
         )
         estimates[test_idx], labels[test_idx] = _label_signatures(
-            [signatures[i] for i in test_idx], matrix[test_idx], radio_map, k
+            refs[test_idx], matrix[test_idx], radio_map, k
         )
         order.append(test_idx)
     order = np.concatenate(order)
@@ -245,12 +243,12 @@ def build_holdout_dataset(
     Used for transfer experiments: the records carry fold index -1 because
     they never participate in cross-validation.
     """
+    test = SignatureTable.of(test_signatures)
     radio_map = RadioMap.from_signatures(map_signatures, registry)
-    vectors = feature_matrix(test_signatures, registry)
-    estimates, labels = _label_signatures(test_signatures, vectors, radio_map, k)
+    vectors = feature_matrix(test, registry)
+    estimates, labels = _label_signatures(test.references, vectors, radio_map, k)
     X = feature_rows(vectors, estimates, variant)
-    ids = tuple(s.point_id for s in test_signatures)
-    return DaeDataset(X, labels, ids, np.full(len(labels), EXTERNAL_FOLD), variant, registry)
+    return DaeDataset(X, labels, test.point_ids, np.full(len(labels), EXTERNAL_FOLD), variant, registry)
 
 
 # ---------------------------------------------------------------------------
@@ -271,38 +269,39 @@ def read_dae_dataset(source) -> DaeDataset:
     The registry is reconstructed from the header columns; availability
     counts are not stored in the file and read back as zero.
     """
-    rows = read_csv_rows(source)
-    if not rows:
-        raise DatasetError("empty dataset file")
+    with csv_rows(source) as rows:
+        header = next(rows, None)
+        if header is None:
+            raise DatasetError("empty dataset file")
 
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 4 or header[0] != "point_id" or header[1] != "fold" or header[-1] != "delta_pos":
-        raise FormatError("dataset header must be 'point_id,fold,<features...>,delta_pos'")
-    names = header[2:-1]
-    if not all(names) or len(set(names)) != len(names):
-        raise FormatError("dataset feature columns must be non-empty and unique")
-    variant = "xy" if tuple(names[-2:]) == XY_COLUMNS else "plain"
-    ap_ids = names[:-2] if variant == "xy" else names
-    if not ap_ids:
-        raise FormatError("dataset has no RSSI feature columns")
-    registry = ApRegistry(aps=tuple(ap_ids), availability=tuple(0 for _ in ap_ids))
+        header = [h.strip() for h in header]
+        if len(header) < 4 or header[0] != "point_id" or header[1] != "fold" or header[-1] != "delta_pos":
+            raise FormatError("dataset header must be 'point_id,fold,<features...>,delta_pos'")
+        names = header[2:-1]
+        if not all(names) or len(set(names)) != len(names):
+            raise FormatError("dataset feature columns must be non-empty and unique")
+        variant = "xy" if tuple(names[-2:]) == XY_COLUMNS else "plain"
+        ap_ids = names[:-2] if variant == "xy" else names
+        if not ap_ids:
+            raise FormatError("dataset has no RSSI feature columns")
+        registry = ApRegistry(aps=tuple(ap_ids), availability=tuple(0 for _ in ap_ids))
 
-    folds, values = [], []
-    for num, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
-        try:
-            folds.append(int(row[1]))
-            cells = [float(c) for c in row[2:]]
-        except ValueError as exc:
-            raise RowError(num, str(exc)) from None
-        if not all(map(math.isfinite, cells)):
-            raise RowError(num, "non-finite feature or label cell")
-        if cells[-1] < 0.0:
-            raise RowError(num, f"delta_pos must be >= 0, got {cells[-1]}")
-        values.append(cells)
-    if not values:
+        ids, folds, values = [], [], array("d")
+        for num, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
+            try:
+                folds.append(int(row[1]))
+                cells = [float(c) for c in row[2:]]
+            except ValueError as exc:
+                raise RowError(num, str(exc)) from None
+            if not all(map(math.isfinite, cells)):
+                raise RowError(num, "non-finite feature or label cell")
+            if cells[-1] < 0.0:
+                raise RowError(num, f"delta_pos must be >= 0, got {cells[-1]}")
+            ids.append(row[0])
+            values.extend(cells)
+    if not ids:
         raise DatasetError("dataset file has a header but no records")
-    values = np.array(values)
-    ids = tuple(row[0] for row in rows[1:])
-    return DaeDataset(values[:, :-1], values[:, -1], ids, folds, variant, registry)
+    values = np.frombuffer(values).reshape(len(ids), -1)
+    return DaeDataset(values[:, :-1], values[:, -1], tuple(ids), folds, variant, registry)

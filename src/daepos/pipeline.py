@@ -72,11 +72,11 @@ class PipelineConfig:
         if not (isinstance(self.input, str) and self.input):
             raise ConfigError(f"an input signature file is required, got {self.input!r}")
         if not (isinstance(self.out_dir, str) and self.out_dir):
-            raise ConfigError(f"an output directory is required, got {self.out_dir!r}")
+            raise ConfigError(f"out_dir must be an output directory path, got {self.out_dir!r}")
         if not (self.holdout_input is None or (isinstance(self.holdout_input, str) and self.holdout_input)):
             raise ConfigError(f"holdout_input must be a file path or null, got {self.holdout_input!r}")
         if self.fmt not in SIGNATURE_FORMATS:
-            raise ConfigError(f"unknown signature format {self.fmt!r}; expected one of {SIGNATURE_FORMATS}")
+            raise ConfigError(f"fmt must be one of {SIGNATURE_FORMATS}, got {self.fmt!r}")
         for name in ("ap_count", "k", "folds", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -235,7 +235,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
             config.folds,
             config.seed,
             config.grouping,
-            point_ids=[s.point_id for s in signatures],
+            point_ids=signatures.point_ids,
         )
 
     datasets = {}

@@ -7,31 +7,30 @@ their known positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, DatasetError
-from .signatures import (
-    ApRegistry,
-    Position2D,
-    RadioSignature,
-    feature_matrix,
-    reference_matrix,
-)
+from .signatures import ApRegistry, Position2D, RadioSignature, SignatureTable, feature_matrix
 
 DEFAULT_K = 4
 
 
 @dataclass(frozen=True)
 class RadioMap:
-    """Immutable fingerprinting database: feature vectors plus references."""
+    """Immutable fingerprinting database: feature vectors plus references.
+
+    ``norms`` holds the squared norm of each vector, computed once for
+    every :func:`localize` call against the map.
+    """
 
     registry: ApRegistry
     vectors: np.ndarray  # (n, width) imputed dBm
     references: np.ndarray  # (n, 2) meters
     point_ids: tuple[str, ...]
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # own copies, frozen: the map must stay valid if the source arrays change
@@ -47,21 +46,22 @@ class RadioMap:
             raise ContractError("one point_id per map entry required")
         if not np.isfinite(vectors).all():
             raise ContractError("map vectors contain non-finite dBm values")
-        vectors.setflags(write=False)
-        references.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "references", references)
+        norms = np.einsum("ij,ij->i", vectors, vectors)
+        for name, array in (("vectors", vectors), ("references", references), ("norms", norms)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     @classmethod
     def from_signatures(cls, signatures: Sequence[RadioSignature], registry: ApRegistry) -> "RadioMap":
+        table = SignatureTable.of(signatures)
         return cls(
             registry=registry,
-            vectors=feature_matrix(signatures, registry),
-            references=reference_matrix(signatures),
-            point_ids=tuple(s.point_id for s in signatures),
+            vectors=feature_matrix(table, registry),
+            references=table.references,
+            point_ids=table.point_ids,
         )
 
 
@@ -83,7 +83,7 @@ _TINY = np.finfo(float).tiny
 _NORM_LIMIT = np.finfo(float).max / 8
 
 
-def nearest(queries, vectors, k: int) -> tuple[np.ndarray, np.ndarray]:
+def nearest(queries, vectors, k: int, norms=None) -> tuple[np.ndarray, np.ndarray]:
     """The ``k`` rows of ``vectors`` nearest to each row of ``queries``.
 
     Returns ``(indices, keys)``, both (n_queries, min(k, n)), ordered by
@@ -93,7 +93,8 @@ def nearest(queries, vectors, k: int) -> tuple[np.ndarray, np.ndarray]:
     A BLAS pre-filter rules most entries out, and only the rest are keyed
     and ranked exactly, so the result is that of the full ranking.  The
     per-chunk scratch stays within ``_SCRATCH_BYTES`` (or one query row, if
-    larger), however many queries are passed.
+    larger), however many queries are passed.  ``norms``, the squared
+    norms of ``vectors``' rows, are computed here when not given.
     """
     Q = np.asarray(queries, dtype=float)
     V = np.asarray(vectors, dtype=float)
@@ -103,7 +104,8 @@ def nearest(queries, vectors, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError(f"k must be >= 1, got {k}")
     n, width = V.shape
     k = min(k, n)
-    norms = np.einsum("ij,ij->i", V, V)
+    if norms is None:
+        norms = np.einsum("ij,ij->i", V, V)
     indices = np.empty((len(Q), k), dtype=np.intp)
     keys = np.empty((len(Q), k))
     # 64 bytes per (query, entry): the filter's three float blocks take 24;
@@ -201,7 +203,7 @@ def localize(query, radio_map: RadioMap, k: int = DEFAULT_K) -> PositionEstimate
     if not np.isfinite(query).all():
         raise ContractError("query vector contains non-finite dBm values")
 
-    indices, _ = nearest(query[None, :], radio_map.vectors, k)
+    indices, _ = nearest(query[None, :], radio_map.vectors, k, norms=radio_map.norms)
     idx = indices[0]
     pos = radio_map.references[idx].mean(axis=0)
     return PositionEstimate(

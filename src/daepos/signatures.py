@@ -1,10 +1,12 @@
 """Radio signature ingestion and feature extraction.
 
 A radio signature is one Wi-Fi scan: per-access-point RSSI readings in dBm
-annotated with the 2-D reference position where the scan was taken.  This
-module parses signature files, selects the access points to keep (by how
-often each one was detected), and turns signatures into fixed-width feature
-vectors with missing readings imputed by the constant :data:`FILL_DBM`.
+annotated with the 2-D reference position where the scan was taken.  A
+survey is held as a :class:`SignatureTable`, one RSSI array for all of its
+scans.  This module parses signature files, selects the access points to
+keep (by how often each one was detected), and turns scans into
+fixed-width feature vectors with missing readings imputed by the constant
+:data:`FILL_DBM`.
 
 Canonical file format: CSV with header ``point_id,x,y,<ap_1>,...,<ap_n>``,
 one row per scan, empty cell = AP not detected.  Leading lines starting with
@@ -15,13 +17,15 @@ CSVs with different column conventions through the same parser.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .csvio import csv_writer, read_csv_rows
+from .csvio import csv_rows, csv_writer
 from .errors import ContractError, DatasetError, FormatError, RowError
 
 # Physically meaningful RSSI range for received Wi-Fi signals.
@@ -60,12 +64,90 @@ class RadioSignature:
             if not ap:
                 raise ValueError("empty AP identifier")
             if not (RSSI_MIN <= rssi <= RSSI_MAX):
-                raise ValueError(f"RSSI {rssi} dBm for AP {ap!r} outside [{RSSI_MIN}, {RSSI_MAX}]")
+                raise ValueError(_out_of_range(rssi, ap))
         # Freeze the mapping so signatures are safe to share between workers.
         object.__setattr__(self, "readings", MappingProxyType(dict(self.readings)))
 
     def __hash__(self):
         return hash((self.point_id, self.reference, tuple(sorted(self.readings.items()))))
+
+
+def _out_of_range(rssi: float, ap: str) -> str:
+    return f"RSSI {rssi} dBm for AP {ap!r} outside [{RSSI_MIN}, {RSSI_MAX}]"
+
+
+@dataclass(frozen=True, eq=False)
+class SignatureTable(Sequence):
+    """A survey stored by column: one row per scan, one RSSI column per AP.
+
+    ``rssi`` holds NaN where the row's scan did not detect the column's AP.
+    The constructor checks what :class:`RadioSignature` checks of each scan
+    and keeps read-only copies of the arrays.  As a sequence, ``table[i]``
+    and iteration build each row's :class:`RadioSignature` on demand, with
+    its readings in column order.
+    """
+
+    point_ids: tuple[str, ...]
+    references: np.ndarray  # (n, 2) meters
+    ap_ids: tuple[str, ...]
+    rssi: np.ndarray  # (n, len(ap_ids)) dBm, NaN = not detected
+
+    def __post_init__(self):
+        point_ids, ap_ids = tuple(self.point_ids), tuple(self.ap_ids)
+        references = np.array(self.references, dtype=float)
+        rssi = np.array(self.rssi, dtype=float)
+        if references.shape != (len(point_ids), 2) or rssi.shape != (len(point_ids), len(ap_ids)):
+            raise ValueError(
+                f"references {references.shape} and readings {rssi.shape} do not fit "
+                f"{len(point_ids)} scans of {len(ap_ids)} APs"
+            )
+        if not all(ap_ids):
+            raise ValueError("empty AP identifier")
+        if len(set(ap_ids)) != len(ap_ids):
+            raise ValueError("duplicate AP identifier")
+        finite = np.isfinite(references).all(axis=1)
+        if not finite.all():
+            x, y = references[finite.argmin()].tolist()
+            raise ValueError(f"position coordinates must be finite, got ({x}, {y})")
+        detected = ~np.isnan(rssi)
+        if not detected.any(axis=1).all():
+            raise ValueError("a radio signature needs at least one reading")
+        outside = detected & ~((rssi >= RSSI_MIN) & (rssi <= RSSI_MAX))
+        if outside.any():
+            i, j = np.argwhere(outside)[0].tolist()
+            raise ValueError(_out_of_range(float(rssi[i, j]), ap_ids[j]))
+        references.setflags(write=False)
+        rssi.setflags(write=False)
+        for name, value in (("point_ids", point_ids), ("references", references), ("ap_ids", ap_ids), ("rssi", rssi)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_column", {ap: j for j, ap in enumerate(ap_ids)})
+
+    @classmethod
+    def of(cls, signatures: "SignatureTable | Iterable[RadioSignature]") -> "SignatureTable":
+        """``signatures`` itself when it is a table, else a table of its scans with sorted AP columns."""
+        if isinstance(signatures, cls):
+            return signatures
+        signatures = list(signatures)
+        ap_ids = sorted(set().union(*(sig.readings for sig in signatures)))
+        column = {ap: j for j, ap in enumerate(ap_ids)}
+        rssi = np.full((len(signatures), len(ap_ids)), np.nan)
+        for row, sig in zip(rssi, signatures):
+            row[[column[ap] for ap in sig.readings]] = list(sig.readings.values())
+        references = np.array([[sig.reference.x, sig.reference.y] for sig in signatures], dtype=float)
+        return cls(tuple(sig.point_id for sig in signatures), references.reshape(-1, 2), tuple(ap_ids), rssi)
+
+    def column_of(self, ap: str) -> int | None:
+        """Column index of ``ap``, or None if the table has no such column."""
+        return self._column.get(ap)
+
+    def __len__(self) -> int:
+        return len(self.point_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        readings = {ap: rssi for ap, rssi in zip(self.ap_ids, self.rssi[index].tolist()) if rssi == rssi}  # NaN != NaN
+        return RadioSignature(self.point_ids[index], Position2D(*self.references[index].tolist()), readings)
 
 
 @dataclass(frozen=True)
@@ -106,101 +188,112 @@ def build_registry(signatures: Sequence[RadioSignature], m: int) -> ApRegistry:
     """
     if m < 1:
         raise ContractError(f"registry size must be >= 1, got {m}")
-    if not signatures:
+    table = SignatureTable.of(signatures)
+    if not table:
         raise DatasetError("cannot build an AP registry from an empty dataset")
 
-    counts: dict[str, int] = {}
-    rssi_sums: dict[str, float] = {}
-    for sig in signatures:
-        for ap, rssi in sig.readings.items():
-            counts[ap] = counts.get(ap, 0) + 1
-            rssi_sums[ap] = rssi_sums.get(ap, 0.0) + rssi
-
-    ranked = sorted(counts, key=lambda ap: (-counts[ap], -rssi_sums[ap] / counts[ap], ap))
-    kept = ranked[: min(m, len(ranked))]
-    return ApRegistry(aps=tuple(kept), availability=tuple(counts[ap] for ap in kept))
+    detected = ~np.isnan(table.rssi)
+    counts = detected.sum(axis=0).tolist()
+    # cumsum adds each column in scan order; sum(axis=0) may add a column pairwise
+    sums = np.cumsum(np.where(detected, table.rssi, 0.0), axis=0)[-1].tolist()
+    seen = [j for j, count in enumerate(counts) if count]
+    ranked = sorted(seen, key=lambda j: (-counts[j], -sums[j] / counts[j], table.ap_ids[j]))
+    kept = ranked[:m]
+    return ApRegistry(aps=tuple(table.ap_ids[j] for j in kept), availability=tuple(counts[j] for j in kept))
 
 
 def vectorize(signature: RadioSignature, registry: ApRegistry) -> np.ndarray:
-    """Impute ``signature`` into a vector aligned with ``registry`` order.
-
-    Readings for APs outside the registry are dropped; registry APs the
-    signature did not detect get :data:`FILL_DBM`.
-    """
-    if len(registry) == 0:
-        raise ContractError("cannot vectorize against an empty registry")
-    vec = np.full(len(registry), FILL_DBM)
-    for ap, rssi in signature.readings.items():
-        slot = registry.index_of(ap)
-        if slot is not None:
-            vec[slot] = rssi
-    return vec
+    """The one-row case of :func:`feature_matrix`."""
+    return feature_matrix([signature], registry)[0]
 
 
 def feature_matrix(signatures: Sequence[RadioSignature], registry: ApRegistry) -> np.ndarray:
-    """Stack :func:`vectorize` over all signatures into an (n, width) matrix."""
-    if not signatures:
+    """The (n, width) feature rows of ``signatures``, aligned with ``registry`` order.
+
+    Readings for APs outside the registry are dropped; registry APs a scan
+    did not detect get :data:`FILL_DBM`.
+    """
+    table = SignatureTable.of(signatures)
+    if not table:
         raise DatasetError("cannot build a feature matrix from an empty dataset")
-    return np.stack([vectorize(sig, registry) for sig in signatures])
-
-
-def reference_matrix(signatures: Sequence[RadioSignature]) -> np.ndarray:
-    """(n, 2) array of reference positions in signature order."""
-    return np.array([[s.reference.x, s.reference.y] for s in signatures], dtype=float)
+    if len(registry) == 0:
+        raise ContractError("cannot vectorize against an empty registry")
+    columns = [table.column_of(ap) for ap in registry.aps]
+    slots = [slot for slot, column in enumerate(columns) if column is not None]
+    matrix = np.full((len(table), len(registry)), np.nan)
+    matrix[:, slots] = table.rssi[:, [columns[slot] for slot in slots]]
+    matrix[np.isnan(matrix)] = FILL_DBM
+    return matrix
 
 
 # ---------------------------------------------------------------------------
 # Parsing and serialization
 
 
-def parse_signatures(source, fmt: str = "canonical") -> list[RadioSignature]:
-    """Parse a signature file in the given format into RadioSignatures.
+def parse_signatures(source, fmt: str = "canonical") -> SignatureTable:
+    """Parse a signature file in the given format into a :class:`SignatureTable`.
 
     ``source`` may be a path or an open text stream.  ``fmt`` is one of
     :data:`SIGNATURE_FORMATS`; it decides which columns hold the point id
     and coordinates and which RSSI cells are missed detections.  Every
-    other column is an AP, whose names must be non-empty and unique.
+    other column is an AP, whose names must be non-empty and unique.  The
+    file is read one row at a time, and each row is checked as it is read.
     """
     if fmt not in _LAYOUTS:
         raise ContractError(f"unknown signature format {fmt!r}; expected one of {sorted(_LAYOUTS)}")
-    rows = read_csv_rows(source)
-    if not rows:
-        raise DatasetError("empty signature file")
     locate, sentinels = _LAYOUTS[fmt]
-    header = [h.strip() for h in rows[0]]
-    pi, xi, yi = locate(header)
-    ap_cols = [i for i in range(len(header)) if i not in {pi, xi, yi}]
-    ap_ids = [header[i] for i in ap_cols]
-    if not ap_ids:
-        raise FormatError("no AP columns left after removing coordinate/id columns")
-    if len(set(ap_ids)) != len(ap_ids) or not all(ap_ids):
-        raise FormatError("AP columns must be non-empty and unique")
-    if len(rows) == 1:
-        raise DatasetError("signature file has a header but no data rows")
+    with csv_rows(source) as rows:
+        header = next(rows, None)
+        if header is None:
+            raise DatasetError("empty signature file")
+        header = [h.strip() for h in header]
+        pi, xi, yi = locate(header)
+        ap_cols = [i for i in range(len(header)) if i not in {pi, xi, yi}]
+        ap_ids = [header[i] for i in ap_cols]
+        if not ap_ids:
+            raise FormatError("no AP columns left after removing coordinate/id columns")
+        if len(set(ap_ids)) != len(ap_ids) or not all(ap_ids):
+            raise FormatError("AP columns must be non-empty and unique")
 
-    signatures = []
-    for num, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
-        x = _parse_float(row[xi])
-        y = _parse_float(row[yi])
-        if x is None or y is None:
-            raise RowError(num, f"non-numeric coordinate ({row[xi]!r}, {row[yi]!r})")
-        readings = {}
-        for ap, i in zip(ap_ids, ap_cols):
-            cell = row[i].strip()
-            rssi = _parse_float(cell) if cell else None  # skipping empty cells first avoids slow exceptions
-            if rssi is None or (sentinels and (rssi == 0.0 or not RSSI_MIN <= rssi <= RSSI_MAX)):
-                continue  # unreadable cell (or sentinel) counts as a missed detection
-            readings[ap] = rssi
-        if not readings:
-            raise RowError(num, "scan contains no readings")
-        point_id = row[pi].strip() if pi is not None else f"row{num}"
+        point_ids, coordinates, readings = [], array("d"), array("d")
+        for num, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
+            x = _parse_float(row[xi])
+            y = _parse_float(row[yi])
+            if x is None or y is None:
+                raise RowError(num, f"non-numeric coordinate ({row[xi]!r}, {row[yi]!r})")
+            rssi = np.array([_reading(row[i]) for i in ap_cols])
+            rssi[~np.isfinite(rssi)] = np.nan  # unreadable cell: a missed detection
+            outside = (rssi < RSSI_MIN) | (rssi > RSSI_MAX)
+            if sentinels:
+                rssi[outside | (rssi == 0.0)] = np.nan
+            if np.isnan(rssi).all():
+                raise RowError(num, "scan contains no readings")
+            if not sentinels and outside.any():
+                j = int(outside.argmax())
+                raise RowError(num, _out_of_range(float(rssi[j]), ap_ids[j]))
+            point_ids.append(row[pi].strip() if pi is not None else f"row{num}")
+            coordinates.extend((x, y))
+            readings.frombytes(rssi.tobytes())
+    if not point_ids:
+        raise DatasetError("signature file has a header but no data rows")
+    return SignatureTable(
+        tuple(point_ids),
+        np.frombuffer(coordinates).reshape(-1, 2),
+        tuple(ap_ids),
+        np.frombuffer(readings).reshape(-1, len(ap_ids)),
+    )
+
+
+def _reading(cell: str) -> float:
+    """The number in an RSSI cell, or NaN when the cell is empty or unparseable."""
+    if cell:  # skipping empty cells first avoids slow exceptions
         try:
-            signatures.append(RadioSignature(point_id, Position2D(x, y), readings))
-        except ValueError as exc:
-            raise RowError(num, str(exc)) from None
-    return signatures
+            return float(cell)
+        except ValueError:
+            pass
+    return math.nan
 
 
 def _parse_float(cell: str) -> float | None:
@@ -255,18 +348,19 @@ SIGNATURE_FORMATS = tuple(_LAYOUTS)
 def write_signatures(signatures: Sequence[RadioSignature], dest, comment: str | None = None) -> None:
     """Write signatures as canonical CSV to a path or text stream.
 
-    The AP columns are the sorted union of all AP ids.  Floats are written
-    with ``repr`` precision so a parse round-trip is exact.
+    The AP columns are the sorted ids of the APs detected at least once.
+    Floats are written with ``repr`` precision so a parse round-trip is
+    exact.
     """
-    if not signatures:
+    table = SignatureTable.of(signatures)
+    if not table:
         raise DatasetError("refusing to write an empty signature file")
-    ap_order = sorted(set().union(*(sig.readings for sig in signatures)))
+    detected = (~np.isnan(table.rssi)).any(axis=0).tolist()
+    ap_order = sorted(ap for ap, seen in zip(table.ap_ids, detected) if seen)
+    columns = [table.column_of(ap) for ap in ap_order]
 
     with csv_writer(dest, comment) as writer:
         writer.writerow(["point_id", "x", "y", *ap_order])
-        for sig in signatures:
-            cells = [sig.point_id, repr(float(sig.reference.x)), repr(float(sig.reference.y))]
-            for ap in ap_order:
-                rssi = sig.readings.get(ap)
-                cells.append("" if rssi is None else repr(float(rssi)))
-            writer.writerow(cells)
+        for point_id, (x, y), row in zip(table.point_ids, table.references.tolist(), table.rssi):
+            cells = ["" if rssi != rssi else repr(rssi) for rssi in row[columns].tolist()]
+            writer.writerow([point_id, repr(x), repr(y), *cells])

@@ -274,6 +274,7 @@ def test_run_checks_config_types_before_ingest(tmp_path, survey_csv, capsys, key
     assert main(["run", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert key in err  # the message names the key it rejects
     assert not out.exists()  # rejected before anything is read or written
 
 

@@ -261,3 +261,20 @@ def test_localize_is_first_row_of_nearest(case):
     est = localize(Q[0], radio_map, k=k)
     indices, _ = nearest(Q[:1], V, k)
     assert est.neighbor_indices == tuple(indices[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(search_cases().map(lambda case: (*case, False)), filter_cases()))
+def test_nearest_with_given_norms_is_the_same_bits(case):
+    Q, V, k, _, overflows = case
+    with np.errstate(over="ignore" if overflows else "raise"):
+        indices, keys = nearest(Q, V, k)
+        given_indices, given_keys = nearest(Q, V, k, norms=np.einsum("ij,ij->i", V, V))
+    assert given_indices.tobytes() == indices.tobytes()
+    assert given_keys.tobytes() == keys.tobytes()
+
+
+def test_radio_map_holds_the_read_only_squared_norms_of_its_vectors():
+    radio_map = make_map([[-50.0, -60.0], [-70.5, -99.0]], [[0.0, 0.0], [1.0, 1.0]])
+    assert radio_map.norms.tobytes() == np.einsum("ij,ij->i", radio_map.vectors, radio_map.vectors).tobytes()
+    assert not radio_map.norms.flags.writeable

@@ -11,7 +11,8 @@ must be empty or absent): ``synth`` of a survey and a holdout survey;
 ``ingest`` of the canonical survey and of a zenodo-layout file; ``run`` with
 ``--holdout-input``; ``build-dataset`` with both groupings; ``train`` of all
 four families on both datasets; ``evaluate`` and ``predict`` with every
-model.  Then it makes one failing call per error exit code (1, 2 and 3).
+model.  Then it makes one failing call per error exit code (1, 2 and 3),
+and an ``ingest`` that fails on an out-of-range reading.
 Every path handed to the CLI is relative to OUT_DIR, so the provenance
 stamps do not depend on where OUT_DIR lives.
 
@@ -52,16 +53,28 @@ RUN_CONFIG = {
     "holdout_models": ["RF-xy", "NN"],
 }
 
-# A wide file with a `label` id column, mixed-case coordinate names, an empty
-# cell and the 100 / 0 / -200 missed-detection sentinels.
-ZENODO_TEXT = """label,POS_X,POS_Y,aa:01,bb:02,cc:03
+# A wide file with leading comment lines, a `label` id column, mixed-case
+# coordinate names, padded cells, an empty, an unparseable and `nan` / `inf`
+# cells, and the 100 / 0 / -200 missed-detection sentinels.
+ZENODO_TEXT = """# exported survey
+#  columns: label, position, APs
+label,POS_X,POS_Y,aa:01,bb:02,cc:03
 q1,0.5,1.5,-60,100,-72.5
-q2,2.5,-1.0,-70,-50,0
+q2, 2.5 ,-1.0,-70, -50 ,0
 q3,-1.0,3.25,,-81,-200
+q4,1.0,1.0,n/a,nan,-64
+q5,2.0,0.5,inf,-77,-inf
+"""
+
+# A canonical survey whose second data row holds a -130 dBm reading.
+OUT_OF_RANGE_TEXT = """point_id,x,y,a,b
+p1,0.0,0.0,-50.0,-60.0
+p2,1.0,0.0,-130.0,-61.5
 """
 
 # One call per error exit code, each failing in a way the sequence above sets up.
 FAILING_CALLS = {
+    "rssi": ("ingest", "out_of_range.csv", "--out", "errors/rssi.csv"),
     "folds": ("build-dataset", "survey.csv", "--folds", "1", "--out", "errors/folds.csv"),
     "absent": ("train", "absent.csv", "--family", "linear", "--out", "errors/absent.npz"),
     "width": ("evaluate", "--model", "models/linear_xy.npz", "--data", "dae_xy.csv", "--holdout", "dae_plain.csv",
@@ -107,6 +120,7 @@ def run_sequence() -> None:
             Path(f"predict/{name}.txt").write_text(stdout)
 
     Path("errors").mkdir()
+    Path("out_of_range.csv").write_text(OUT_OF_RANGE_TEXT)
     for name, argv in FAILING_CALLS.items():
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
