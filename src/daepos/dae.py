@@ -291,15 +291,18 @@ def read_dae_dataset(source) -> DaeDataset:
             if len(row) != len(header):
                 raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
             try:
-                folds.append(int(row[1]))
+                fold = int(row[1])
                 cells = [float(c) for c in row[2:]]
             except ValueError as exc:
                 raise RowError(num, str(exc)) from None
+            if not -(2**63) <= fold < 2**63:
+                raise RowError(num, f"fold {row[1].strip()} does not fit a 64-bit integer")
             if not all(map(math.isfinite, cells)):
                 raise RowError(num, "non-finite feature or label cell")
             if cells[-1] < 0.0:
                 raise RowError(num, f"delta_pos must be >= 0, got {cells[-1]}")
             ids.append(row[0])
+            folds.append(fold)
             values.extend(cells)
     if not ids:
         raise DatasetError("dataset file has a header but no records")

@@ -265,14 +265,15 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
         with _stage("holdout"):
             external = parse_signatures(config.holdout_input, config.fmt)
             log(f"holdout: {len(external)} external signatures from {config.holdout_input}")
+            external_sets = {  # the external scans are labeled once per variant
+                variant: build_holdout_dataset(external, signatures, registry, k=config.k, variant=variant)
+                for variant in sorted({by_label[label].variant for label in config.holdout_models})
+            }
             for label in config.holdout_models:
                 entry = by_label[label]
-                external_ds = build_holdout_dataset(
-                    external, signatures, registry,
-                    k=config.k, variant=entry.variant,
-                )
                 report = evaluate_model(
-                    entry.spec, datasets[entry.variant], protocol="holdout", holdout=external_ds, label="user"
+                    entry.spec, datasets[entry.variant], protocol="holdout", holdout=external_sets[entry.variant],
+                    label="user",
                 )
                 bare = entry.spec.params_text().split("=", 1)[-1]  # "trees=300" -> "300"
                 report = dataclasses.replace(report, parameters=f"{entry.label} ({bare})")

@@ -18,13 +18,12 @@ import numpy as np
 
 from ..errors import ConfigError, FormatError
 from .base import ErrorRegressor, ModelSpec
-from .forest import ForestModel, Tree
+from .forest import ForestModel, Nodes
 from .knn import KnnModel
 from .linear import LinearModel
 from .network import NetworkModel
 
 FORMAT_VERSION = 2
-_FOREST_NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 def save_model(model: ErrorRegressor, dest, context: dict | None = None) -> None:
@@ -46,9 +45,7 @@ def save_model(model: ErrorRegressor, dest, context: dict | None = None) -> None
         arrays["train_x"] = model.train_x
         arrays["train_y"] = model.train_y
     elif isinstance(model, ForestModel):
-        arrays["offsets"] = np.cumsum([0] + [t.n_nodes for t in model.trees]).astype(np.int64)
-        for name in _FOREST_NODE_ARRAYS:
-            arrays[name] = np.concatenate([getattr(t, name) for t in model.trees])
+        arrays.update(offsets=model.offsets, **model.nodes._asdict())
     elif isinstance(model, NetworkModel):
         arrays["scaler_mean"] = model.scaler_mean
         arrays["scaler_std"] = model.scaler_std
@@ -67,7 +64,7 @@ def save_model(model: ErrorRegressor, dest, context: dict | None = None) -> None
 
 
 def _check_forest(arrays: dict, input_width: int) -> None:
-    """Reject forest arrays that ``Tree.predict`` would index out of range or loop on.
+    """Reject forest arrays that the traversal would index out of range or loop on.
 
     Every split node's children must come after it and inside its own tree
     (which ``_fit_tree`` guarantees), so each descent ends at a leaf.
@@ -82,7 +79,7 @@ def _check_forest(arrays: dict, input_width: int) -> None:
     sizes = np.diff(offsets)
     if (sizes <= 0).any():
         raise FormatError("forest offsets must be increasing")
-    if any(arrays[name].shape != (n_total,) for name in _FOREST_NODE_ARRAYS):
+    if any(arrays[name].shape != (n_total,) for name in Nodes._fields):
         raise FormatError("forest node arrays must all have one entry per node")
     split = feature >= 0
     if (feature[split] >= input_width).any():
@@ -102,7 +99,7 @@ def _array_shapes(family: str, spec: ModelSpec, width: int) -> dict:
     if family == "knn":
         return {"train_x": (None, width), "train_y": (None,)}
     if family == "forest":  # _check_forest matches the sizes to the offsets
-        return {"offsets": (None,), **dict.fromkeys(_FOREST_NODE_ARRAYS, (None,))}
+        return {"offsets": (None,), **dict.fromkeys(Nodes._fields, (None,))}
     if family != "network":
         raise FormatError(f"unknown model family {family!r} in file")
     shapes = {"scaler_mean": (width,), "scaler_std": (width,)}
@@ -185,12 +182,8 @@ def load_model(source) -> ErrorRegressor:
         return KnnModel(spec, train_x=arrays["train_x"], train_y=arrays["train_y"], metadata=metadata)
     if family == "forest":
         _check_forest(arrays, width)
-        offsets = arrays["offsets"]
-        trees = [
-            Tree(**{name: arrays[name][lo:hi] for name in _FOREST_NODE_ARRAYS})
-            for lo, hi in zip(offsets[:-1], offsets[1:])
-        ]
-        return ForestModel(spec, trees=trees, input_width=width, metadata=metadata)
+        nodes = Nodes(*(arrays[name] for name in Nodes._fields))
+        return ForestModel(spec, arrays["offsets"], nodes, input_width=width, metadata=metadata)
     params = {k[len("param_") :]: v for k, v in arrays.items() if k.startswith("param_")}
     running = {k[len("running_") :]: v for k, v in arrays.items() if k.startswith("running_")}
     return NetworkModel(

@@ -32,6 +32,11 @@ from .errors import ContractError, DatasetError, FormatError, RowError
 RSSI_MIN = -120.0
 RSSI_MAX = 0.0
 
+# Largest magnitude of a position coordinate, in meters: far beyond any
+# survey, and small enough that sums of positions (k-neighbour means,
+# distances) stay finite.
+COORD_MAX = 1e9
+
 # Imputation constant for undetected APs, below any observable reading.  The
 # positioner and the error model share it, so it is not a parameter.
 FILL_DBM = -99.0
@@ -45,8 +50,8 @@ class Position2D:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"position coordinates must be finite, got ({self.x}, {self.y})")
+        if not (abs(self.x) <= COORD_MAX and abs(self.y) <= COORD_MAX):
+            raise ValueError(_coordinates_outside(self.x, self.y))
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,10 @@ class RadioSignature:
 
 def _out_of_range(rssi: float, ap: str) -> str:
     return f"RSSI {rssi} dBm for AP {ap!r} outside [{RSSI_MIN}, {RSSI_MAX}]"
+
+
+def _coordinates_outside(x: float, y: float) -> str:
+    return f"position coordinates must be finite and within +-{COORD_MAX:g} m, got ({x}, {y})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +114,9 @@ class SignatureTable(Sequence):
             raise ValueError("empty AP identifier")
         if len(set(ap_ids)) != len(ap_ids):
             raise ValueError("duplicate AP identifier")
-        finite = np.isfinite(references).all(axis=1)
-        if not finite.all():
-            x, y = references[finite.argmin()].tolist()
-            raise ValueError(f"position coordinates must be finite, got ({x}, {y})")
+        inside = (np.abs(references) <= COORD_MAX).all(axis=1)
+        if not inside.all():
+            raise ValueError(_coordinates_outside(*references[inside.argmin()].tolist()))
         detected = ~np.isnan(rssi)
         if not detected.any(axis=1).all():
             raise ValueError("a radio signature needs at least one reading")
@@ -263,6 +271,8 @@ def parse_signatures(source, fmt: str = "canonical") -> SignatureTable:
             y = _parse_float(row[yi])
             if x is None or y is None:
                 raise RowError(num, f"non-numeric coordinate ({row[xi]!r}, {row[yi]!r})")
+            if not (abs(x) <= COORD_MAX and abs(y) <= COORD_MAX):
+                raise RowError(num, _coordinates_outside(x, y))
             rssi = np.array([_reading(row[i]) for i in ap_cols])
             rssi[~np.isfinite(rssi)] = np.nan  # unreadable cell: a missed detection
             outside = (rssi < RSSI_MIN) | (rssi > RSSI_MAX)

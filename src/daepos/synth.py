@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DatasetError
-from .signatures import RSSI_MAX, RSSI_MIN, Position2D, RadioSignature
+from .signatures import COORD_MAX, RSSI_MAX, RSSI_MIN, Position2D, RadioSignature
 
 REFERENCE_DISTANCE_M = 1.0
 
@@ -97,8 +97,8 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1 or not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ConfigError(f"grid needs nx, ny >= 1 and finite positive spacing, got {self}")
-        if not math.isfinite((max(self.nx, self.ny) - 1) * self.spacing):
-            raise ConfigError(f"grid extent (max(nx, ny) - 1) * spacing overflows, got {self}")
+        if not (max(self.nx, self.ny) - 1) * self.spacing <= COORD_MAX:
+            raise ConfigError(f"grid extent (max(nx, ny) - 1) * spacing exceeds {COORD_MAX:g} m, got {self}")
 
     def positions(self) -> list[tuple[str, Position2D]]:
         return [
@@ -127,11 +127,11 @@ def perimeter_aps(n_aps: int, width: float, height: float) -> tuple[Position2D, 
     """
     if n_aps < 1:
         raise ConfigError(f"need at least one AP, got {n_aps}")
+    if not max(width, height) + PERIMETER_MARGIN_M <= COORD_MAX:
+        raise ConfigError(f"APs around a {width:g} x {height:g} m area would lie beyond {COORD_MAX:g} m")
     w = width + 2 * PERIMETER_MARGIN_M
     h = height + 2 * PERIMETER_MARGIN_M
     perimeter = 2 * (w + h)
-    if not math.isfinite(perimeter):
-        raise ConfigError(f"AP perimeter around a {width:g} x {height:g} m area overflows")
     positions = []
     for i in range(n_aps):
         s = (i / n_aps) * perimeter

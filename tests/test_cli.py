@@ -222,6 +222,51 @@ def test_run_with_holdout_adds_user_row(tmp_path, survey_csv):
     assert (out / "user_rf_xy_pairs.csv").exists()
 
 
+def test_run_holdout_labels_the_external_scans_once_per_variant(tmp_path, survey_csv, monkeypatch):
+    external = tmp_path / "user.csv"
+    run_ok(["synth", "--grid", "3x3", "--spacing", "2.5", "--aps", "8", "--scans", "2",
+            "--sigma", "3.0", "--seed", "99", "--out", str(external)])
+    models = [{"family": "forest", "trees": 5, "label": "RF-xy", "variant": "xy"},
+              {"family": "knn", "k": 3, "label": "kNN-xy", "variant": "xy"}]
+    calls = []
+    localize = daepos.dae.localize
+    monkeypatch.setattr(daepos.dae, "localize", lambda *args, **kwargs: calls.append(1) or localize(*args, **kwargs))
+
+    def run(name, holdout_models):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"folds": 3, "models": models, "holdout_models": holdout_models}))
+        run_ok(["run", str(survey_csv), "--config", str(config), "--out", str(tmp_path / name),
+                "--holdout-input", str(external), "--seed", "1"])
+        return tmp_path / name
+
+    both = run("both", ["RF-xy", "kNN-xy"])
+    # the dataset stage labels the survey once (one variant), the holdout stage the external scans once
+    assert len(calls) == len(parse_signatures(survey_csv)) + len(parse_signatures(external))
+    for label, slug in (("RF-xy", "rf_xy"), ("kNN-xy", "knn_xy")):
+        alone = run(slug, [label])
+        for name in (f"user_{slug}_pairs.csv", f"user_{slug}_ecdf.csv"):
+            # the stamp line holds the config hash, which names the holdout models
+            assert (both / name).read_text().split("\n", 1)[1] == (alone / name).read_text().split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("fmt", ["canonical", "zenodo"])
+@pytest.mark.parametrize("command", ["ingest", "build-dataset", "run"])
+def test_exit_code_data_error_for_coordinate_beyond_the_bound(tmp_path, survey_csv, capsys, fmt, command):
+    lines = survey_csv.read_text().splitlines()
+    row = lines[4].split(",")
+    row[1] = "1.7e308"  # finite, but a k-neighbour mean of such coordinates overflows
+    lines[4] = ",".join(row)
+    survey = tmp_path / "far.csv"
+    survey.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    extra = {"ingest": [], "build-dataset": ["--folds", "3"], "run": []}[command]
+    assert main([command, str(survey), "--format", fmt, *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "row 3: position coordinates must be finite and within" in err
+    assert not out.exists() or not any(out.iterdir())  # run makes its output directory first
+
+
 @pytest.mark.parametrize(
     "holdout_models", ["RF-xy", [["RF-xy"]], ["RF-xy", "NN"]], ids=["string", "nested-list", "unknown-label"]
 )
@@ -367,9 +412,10 @@ def test_exit_code_config_error_for_non_positive_count_flag(tmp_path, trained_mo
 @pytest.mark.parametrize(
     "flags",
     [["--sigma", "nan"], ["--sigma", "inf"], ["--exponent", "nan"], ["--exponent", "inf"], ["--spacing", "nan"],
-     ["--spacing", "inf"], ["--spacing", "1e308"], ["--spacing", "6e307"], ["--seed", "-1"]],
+     ["--spacing", "inf"], ["--spacing", "1e308"], ["--spacing", "6e307"], ["--spacing", "6e8"], ["--seed", "-1"]],
     ids=["sigma-nan", "sigma-inf", "exponent-nan", "exponent-inf", "spacing-nan", "spacing-inf",
-         "spacing-extent-overflow", "spacing-perimeter-overflow", "seed-negative"],
+         "spacing-extent-overflow", "spacing-perimeter-overflow", "spacing-extent-beyond-coordinate-bound",
+         "seed-negative"],
 )
 def test_synth_exit_code_config_error_for_out_of_range_flag(tmp_path, capsys, flags):
     out = tmp_path / "survey.csv"
@@ -443,8 +489,8 @@ def test_exit_code_config_error_for_non_finite_fill(tmp_path, trained_models, ca
 
 
 @pytest.mark.parametrize(
-    ("cell", "column"),  # column 2 is the first RSSI feature, -1 the delta_pos label
-    [("nan", 2), ("nan", -1), ("inf", 2), ("inf", -1), ("-0.5", -1)],
+    ("cell", "column"),  # column 1 is the fold, 2 the first RSSI feature, -1 the delta_pos label
+    [("nan", 2), ("nan", -1), ("inf", 2), ("inf", -1), ("-0.5", -1), (str(10**30), 1)],
 )
 def test_exit_code_data_error_for_non_finite_dataset_cell(tmp_path, survey_csv, column, cell):
     dae = tmp_path / "dae.csv"

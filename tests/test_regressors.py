@@ -18,8 +18,8 @@ from daepos.regressors import (
     load_model,
     save_model,
 )
-from daepos.regressors import network as net
-from daepos.regressors.forest import _fit_tree
+from daepos.regressors import forest, network as net
+from daepos.regressors.forest import ForestModel, _fit_tree
 
 
 def regression_problem(rng, n=60, d=5, noise=0.3):
@@ -221,7 +221,77 @@ def test_forest_pure_training_fit_without_bootstrap():
     rng = np.random.default_rng(13)
     X = rng.uniform(-110, -30, size=(30, 5))
     y = rng.uniform(0, 4, size=30)
-    assert np.array_equal(_fit_tree(X, y).predict(X), y)
+    tree = _fit_tree(X, y)
+    model = ForestModel(ModelSpec(family="forest", trees=1), np.array([0, tree.n_nodes]), tree, input_width=5)
+    assert np.array_equal(model.predict_raw(X), y)
+
+
+def _tree_predict(tree, X):
+    """One tree's descent, all rows level by level: the walk a forest made tree by tree before one traversal."""
+    node = np.zeros(len(X), dtype=np.int64)
+    active = np.flatnonzero(tree.feature[node] >= 0)
+    while active.size:
+        nd = node[active]
+        go_left = X[active, tree.feature[nd]] <= tree.threshold[nd]
+        node[active] = np.where(go_left, tree.left[nd], tree.right[nd])
+        active = active[tree.feature[node[active]] >= 0]
+    return tree.value[node]
+
+
+def _forest_oracle(model, X):
+    """Raw predictions and the (trees, rows) leaf matrix, the trees summed one at a time."""
+    leaves = [_tree_predict(tree, X) for tree in model.trees]
+    total = leaves[0].copy()
+    for tree_leaves in leaves[1:]:
+        total += tree_leaves
+    return total / len(leaves), np.stack(leaves)
+
+
+@st.composite
+def forest_cases(draw):
+    """A forest of 1-40 trees grown on duplicated integer rows, queries on and between its thresholds, a scratch cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, width = draw(st.integers(2, 24)), draw(st.integers(1, 4))
+    distinct = rng.integers(-4, 5, size=(draw(st.integers(1, n)), width)).astype(float)
+    X = distinct[rng.integers(0, len(distinct), size=n)]  # duplicated rows
+    y = np.round(rng.uniform(0, 4, size=n), draw(st.integers(0, 2)))
+    model = fit_arrays(ModelSpec(family="forest", trees=draw(st.integers(1, 40)), seed=draw(st.integers(0, 99))), X, y)
+    # half-integers hit every threshold, a midpoint between two integer values, with <= ties
+    queries = np.vstack([X, rng.integers(-10, 11, size=(draw(st.integers(0, 20)), width)) / 2])
+    cap = draw(st.integers(1, 80 * len(model.trees) * (len(queries) + 1)))
+    return model, queries, cap
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=forest_cases())
+def test_forest_traversal_equals_the_tree_by_tree_oracle_bit_for_bit(case):
+    model, queries, cap = case
+    expected, leaves = _forest_oracle(model, queries)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forest, "_SCRATCH_BYTES", cap)
+        assert model.predict_raw(queries).tobytes() == expected.tobytes()
+        for i in range(len(queries)):
+            assert model.predict_raw(queries[i : i + 1]).tobytes() == expected[i : i + 1].tobytes()
+        assert model.tree_predictions(queries).tobytes() == leaves.tobytes()
+        assert model.tree_predictions(queries).shape == leaves.shape
+
+
+def test_forest_predict_memory_does_not_grow_with_query_count():
+    # 300 trees: at 80 bytes a cursor, a chunk of the scratch bound holds fewer than 400 rows
+    rng = np.random.default_rng(15)
+    X, y = regression_problem(rng, n=40, d=3)
+    model = fit_arrays(ModelSpec(family="forest", trees=300, seed=1), X, y)
+
+    def peak_bytes(n_queries):
+        queries = rng.uniform(-110, -30, size=(n_queries, 3))
+        tracemalloc.start()
+        try:
+            model.predict(queries)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(4000) <= 2 * peak_bytes(400)
 
 
 def test_forest_deterministic_for_seed():

@@ -25,7 +25,7 @@ from daepos import (
     write_signatures,
 )
 from daepos.errors import DaeposError
-from daepos.signatures import FILL_DBM, RSSI_MAX, RSSI_MIN
+from daepos.signatures import COORD_MAX, FILL_DBM, RSSI_MAX, RSSI_MIN
 
 
 def parse_text(text, fmt="canonical"):
@@ -113,7 +113,7 @@ def test_roundtrip_random_signatures_identical():
 def signature_lists(draw):
     ap_id = st.text("0123456789abcdef:", min_size=1, max_size=6)
     aps = draw(st.lists(ap_id, min_size=1, max_size=5, unique=True))
-    coordinate = st.floats(allow_nan=False, allow_infinity=False)
+    coordinate = st.floats(-COORD_MAX, COORD_MAX)
     # ids are stripped on parse; letters, digits, punctuation, inner spaces and line breaks survive
     id_chars = st.sampled_from(' ,"#\r\n\x1c\x85\u2028') | st.characters(whitelist_categories=("L", "N", "P", "Zs"))
     point_id = st.text(id_chars, max_size=8).map(str.strip)
@@ -259,6 +259,16 @@ def test_position_requires_finite_coordinates():
         Position2D(float("nan"), 0.0)
 
 
+def test_coordinates_beyond_the_bound_are_rejected():
+    Position2D(-COORD_MAX, COORD_MAX)
+    with pytest.raises(ValueError, match="within"):
+        Position2D(0.0, 1.7e308)
+    for fmt, header in (("canonical", "point_id,x,y,a"), ("zenodo", "id,pos_x,pos_y,a")):
+        text = f"{header}\np1,0.0,0.0,-50\np2,{-2 * COORD_MAX!r},1.0,-60\n"
+        with pytest.raises(RowError, match="row 2: position coordinates must be finite and within"):
+            parse_signatures(io.StringIO(text), fmt)
+
+
 def test_signature_readings_are_frozen():
     sig = RadioSignature("p", Position2D(0, 0), {"a": -40.0})
     with pytest.raises(TypeError):
@@ -297,11 +307,13 @@ def test_table_arrays_are_read_only():
         (("p",), [[0.0, 0.0]], ("a", "b"), [[-50.0, 5.0]], r"RSSI 5.0 dBm for AP 'b' outside"),
         (("p",), [[0.0, 0.0]], ("a",), [[-np.inf]], r"RSSI -inf dBm for AP 'a' outside"),
         (("p",), [[np.inf, 0.0]], ("a",), [[-50.0]], "coordinates must be finite"),
+        (("p",), [[0.0, -2e9]], ("a",), [[-50.0]], r"coordinates must be finite and within \+-1e\+09 m"),
         (("p",), [[0.0, 0.0]], ("a", ""), [[-50.0, -60.0]], "empty AP identifier"),
         (("p",), [[0.0, 0.0]], ("a", "a"), [[-50.0, -60.0]], "duplicate AP"),
         (("p", "q"), [[0.0, 0.0]], ("a",), [[-50.0], [-60.0]], "do not fit 2 scans of 1 APs"),
     ],
-    ids=["no-reading", "out-of-range", "inf-reading", "inf-reference", "empty-ap", "duplicate-ap", "shape"],
+    ids=["no-reading", "out-of-range", "inf-reading", "inf-reference", "far-reference", "empty-ap", "duplicate-ap",
+         "shape"],
 )
 def test_table_checks_what_a_signature_checks(point_ids, references, ap_ids, rssi, message):
     with pytest.raises(ValueError, match=message):

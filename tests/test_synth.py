@@ -15,7 +15,8 @@ from daepos import (
     perimeter_aps,
     sample_signature,
 )
-from daepos.synth import expected_rssi
+from daepos.signatures import COORD_MAX
+from daepos.synth import PERIMETER_MARGIN_M, expected_rssi
 
 
 def quiet_world(**kwargs):
@@ -140,8 +141,17 @@ def test_perimeter_aps_count_and_margin():
         assert -1.0 <= ap.y <= 7.0
 
 
+def test_perimeter_aps_stay_within_the_coordinate_bound():
+    perimeter_aps(4, COORD_MAX - PERIMETER_MARGIN_M, 1.0)
+    with pytest.raises(ConfigError, match="beyond"):
+        perimeter_aps(4, COORD_MAX, 1.0)
+
+
 def test_grid_spec_validation():
     with pytest.raises(ConfigError):
         GridSpec(nx=0, ny=3)
     with pytest.raises(ConfigError):
         GridSpec(nx=2, ny=2, spacing=0.0)
+    GridSpec(nx=2, ny=1, spacing=COORD_MAX)
+    with pytest.raises(ConfigError, match="exceeds"):
+        GridSpec(nx=3, ny=1, spacing=0.6 * COORD_MAX)

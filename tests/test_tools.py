@@ -23,5 +23,6 @@ def test_cli_digests_listing_is_the_same_on_a_rerun(tmp_path):
     assert paths == sorted(paths)
     for family in ("linear", "knn", "forest", "network"):
         assert f"predict/{family}_xy.txt" in paths and f"models/{family}_plain.npz" in paths
+        assert f"evaluate_holdout/{family}_plain/pairs.csv" in paths
     assert {"ingest/zenodo.csv", "run/report.csv", "run/user_rf_xy_pairs.csv", "run/user_nn_pairs.csv"} <= set(paths)
     assert {"errors/folds.txt", "errors/absent.txt", "errors/width.txt"} <= set(paths)

@@ -10,9 +10,11 @@ whether a change alters any output byte.  It runs, inside OUT_DIR (which
 must be empty or absent): ``synth`` of a survey and a holdout survey;
 ``ingest`` of the canonical survey and of a zenodo-layout file; ``run`` with
 ``--holdout-input``; ``build-dataset`` with both groupings; ``train`` of all
-four families on both datasets; ``evaluate`` and ``predict`` with every
-model.  Then it makes one failing call per error exit code (1, 2 and 3),
-and an ``ingest`` that fails on an out-of-range reading.
+four families on both datasets; ``evaluate`` (cross-fit, and holdout on
+the model's own dataset, so each loaded model predicts a whole file in one
+batch) and ``predict`` with every model.  Then it makes one failing call
+per error exit code (1, 2 and 3), and an ``ingest`` that fails on an
+out-of-range reading.
 Every path handed to the CLI is relative to OUT_DIR, so the provenance
 stamps do not depend on where OUT_DIR lives.
 
@@ -115,6 +117,8 @@ def run_sequence() -> None:
             _daepos("train", f"dae_{variant}.csv", "--family", family, *flags, "--out", f"models/{name}.npz")
             _daepos("evaluate", "--model", f"models/{name}.npz", "--data", f"dae_{variant}.csv",
                     "--out", f"evaluate/{name}")
+            _daepos("evaluate", "--model", f"models/{name}.npz", "--data", f"dae_{variant}.csv",
+                    "--holdout", f"dae_{variant}.csv", "--out", f"evaluate_holdout/{name}")
             stdout = _daepos("predict", "holdout.csv", "--model", f"models/{name}.npz", "--map", "survey.csv",
                              "--k", "3")
             Path(f"predict/{name}.txt").write_text(stdout)
