@@ -218,8 +218,6 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
     missing = [label for label in config.holdout_models if label not in by_label]
     if config.holdout_input and missing:
         raise ConfigError(f"holdout model {missing[0]!r} is not in the active lineup")
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     with _stage("ingest"):
         signatures = parse_signatures(config.input, config.fmt)
@@ -238,6 +236,8 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
             point_ids=signatures.point_ids,
         )
 
+    out = Path(config.out_dir)  # made once the input is read, so a bad input leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
     datasets = {}
     with _stage("dae-dataset"):
         for variant in sorted({e.variant for e in entries}):

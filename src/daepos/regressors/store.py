@@ -21,7 +21,7 @@ from .base import ErrorRegressor, ModelSpec
 from .forest import ForestModel, Nodes
 from .knn import KnnModel
 from .linear import LinearModel
-from .network import NetworkModel
+from .network import NetworkModel, param_shapes, running_shapes
 
 FORMAT_VERSION = 2
 
@@ -102,14 +102,12 @@ def _array_shapes(family: str, spec: ModelSpec, width: int) -> dict:
         return {"offsets": (None,), **dict.fromkeys(Nodes._fields, (None,))}
     if family != "network":
         raise FormatError(f"unknown model family {family!r} in file")
-    shapes = {"scaler_mean": (width,), "scaler_std": (width,)}
-    fan_in = width
-    for i, units in enumerate(spec.layers):
-        shapes[f"param_W{i}"] = (fan_in, units)
-        for name in (f"param_gamma{i}", f"param_beta{i}", f"running_mean{i}", f"running_var{i}"):
-            shapes[name] = (units,)
-        fan_in = units
-    return {**shapes, "param_W_out": (fan_in, 1), "param_b_out": (1,)}
+    return {
+        "scaler_mean": (width,),
+        "scaler_std": (width,),
+        **{f"param_{key}": shape for key, shape in param_shapes(width, spec.layers).items()},
+        **{f"running_{key}": shape for key, shape in running_shapes(spec.layers).items()},
+    }
 
 
 def _check_arrays(family: str, shapes: dict, arrays: dict) -> None:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -264,7 +265,7 @@ def test_exit_code_data_error_for_coordinate_beyond_the_bound(tmp_path, survey_c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "row 3: position coordinates must be finite and within" in err
-    assert not out.exists() or not any(out.iterdir())  # run makes its output directory first
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -389,6 +390,28 @@ def test_exit_code_config_error_for_bad_flag_value(tmp_path, survey_csv):
                   ["forest", "--trees", "0"]):
         assert main(["train", str(tmp_path / "absent.csv"), "--family", *flags,
                      "--out", str(tmp_path / "m.npz")]) == 1
+
+
+@pytest.mark.parametrize("command", ["train", "run"])
+def test_diverged_network_training_is_a_one_line_config_error(tmp_path, trained_models, capsys, command):
+    if command == "train":
+        out = tmp_path / "nn.npz"
+        argv = ["train", str(trained_models / "dae.csv"), "--family", "network", "--layers", "8,8",
+                "--learning-rate", "1e300", "--out", str(out)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "folds": 3, "models": [{"family": "network", "layers": [8, 8], "epochs": 2, "learning_rate": 1e300}]
+        }))
+        out = tmp_path / "run" / "nn_pairs.csv"
+        argv = ["run", str(trained_models / "survey.csv"), "--config", str(config), "--out", str(out.parent)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # numpy's overflow warnings
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "learning_rate" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,11 @@ import functools
 import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -335,16 +336,189 @@ def test_network_gradients_match_central_finite_differences():
 
 
 def test_network_single_step_decreases_single_example_loss():
+    shapes = net.param_shapes(4, (6, 5))
     for seed in range(4):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((1, 4))
         y = np.array([2.0])
-        params = net.init_params(4, (6, 5), rng)
-        state = net.adam_init(params)
+        flat, params = net.flat_views(shapes)
+        net.draw_params(params, rng)
+        grad_flat, grads = net.flat_views(shapes)
+        state = net.adam_init(flat)
         before = net.training_loss(params, X, y)
-        _, grads, _ = net.training_loss_and_grads(params, X, y)
-        net.adam_step(params, grads, state, lr=1e-4)
+        net.training_loss_and_grads(params, X, y, grads)
+        net.adam_step(flat, grad_flat, state, lr=1e-4)
         assert net.training_loss(params, X, y) < before
+
+
+# The dict-based training the flat buffers replaced: one new array per
+# parameter, gradient and moment on every step.
+
+
+def _oracle_init_params(input_dim, layers, rng):
+    params = {}
+    fan_in = input_dim
+    for i, width in enumerate(layers):
+        params[f"W{i}"] = rng.standard_normal((fan_in, width)) * np.sqrt(2.0 / fan_in)
+        params[f"gamma{i}"] = np.ones(width)
+        params[f"beta{i}"] = np.zeros(width)
+        fan_in = width
+    params["W_out"] = rng.standard_normal((fan_in, 1)) * np.sqrt(1.0 / fan_in)
+    params["b_out"] = np.zeros(1)
+    return params
+
+
+def _oracle_forward(params, X):
+    h = X
+    caches = []
+    stats = []
+    for i in range((len(params) - 2) // 3):  # W, gamma and beta per hidden layer
+        z = h @ params[f"W{i}"]
+        mu = z.mean(axis=0)
+        var = z.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + net.BN_EPS)
+        z_hat = (z - mu) * inv_std
+        a = params[f"gamma{i}"] * z_hat + params[f"beta{i}"]
+        caches.append((h, z_hat, inv_std, a))
+        stats.append((mu, var))
+        h = np.maximum(a, 0.0)
+    return (h @ params["W_out"] + params["b_out"]).ravel(), h, caches, stats
+
+
+def _oracle_grads(params, X, y):
+    out, h_last, caches, _ = _oracle_forward(params, X)
+    m = len(y)
+    grads = {}
+    d_out = (2.0 / m) * (out - y)
+    grads["W_out"] = h_last.T @ d_out[:, None]
+    grads["b_out"] = np.array([d_out.sum()])
+    d_h = d_out[:, None] @ params["W_out"].T
+    for i in reversed(range(len(caches))):
+        h_prev, z_hat, inv_std, a = caches[i]
+        d_a = d_h * (a > 0.0)
+        grads[f"gamma{i}"] = (d_a * z_hat).sum(axis=0)
+        grads[f"beta{i}"] = d_a.sum(axis=0)
+        d_zhat = d_a * params[f"gamma{i}"]
+        d_z = (inv_std / m) * (m * d_zhat - d_zhat.sum(axis=0) - z_hat * (d_zhat * z_hat).sum(axis=0))
+        grads[f"W{i}"] = h_prev.T @ d_z
+        d_h = d_z @ params[f"W{i}"].T
+    return grads
+
+
+def _oracle_adam_init(params):
+    return {"m": {k: np.zeros_like(v) for k, v in params.items()},
+            "v": {k: np.zeros_like(v) for k, v in params.items()}, "t": 0}
+
+
+def _oracle_adam_step(params, grads, state, lr):
+    state["t"] += 1
+    t = state["t"]
+    for key, g in grads.items():
+        state["m"][key] = net.ADAM_BETA1 * state["m"][key] + (1 - net.ADAM_BETA1) * g
+        state["v"][key] = net.ADAM_BETA2 * state["v"][key] + (1 - net.ADAM_BETA2) * g * g
+        m_hat = state["m"][key] / (1 - net.ADAM_BETA1**t)
+        v_hat = state["v"][key] / (1 - net.ADAM_BETA2**t)
+        params[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + net.ADAM_EPS)
+
+
+def _oracle_fit_network(spec, X, y):
+    """(params, running, scaler mean, scaler std) as the dict-based fit made them."""
+    rng = np.random.default_rng(spec.seed)
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    Xs = (X - mean) / std
+    params = _oracle_init_params(X.shape[1], spec.layers, rng)
+    params["b_out"] = np.array([y.mean()])
+    state = _oracle_adam_init(params)
+    n = len(Xs)
+    for _ in range(spec.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, spec.batch_size):
+            batch = perm[start : start + spec.batch_size]
+            _oracle_adam_step(params, _oracle_grads(params, Xs[batch], y[batch]), state, spec.learning_rate)
+    _, _, _, stats = _oracle_forward(params, Xs)
+    running = {}
+    for i, (mu, var) in enumerate(stats):
+        running[f"mean{i}"] = mu
+        running[f"var{i}"] = var
+    return params, running, mean, std
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    width=st.integers(1, 5),
+    layers=st.one_of(st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
+                     st.sampled_from([(160, 96), (200, 160)])),
+    batch_size=st.one_of(st.just(1), st.integers(1, 40)),
+    epochs=st.integers(1, 3),
+    learning_rate=st.sampled_from([1e-4, 1e-3, 3e-2]),
+)
+# batch size 1, one that does not divide n, one above n; (160, 96) and (200, 160)
+# on 5 inputs hold one and two Adam chunks plus a remainder
+@example(seed=0, n=23, width=5, layers=(160, 96), batch_size=1, epochs=2, learning_rate=1e-3)
+@example(seed=1, n=23, width=5, layers=(200, 160), batch_size=7, epochs=2, learning_rate=1e-3)
+@example(seed=2, n=23, width=3, layers=(8, 8), batch_size=40, epochs=3, learning_rate=3e-2)
+def test_network_fit_equals_the_dict_based_oracle_bit_for_bit(
+    seed, n, width, layers, batch_size, epochs, learning_rate
+):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-99, -30, size=(n, width))
+    X[:, 0] = -99.0 if seed % 3 == 0 else X[:, 0]  # sometimes a constant column
+    y = rng.gamma(2.0, 2.0, size=n)
+    spec = ModelSpec(family="network", layers=layers, epochs=epochs, batch_size=batch_size,
+                     learning_rate=learning_rate, seed=seed % 1000)
+    model = net.fit_network(spec, X, y)
+    params, running, mean, std = _oracle_fit_network(spec, X, y)
+    assert list(model.params) == list(params) and list(model.running) == list(running)
+    for got, want in ((model.params, params), (model.running, running)):
+        for key in want:
+            assert got[key].shape == want[key].shape and got[key].tobytes() == want[key].tobytes(), key
+    oracle = net.NetworkModel(spec, params, running, mean, std, input_width=width)
+    assert model.predict_raw(X).tobytes() == oracle.predict_raw(X).tobytes()
+
+
+def test_chunked_adam_step_equals_the_dict_based_oracle_bit_for_bit():
+    rng = np.random.default_rng(23)
+    size = 2 * net.ADAM_CHUNK + 1237  # two whole chunks and a remainder
+    flat = rng.standard_normal(size)
+    expected = {"p": flat.copy()}
+    state, oracle_state = net.adam_init(flat), _oracle_adam_init(expected)
+    for lr in (1e-3, 1e-3, 0.5, 1e-3, 7.0, 1e-3):
+        grad = rng.standard_normal(size) * rng.choice([1e-9, 1.0, 1e5], size=size)
+        net.adam_step(flat, grad, state, lr)
+        _oracle_adam_step(expected, {"p": grad}, oracle_state, lr)
+        assert flat.tobytes() == expected["p"].tobytes()
+        assert state["m"].tobytes() == oracle_state["m"]["p"].tobytes()
+        assert state["v"].tobytes() == oracle_state["v"]["p"].tobytes()
+
+
+def test_network_fit_memory_stays_below_six_times_the_parameters():
+    # the dict-based fit peaked at 7.5x: per-key Adam temporaries, and every
+    # layer's activations for the full set while the moments were alive
+    rng = np.random.default_rng(24)
+    X = rng.uniform(-99, -30, size=(281, 37))
+    y = rng.gamma(2.0, 2.0, size=281)
+    spec = ModelSpec(family="network", layers=(256, 512, 256), epochs=1, batch_size=32)
+    tracemalloc.start()
+    try:
+        model = net.fit_network(spec, X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * sum(value.nbytes for value in model.params.values())
+
+
+def test_diverged_network_fit_is_a_config_error_naming_the_learning_rate():
+    rng = np.random.default_rng(25)
+    X, y = regression_problem(rng, n=40)
+    spec = ModelSpec(family="network", layers=(8, 8), epochs=5, learning_rate=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any numpy overflow warning fails the test
+        with pytest.raises(ConfigError, match="learning_rate"):
+            net.fit_network(spec, X, y)
 
 
 def test_network_constant_labels_within_training_tolerance():
