@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -78,12 +78,60 @@ def _fold_seed(base_seed: int, fold: int) -> int:
     return int(np.random.SeedSequence([base_seed, fold]).generate_state(1)[0])
 
 
+def _cross_fit_folds(dataset: DaeDataset) -> list[int]:
+    folds = np.unique(dataset.folds).tolist()
+    if len(folds) < 2:
+        raise DatasetError("cross_fit evaluation needs a dataset with at least 2 folds")
+    if folds[0] < 0:
+        raise DatasetError("cross_fit evaluation is undefined for externally labeled records")
+    return folds
+
+
+def _check_protocol(protocol: str, holdout: DaeDataset | None) -> None:
+    if protocol not in PROTOCOLS:
+        raise ConfigError(f"unknown evaluation protocol {protocol!r}; expected one of {PROTOCOLS}")
+    if protocol == "holdout":
+        if holdout is None:
+            raise ContractError("holdout protocol requires the external records")
+        if not len(holdout):
+            raise DatasetError("holdout record set is empty")
+
+
+def fit_tasks(
+    spec: ModelSpec, dataset: DaeDataset, protocol: str = "cross_fit", holdout: DaeDataset | None = None
+) -> Iterator[tuple]:
+    """The independent fits behind one evaluation, each as ``fit_and_predict`` arguments.
+
+    ``cross_fit`` yields one ``(fold spec, training rows, their labels, test
+    rows)`` task per fold, in fold order; ``holdout`` yields one task that
+    fits ``spec`` on the whole dataset and predicts the external records.
+    A task's row copies are made only when it is drawn, so a caller that
+    runs each task before drawing the next holds one fold's copies at a
+    time.
+    """
+    _check_protocol(protocol, holdout)
+    X, y = dataset.features(), dataset.labels()
+    if protocol == "holdout":
+        yield spec, X, y, holdout.features()
+        return
+    for fold in _cross_fit_folds(dataset):
+        test = dataset.folds == fold
+        fold_spec = dataclasses.replace(spec, seed=_fold_seed(spec.seed, fold))
+        yield fold_spec, X[~test], y[~test], X[test]
+
+
+def fit_and_predict(spec: ModelSpec, X, y, X_test) -> np.ndarray:
+    """Fit ``spec`` on ``(X, y)`` and return its estimates for ``X_test``: one task of ``fit_tasks``."""
+    return fit_arrays(spec, X, y).predict(X_test)
+
+
 def evaluate_model(
     model: ErrorRegressor | ModelSpec,
     dataset: DaeDataset,
     protocol: str = "cross_fit",
     holdout: DaeDataset | None = None,
     label: str | None = None,
+    estimates: Sequence[np.ndarray] | None = None,
 ) -> EvaluationReport:
     """Evaluate a model spec or fitted model on an error-regression dataset.
 
@@ -91,38 +139,29 @@ def evaluate_model(
     record is ever predicted by a model that saw it; every record yields
     exactly one pair.  ``holdout`` evaluates a model fitted on the full
     dataset against external records (pass a fitted model to reuse it, or
-    a spec to fit here).
+    a spec to fit here).  ``estimates``, the outputs of the
+    ``fit_tasks(spec, dataset, protocol, holdout)`` tasks in task order,
+    stand in for the fits when they were run elsewhere.
     """
     spec = model if isinstance(model, ModelSpec) else model.spec
     if label is None:
         label = spec.default_label()
+    _check_protocol(protocol, holdout)
 
+    if estimates is None:
+        if protocol == "holdout" and isinstance(model, ErrorRegressor):
+            estimates = [model.predict(holdout.features())]
+        else:
+            estimates = [fit_and_predict(*task) for task in fit_tasks(spec, dataset, protocol, holdout)]
     if protocol == "cross_fit":
-        folds = np.unique(dataset.folds).tolist()
-        if len(folds) < 2:
-            raise DatasetError("cross_fit evaluation needs a dataset with at least 2 folds")
-        if folds[0] < 0:
-            raise DatasetError("cross_fit evaluation is undefined for externally labeled records")
-        X = dataset.features()
         delta_pos = dataset.labels()
-        estimates = np.empty(len(delta_pos))
-        for fold in folds:
-            test = dataset.folds == fold
-            fold_spec = dataclasses.replace(spec, seed=_fold_seed(spec.seed, fold))
-            fitted = fit_arrays(fold_spec, X[~test], delta_pos[~test])
-            estimates[test] = fitted.predict(X[test])
-    elif protocol == "holdout":
-        if holdout is None:
-            raise ContractError("holdout protocol requires the external records")
-        if not len(holdout):
-            raise DatasetError("holdout record set is empty")
-        fitted = model if isinstance(model, ErrorRegressor) else fit_arrays(spec, dataset.features(), dataset.labels())
-        delta_pos = holdout.labels()
-        estimates = fitted.predict(holdout.features())
+        delta_est = np.empty(len(delta_pos))
+        for fold, fold_estimates in zip(_cross_fit_folds(dataset), estimates, strict=True):
+            delta_est[dataset.folds == fold] = fold_estimates
     else:
-        raise ConfigError(f"unknown evaluation protocol {protocol!r}; expected one of {PROTOCOLS}")
+        delta_pos, (delta_est,) = holdout.labels(), estimates
 
-    report = summarize(delta_pos, estimates, label=label)
+    report = summarize(delta_pos, delta_est, label=label)
     return dataclasses.replace(report, parameters=spec.params_text(), protocol=protocol)
 
 

@@ -4,15 +4,21 @@ Reads a signature file, selects APs, builds the error-regression datasets,
 evaluates the configured model lineup fold-out-of-fit, optionally runs a
 transfer evaluation against a second signature file, and writes the summary
 and plot-data artifacts.  Two runs with the same configuration and seed
-produce byte-identical files.
+produce byte-identical files, whatever the number of worker processes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import os
 import re
+import shutil
+import signal
+import sys
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +26,15 @@ from pathlib import Path
 from .csvio import csv_writer
 from .dae import GROUPINGS, VARIANTS, build_dae_dataset, build_holdout_dataset, make_fold_plan, write_dae_dataset
 from .errors import ConfigError, DaeposError
-from .evaluation import EvaluationReport, evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
+from .evaluation import (
+    EvaluationReport,
+    evaluate_model,
+    fit_and_predict,
+    fit_tasks,
+    write_ecdf_csv,
+    write_pairs_csv,
+    write_summary_csv,
+)
 from .positioning import DEFAULT_K
 from .regressors import ModelSpec
 from .regressors.base import _is_int
@@ -64,6 +78,7 @@ class PipelineConfig:
     models: list[ModelEntry] = field(default_factory=list)  # empty = default lineup
     holdout_input: str | None = None
     holdout_models: tuple[str, ...] = ("RF-xy",)
+    workers: int | None = None  # processes for the forest and network fits; None = one per available core
 
     def __post_init__(self):
         self.validate()
@@ -88,6 +103,8 @@ class PipelineConfig:
             raise ConfigError(f"at least 2 folds are required, got {self.folds}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if not (self.workers is None or (_is_int(self.workers) and self.workers >= 1)):
+            raise ConfigError(f"workers must be a positive integer or null, got {self.workers!r}")
         if self.grouping not in GROUPINGS:
             raise ConfigError(f"unknown grouping {self.grouping!r}; expected one of {GROUPINGS}")
         # each model's pairs and ECDF files are named by the slug of its label
@@ -134,12 +151,14 @@ def _entry_from_dict(d: dict, default_seed: int) -> ModelEntry:
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    """The resolved config as JSON data, without ``out_dir``.
+    """The resolved config as JSON data, without ``out_dir`` and ``workers``.
 
-    Where outputs land is not part of the experiment identity.
+    Where outputs land and how many processes fit the models are not part
+    of the experiment identity.
     """
     d = dataclasses.asdict(config)
     d.pop("out_dir")
+    d.pop("workers")
     d["models"] = [dataclasses.asdict(e) for e in config.active_models()]
     return d
 
@@ -209,8 +228,154 @@ def _stage(name: str):
         raise
 
 
+# Families whose fits run as tasks that may go to worker processes; linear
+# and kNN fits take milliseconds and stay in the calling process.
+POOLED_FAMILIES = ("forest", "network")
+
+# Approximate seconds per unit of ``_task_cost`` on a 2-core host, which
+# put forest fits (trees x rows) and network fits (epochs x rows x weights)
+# on one scale for longest-first scheduling.
+_SECONDS_PER_UNIT = {"forest": 70e-6, "network": 1e-9}
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _task_cost(task: tuple) -> float:
+    spec, X, _, _ = task
+    rows, width = X.shape
+    if spec.family == "forest":
+        return _SECONDS_PER_UNIT["forest"] * spec.trees * rows
+    widths = (width, *spec.layers, 1)
+    weights = sum(a * b for a, b in zip(widths, widths[1:]))
+    return _SECONDS_PER_UNIT["network"] * spec.epochs * rows * weights
+
+
+def _worker_count(requested: int | None, n_tasks: int) -> int:
+    if requested is None:
+        try:
+            requested = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            requested = os.cpu_count() or 1
+    return min(requested, n_tasks)
+
+
+def _in_starting_worker() -> bool:
+    """True in a spawned process that is still importing its parent's main module."""
+    multiprocessing = sys.modules.get("multiprocessing")  # a spawned process has always imported it
+    return multiprocessing is not None and getattr(multiprocessing.current_process(), "_inheriting", False)
+
+
+def _ignore_interrupts() -> None:
+    # a worker's initializer: Ctrl-C goes to the parent, which stops the pool
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _start_pool(workers: int):
+    """A spawn-context process pool; its processes start at the first submits."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"), initializer=_ignore_interrupts)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Ask for one BLAS thread in the environment of processes started in the block."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name)
+            else:
+                os.environ[name] = value
+
+
+def _pooled_result(future):
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return future.result()
+    except BrokenProcessPool:
+        raise ConfigError(
+            "a worker process ended before its fit did: it was killed, or the calling script starts "
+            "run_pipeline without an `if __name__ == \"__main__\":` guard (workers=1 fits in this process)"
+        ) from None
+
+
+@contextmanager
+def _fit_results(tasks: list[tuple], workers: int | None):
+    """One zero-argument callable per ``fit_and_predict`` task, returning its estimates.
+
+    With one worker, a task runs in this process when its result is asked
+    for, so tasks run and fail in the order their results are read.  With
+    more, every task is submitted at once, longest first, to a spawn pool
+    whose processes each use one BLAS thread.  The pool and every process
+    it started are gone when the block ends, however it ends.
+    """
+    workers = _worker_count(workers, len(tasks))
+    if workers <= 1:
+        yield [functools.partial(fit_and_predict, *task) for task in tasks]
+        return
+    from multiprocessing import resource_tracker
+
+    # The pool's semaphores start multiprocessing's resource tracker process
+    # if it is not running; it has no public stop, so its private one is used.
+    tracker = resource_tracker._resource_tracker
+    tracker_was_running = tracker._fd is not None
+    pool = _start_pool(workers)
+    finished = False
+    try:
+        futures = {}
+        with _one_blas_thread():  # the workers start during these submits
+            for i in sorted(range(len(tasks)), key=lambda i: -_task_cost(tasks[i])):
+                futures[i] = pool.submit(fit_and_predict, *tasks[i])
+        yield [functools.partial(_pooled_result, futures[i]) for i in range(len(tasks))]
+        finished = True
+    finally:
+        processes = list((pool._processes or {}).values())  # the executor has no public process list
+        if not finished:  # stop the fits still running instead of waiting for them
+            for process in processes:
+                process.terminate()
+        pool.shutdown(wait=True, cancel_futures=True)
+        for process in processes:
+            process.join()
+        if not tracker_was_running:
+            tracker._stop()
+
+
+@contextmanager
+def _staged_output(out: Path):
+    """A new sibling directory of ``out`` to write into.
+
+    Its files move into ``out`` (made if absent) only when the block
+    succeeds; otherwise ``out`` is left as it was.
+    """
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    try:
+        yield staging
+        out.mkdir(exist_ok=True)
+        for path in sorted(staging.iterdir()):
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
-    """Execute every stage and write artifacts into ``config.out_dir``."""
+    """Execute every stage and write artifacts into ``config.out_dir``.
+
+    The files appear in ``out_dir`` only once every stage has succeeded.
+    The forest and network fits run in ``config.workers`` spawned processes
+    when that is more than one, so a script calling this must do so under
+    ``if __name__ == "__main__":``.
+    """
+    if _in_starting_worker():
+        # A pool worker re-running an unguarded caller script: end it before
+        # it reads or writes anything; the parent reports the broken pool.
+        raise SystemExit(1)
     config.validate()
     stamp = provenance(config_to_dict(config))
     entries = config.active_models()
@@ -218,6 +383,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
     missing = [label for label in config.holdout_models if label not in by_label]
     if config.holdout_input and missing:
         raise ConfigError(f"holdout model {missing[0]!r} is not in the active lineup")
+    holdout_entries = [by_label[label] for label in config.holdout_models] if config.holdout_input else []
 
     with _stage("ingest"):
         signatures = parse_signatures(config.input, config.fmt)
@@ -236,57 +402,77 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
             point_ids=signatures.point_ids,
         )
 
-    out = Path(config.out_dir)  # made once the input is read, so a bad input leaves no directory
-    out.mkdir(parents=True, exist_ok=True)
-    datasets = {}
-    with _stage("dae-dataset"):
-        for variant in sorted({e.variant for e in entries}):
-            dataset = build_dae_dataset(
-                signatures, registry, plan,
-                k=config.k, variant=variant,
-            )
-            datasets[variant] = dataset
-            path = out / f"dae_{variant}.csv"
-            write_dae_dataset(dataset, path, comment=stamp)
-            log(f"dae-dataset: {len(dataset)} records ({variant}) -> {path}")
-
+    out = Path(config.out_dir)
     reports: list[EvaluationReport] = []
-    with _stage("evaluate"):
-        for entry in entries:
-            report = evaluate_model(entry.spec, datasets[entry.variant], protocol="cross_fit", label=entry.label)
-            reports.append(report)
-            slug = _slug(entry.label)
-            write_pairs_csv(report, out / f"{slug}_pairs.csv", comment=stamp)
-            write_ecdf_csv(report, out / f"{slug}_ecdf.csv", comment=stamp)
-            pearson = "undefined" if report.pearson is None else f"{report.pearson:.3f}"
-            log(f"evaluate: {entry.label}: MAE={report.mae:.3f} MSE={report.mse:.3f} pearson={pearson}")
-
-    if config.holdout_input:
-        with _stage("holdout"):
-            external = parse_signatures(config.holdout_input, config.fmt)
-            log(f"holdout: {len(external)} external signatures from {config.holdout_input}")
-            external_sets = {  # the external scans are labeled once per variant
-                variant: build_holdout_dataset(external, signatures, registry, k=config.k, variant=variant)
-                for variant in sorted({by_label[label].variant for label in config.holdout_models})
-            }
-            for label in config.holdout_models:
-                entry = by_label[label]
-                report = evaluate_model(
-                    entry.spec, datasets[entry.variant], protocol="holdout", holdout=external_sets[entry.variant],
-                    label="user",
+    with _staged_output(out) as staging:  # made once the input is read, so a bad input leaves no directory
+        datasets = {}
+        with _stage("dae-dataset"):
+            for variant in sorted({e.variant for e in entries}):
+                dataset = build_dae_dataset(
+                    signatures, registry, plan,
+                    k=config.k, variant=variant,
                 )
-                bare = entry.spec.params_text().split("=", 1)[-1]  # "trees=300" -> "300"
-                report = dataclasses.replace(report, parameters=f"{entry.label} ({bare})")
-                reports.append(report)
-                slug = _slug(f"user_{entry.label}")
-                write_pairs_csv(report, out / f"{slug}_pairs.csv", comment=stamp)
-                write_ecdf_csv(report, out / f"{slug}_ecdf.csv", comment=stamp)
-                log(f"holdout: {entry.label}: MAE={report.mae:.3f} MSE={report.mse:.3f}")
+                datasets[variant] = dataset
+                name = f"dae_{variant}.csv"
+                write_dae_dataset(dataset, staging / name, comment=stamp)
+                log(f"dae-dataset: {len(dataset)} records ({variant}) -> {out / name}")
 
-    with _stage("report"):
-        write_summary_csv(reports, out / "report.csv", comment=stamp)
-        _write_metrics_csv(reports, out / "metrics.csv", comment=stamp)
-        log(f"report: {len(reports)} rows -> {out / 'report.csv'}")
+        if config.holdout_input:
+            with _stage("holdout"):  # read first, so its fits join the evaluate stage's tasks
+                external = parse_signatures(config.holdout_input, config.fmt)
+                external_sets = {  # the external scans are labeled once per variant
+                    variant: build_holdout_dataset(external, signatures, registry, k=config.k, variant=variant)
+                    for variant in sorted({e.variant for e in holdout_entries})
+                }
+
+        jobs = [(entry, "cross_fit", None) for entry in entries]
+        jobs += [(entry, "holdout", external_sets[entry.variant]) for entry in holdout_entries]
+        tasks, task_ranges = [], {}
+        with _stage("evaluate"):
+            for entry, protocol, holdout in jobs:
+                if entry.spec.family in POOLED_FAMILIES:
+                    job_tasks = list(fit_tasks(entry.spec, datasets[entry.variant], protocol, holdout))
+                    task_ranges[entry.label, protocol] = range(len(tasks), len(tasks) + len(job_tasks))
+                    tasks += job_tasks
+
+        with _fit_results(tasks, config.workers) as results:
+
+            def evaluate(entry, protocol, holdout, label):
+                # pooled entries' estimates come from their tasks; the rest are fitted here
+                span = task_ranges.get((entry.label, protocol))
+                estimates = None if span is None else [results[i]() for i in span]
+                return evaluate_model(
+                    entry.spec, datasets[entry.variant], protocol=protocol, holdout=holdout, label=label,
+                    estimates=estimates,
+                )
+
+            with _stage("evaluate"):
+                for entry in entries:
+                    report = evaluate(entry, "cross_fit", None, entry.label)
+                    reports.append(report)
+                    slug = _slug(entry.label)
+                    write_pairs_csv(report, staging / f"{slug}_pairs.csv", comment=stamp)
+                    write_ecdf_csv(report, staging / f"{slug}_ecdf.csv", comment=stamp)
+                    pearson = "undefined" if report.pearson is None else f"{report.pearson:.3f}"
+                    log(f"evaluate: {entry.label}: MAE={report.mae:.3f} MSE={report.mse:.3f} pearson={pearson}")
+
+            if config.holdout_input:
+                with _stage("holdout"):
+                    log(f"holdout: {len(external)} external signatures from {config.holdout_input}")
+                    for entry in holdout_entries:
+                        report = evaluate(entry, "holdout", external_sets[entry.variant], "user")
+                        bare = entry.spec.params_text().split("=", 1)[-1]  # "trees=300" -> "300"
+                        report = dataclasses.replace(report, parameters=f"{entry.label} ({bare})")
+                        reports.append(report)
+                        slug = _slug(f"user_{entry.label}")
+                        write_pairs_csv(report, staging / f"{slug}_pairs.csv", comment=stamp)
+                        write_ecdf_csv(report, staging / f"{slug}_ecdf.csv", comment=stamp)
+                        log(f"holdout: {entry.label}: MAE={report.mae:.3f} MSE={report.mse:.3f}")
+
+        with _stage("report"):
+            write_summary_csv(reports, staging / "report.csv", comment=stamp)
+            _write_metrics_csv(reports, staging / "metrics.csv", comment=stamp)
+            log(f"report: {len(reports)} rows -> {out / 'report.csv'}")
 
     return reports
 

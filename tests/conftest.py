@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from daepos import (
@@ -41,3 +43,12 @@ def survey_dataset_plain(survey, survey_registry, survey_plan):
 @pytest.fixture(scope="session")
 def survey_dataset_xy(survey, survey_registry, survey_plan):
     return build_dae_dataset(survey, survey_registry, survey_plan, k=4, variant="xy")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a live child process, such as a pool worker, behind."""
+    yield
+    multiprocessing = sys.modules.get("multiprocessing")  # nothing started one if it was never imported
+    if multiprocessing is not None:
+        assert multiprocessing.active_children() == [], "the test left child processes running"

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -412,6 +413,78 @@ def test_diverged_network_training_is_a_one_line_config_error(tmp_path, trained_
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "learning_rate" in err, err
     assert not out.exists()
+
+
+def _no_pool(workers):
+    raise AssertionError(f"a pool of {workers} workers was started")
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [({}, ["--workers", "0"]), ({}, ["--workers", "-1"]), ({"workers": "2"}, []), ({"workers": True}, [])],
+    ids=["flag-0", "flag-negative", "config-string", "config-bool"],
+)
+def test_run_exit_code_config_error_for_bad_workers(tmp_path, survey_csv, capsys, monkeypatch, config, flags):
+    monkeypatch.setattr(daepos.pipeline, "_start_pool", _no_pool)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"folds": 3, "models": [{"family": "forest", "trees": 2}], **config}))
+    out = tmp_path / "out"
+    assert main(["run", str(survey_csv), "--config", str(path), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: workers ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_diverged_network_run_fails_alike_with_one_and_two_workers_and_adds_no_file(
+    tmp_path, trained_models, capsys
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"folds": 3, "models": [
+        {"family": "forest", "trees": 2, "variant": "xy"},
+        {"family": "network", "layers": [8, 8], "epochs": 2, "learning_rate": 1e300},
+    ]}))
+    survey = str(trained_models / "survey.csv")
+    (tmp_path / "kept").mkdir()
+    (tmp_path / "kept" / "notes.txt").write_text("not the run's\n")
+    errors = []
+    for workers, out in (("1", tmp_path / "new"), ("2", tmp_path / "new"), ("2", tmp_path / "kept")):
+        assert main(["run", survey, "--config", str(config), "--out", str(out), "--workers", workers]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: stage evaluate: ") and errors[0].count("\n") == 1, errors[0]
+    assert errors == [errors[0]] * 3
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "kept"]  # no staging directory left
+    assert [path.name for path in (tmp_path / "kept").iterdir()] == ["notes.txt"]
+
+
+def test_unguarded_caller_script_fails_fast_with_one_line(tmp_path, trained_models):
+    shutil.copy(trained_models / "survey.csv", tmp_path / "survey.csv")
+    (tmp_path / "config.json").write_text(json.dumps({"folds": 3, "models": [{"family": "forest", "trees": 2}]}))
+    # no `if __name__ == "__main__":`, so every spawned worker runs this script again
+    (tmp_path / "caller.py").write_text(
+        "import sys\n"
+        "from daepos.cli import main\n"
+        "sys.exit(main(['run', 'survey.csv', '--config', 'config.json', '--out', 'out', '--workers', '2']))\n"
+    )
+    src = str(Path(daepos.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # its own session, so that whatever it leaves running is found by process group
+    caller = subprocess.Popen([sys.executable, "caller.py"], cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, stderr = caller.communicate(timeout=60)
+    finally:
+        try:
+            os.killpg(caller.pid, 0)
+            left_running = True
+            os.killpg(caller.pid, signal.SIGKILL)
+            caller.wait()
+        except ProcessLookupError:
+            left_running = False
+    assert not left_running
+    assert caller.returncode == 1
+    assert stderr.startswith("error: stage evaluate: ") and stderr.count("\n") == 1, stderr
+    assert "__main__" in stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["caller.py", "config.json", "survey.csv"]
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,22 @@
 import json
+import multiprocessing
+import os
+from multiprocessing import resource_tracker
 
 import pytest
 
-from daepos import ConfigError
-from daepos.pipeline import PipelineConfig, config_hash, default_lineup, load_config
+from daepos import ConfigError, GridSpec, ModelSpec, SynthWorld, generate_grid_dataset, perimeter_aps, write_signatures
+from daepos import pipeline
+from daepos.pipeline import ModelEntry, PipelineConfig, config_hash, default_lineup, load_config, run_pipeline
+
+# Every family, with a forest and a network in the pool and a holdout fit of each.
+POOL_LINEUP = [
+    ModelEntry("LR", ModelSpec(family="linear"), "plain"),
+    ModelEntry("kNN-xy", ModelSpec(family="knn", k=3), "xy"),
+    ModelEntry("RF-xy", ModelSpec(family="forest", trees=5), "xy"),
+    ModelEntry("NN", ModelSpec(family="network", layers=(8, 8), epochs=3), "plain"),
+]
+NO_POOL_LINEUP = [entry for entry in POOL_LINEUP if entry.spec.family in ("linear", "knn")]
 
 
 def minimal_config(**overrides):
@@ -74,3 +87,91 @@ def test_load_config_rejects_model_without_family(tmp_path):
     path.write_text(json.dumps({"input": "a.csv", "out_dir": "o", "models": [{"trees": 5}]}))
     with pytest.raises(ConfigError):
         load_config(str(path), {})
+
+
+def test_config_hash_leaves_out_workers_which_must_be_a_positive_integer_or_null():
+    assert len({config_hash(minimal_config(workers=workers)) for workers in (None, 1, 2)}) == 1
+    for bad in (0, -1, "2", True, 2.0):
+        with pytest.raises(ConfigError, match="workers"):
+            minimal_config(workers=bad)
+
+
+@pytest.fixture()
+def survey_files(tmp_path):
+    world = SynthWorld(ap_positions=perimeter_aps(8, 8.0, 6.0), shadowing_sigma=2.0, seed=11)
+    write_signatures(generate_grid_dataset(world, GridSpec(nx=5, ny=4), scans_per_point=3), tmp_path / "survey.csv")
+    write_signatures(generate_grid_dataset(world, GridSpec(nx=3, ny=3, spacing=2.5)), tmp_path / "holdout.csv")
+    return tmp_path
+
+
+def pool_config(root, out, **overrides):
+    params = dict(
+        input=str(root / "survey.csv"), out_dir=str(root / out), ap_count=8, folds=3, seed=1,
+        models=POOL_LINEUP, holdout_input=str(root / "holdout.csv"), holdout_models=("RF-xy", "NN"),
+    )
+    return PipelineConfig(**{**params, **overrides})
+
+
+def no_pool(workers):
+    raise AssertionError(f"a pool of {workers} workers was started")
+
+
+def test_out_dir_is_byte_identical_with_one_and_two_workers(survey_files, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    started, blas_threads = [], []
+    start_pool = pipeline._start_pool
+
+    def recording_pool(workers):
+        pool = start_pool(workers)
+        submit = pool.submit
+
+        def recording_submit(*args):  # workers start inside submit and inherit this environment
+            blas_threads.append((os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS")))
+            return submit(*args)
+
+        pool.submit = recording_submit
+        started.append(workers)
+        return pool
+
+    monkeypatch.setattr(pipeline, "_start_pool", recording_pool)
+    files = {}
+    for workers in (1, 2):
+        out = survey_files / f"out{workers}"
+        run_pipeline(pool_config(survey_files, out.name, workers=workers), log=lambda message: None)
+        files[workers] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert started == [2]  # one worker fits in this process
+    assert set(blas_threads) == {("1", "1")}
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "OMP_NUM_THREADS" not in os.environ  # restored
+    assert "user_nn_pairs.csv" in files[1] and len(files[1]) == 16
+    assert files[1] == files[2]
+    assert resource_tracker._resource_tracker._fd is None  # the pool's tracker process is stopped too
+
+
+@pytest.mark.parametrize(
+    "models, workers", [(NO_POOL_LINEUP, 2), (POOL_LINEUP, 1)], ids=["no-forest-or-network", "one-worker"]
+)
+def test_no_pool_starts_for_one_worker_or_a_lineup_without_forest_or_network(
+    survey_files, monkeypatch, models, workers
+):
+    monkeypatch.setattr(pipeline, "_start_pool", no_pool)
+    holdout_models = tuple(entry.label for entry in models[-2:])
+    config = pool_config(survey_files, "out", models=models, holdout_models=holdout_models, workers=workers)
+    reports = run_pipeline(config, log=lambda message: None)
+    assert [report.label for report in reports] == [entry.label for entry in models] + ["user", "user"]
+
+
+def test_an_interrupt_stops_the_pool_and_leaves_no_out_dir(survey_files, monkeypatch):
+    evaluate_model = pipeline.evaluate_model
+
+    def interrupted(*args, estimates=None, **kwargs):
+        if estimates is not None:  # the first report made from pool results
+            raise KeyboardInterrupt
+        return evaluate_model(*args, estimates=estimates, **kwargs)
+
+    monkeypatch.setattr(pipeline, "evaluate_model", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(pool_config(survey_files, "out", workers=2), log=lambda message: None)
+    assert multiprocessing.active_children() == []
+    assert resource_tracker._resource_tracker._fd is None
+    assert sorted(path.name for path in survey_files.iterdir()) == ["holdout.csv", "survey.csv"]
