@@ -282,8 +282,6 @@ def build_parser() -> _Parser:
     p.add_argument("--grouping", choices=GROUPINGS)
     p.add_argument("--seed", type=int)
     p.add_argument("--holdout-input", help="external signature CSV for the transfer row")
-    p.add_argument("--workers", type=int,
-                   help="processes for the forest and network fits (default: one per available core)")
     p.set_defaults(func=_cmd_run)
     # `run --format` should not silently force canonical over a config value
     p.set_defaults(format=None)

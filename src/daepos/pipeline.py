@@ -19,7 +19,7 @@ import shutil
 import signal
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,7 +78,6 @@ class PipelineConfig:
     models: list[ModelEntry] = field(default_factory=list)  # empty = default lineup
     holdout_input: str | None = None
     holdout_models: tuple[str, ...] = ("RF-xy",)
-    workers: int | None = None  # processes for the forest and network fits; None = one per available core
 
     def __post_init__(self):
         self.validate()
@@ -103,8 +102,6 @@ class PipelineConfig:
             raise ConfigError(f"at least 2 folds are required, got {self.folds}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if not (self.workers is None or (_is_int(self.workers) and self.workers >= 1)):
-            raise ConfigError(f"workers must be a positive integer or null, got {self.workers!r}")
         if self.grouping not in GROUPINGS:
             raise ConfigError(f"unknown grouping {self.grouping!r}; expected one of {GROUPINGS}")
         # each model's pairs and ECDF files are named by the slug of its label
@@ -151,14 +148,12 @@ def _entry_from_dict(d: dict, default_seed: int) -> ModelEntry:
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    """The resolved config as JSON data, without ``out_dir`` and ``workers``.
+    """The resolved config as JSON data, without ``out_dir``.
 
-    Where outputs land and how many processes fit the models are not part
-    of the experiment identity.
+    Where outputs land is not part of the experiment identity.
     """
     d = dataclasses.asdict(config)
     d.pop("out_dir")
-    d.pop("workers")
     d["models"] = [dataclasses.asdict(e) for e in config.active_models()]
     return d
 
@@ -250,13 +245,13 @@ def _task_cost(task: tuple) -> float:
     return _SECONDS_PER_UNIT["network"] * spec.epochs * rows * weights
 
 
-def _worker_count(requested: int | None, n_tasks: int) -> int:
-    if requested is None:
-        try:
-            requested = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call on this platform
-            requested = os.cpu_count() or 1
-    return min(requested, n_tasks)
+def _worker_count(n_tasks: int) -> int:
+    """One worker per core this process may run on, at most one per task."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, n_tasks)
 
 
 def _in_starting_worker() -> bool:
@@ -293,20 +288,27 @@ def _one_blas_thread():
                 os.environ[name] = value
 
 
-def _pooled_result(future):
+@contextmanager
+def _broken_pool_as_config_error():
+    """Turn a pool that lost a worker, at a submit or at a result, into one error line."""
     from concurrent.futures.process import BrokenProcessPool
 
     try:
-        return future.result()
+        yield
     except BrokenProcessPool:
         raise ConfigError(
             "a worker process ended before its fit did: it was killed, or the calling script starts "
-            "run_pipeline without an `if __name__ == \"__main__\":` guard (workers=1 fits in this process)"
+            "run_pipeline without an `if __name__ == \"__main__\":` guard"
         ) from None
 
 
+def _pooled_result(future):
+    with _broken_pool_as_config_error():
+        return future.result()
+
+
 @contextmanager
-def _fit_results(tasks: list[tuple], workers: int | None):
+def _fit_results(tasks: list[tuple]):
     """One zero-argument callable per ``fit_and_predict`` task, returning its estimates.
 
     With one worker, a task runs in this process when its result is asked
@@ -315,7 +317,7 @@ def _fit_results(tasks: list[tuple], workers: int | None):
     whose processes each use one BLAS thread.  The pool and every process
     it started are gone when the block ends, however it ends.
     """
-    workers = _worker_count(workers, len(tasks))
+    workers = _worker_count(len(tasks))
     if workers <= 1:
         yield [functools.partial(fit_and_predict, *task) for task in tasks]
         return
@@ -329,7 +331,7 @@ def _fit_results(tasks: list[tuple], workers: int | None):
     finished = False
     try:
         futures = {}
-        with _one_blas_thread():  # the workers start during these submits
+        with _one_blas_thread(), _broken_pool_as_config_error():  # the workers start during these submits
             for i in sorted(range(len(tasks)), key=lambda i: -_task_cost(tasks[i])):
                 futures[i] = pool.submit(fit_and_predict, *tasks[i])
         yield [functools.partial(_pooled_result, futures[i]) for i in range(len(tasks))]
@@ -348,29 +350,41 @@ def _fit_results(tasks: list[tuple], workers: int | None):
 
 @contextmanager
 def _staged_output(out: Path):
-    """A new sibling directory of ``out`` to write into.
+    """A new hidden directory inside ``out`` (made if absent) to write into.
 
-    Its files move into ``out`` (made if absent) only when the block
-    succeeds; otherwise ``out`` is left as it was.
+    Its files move up into ``out`` only when the block succeeds.  Otherwise
+    it is removed, and so are ``out`` and its parents where this call made
+    them, so ``out`` is left as it was.  Staging inside ``out`` needs no
+    access to its parent and keeps every move on one filesystem.
     """
-    out.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    made = []  # the directories this call creates, deepest first
+    for directory in (out, *out.parents):
+        if directory.exists():
+            break
+        made.append(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    succeeded = False
     try:
         yield staging
-        out.mkdir(exist_ok=True)
         for path in sorted(staging.iterdir()):
             os.replace(path, out / path.name)
+        succeeded = True
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+        if not succeeded:
+            with suppress(OSError):  # a directory someone else wrote into stays
+                for directory in made:
+                    directory.rmdir()
 
 
 def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
     """Execute every stage and write artifacts into ``config.out_dir``.
 
     The files appear in ``out_dir`` only once every stage has succeeded.
-    The forest and network fits run in ``config.workers`` spawned processes
-    when that is more than one, so a script calling this must do so under
-    ``if __name__ == "__main__":``.
+    The forest and network fits run in one spawned process per available
+    core when there are two or more, so a script calling this must do so
+    under ``if __name__ == "__main__":``.
     """
     if _in_starting_worker():
         # A pool worker re-running an unguarded caller script: end it before
@@ -428,14 +442,14 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
         jobs = [(entry, "cross_fit", None) for entry in entries]
         jobs += [(entry, "holdout", external_sets[entry.variant]) for entry in holdout_entries]
         tasks, task_ranges = [], {}
-        with _stage("evaluate"):
-            for entry, protocol, holdout in jobs:
-                if entry.spec.family in POOLED_FAMILIES:
-                    job_tasks = list(fit_tasks(entry.spec, datasets[entry.variant], protocol, holdout))
-                    task_ranges[entry.label, protocol] = range(len(tasks), len(tasks) + len(job_tasks))
-                    tasks += job_tasks
-
-        with _fit_results(tasks, config.workers) as results:
+        with ExitStack() as pool_scope:
+            with _stage("evaluate"):
+                for entry, protocol, holdout in jobs:
+                    if entry.spec.family in POOLED_FAMILIES:
+                        job_tasks = list(fit_tasks(entry.spec, datasets[entry.variant], protocol, holdout))
+                        task_ranges[entry.label, protocol] = range(len(tasks), len(tasks) + len(job_tasks))
+                        tasks += job_tasks
+                results = pool_scope.enter_context(_fit_results(tasks))
 
             def evaluate(entry, protocol, holdout, label):
                 # pooled entries' estimates come from their tasks; the rest are fitted here

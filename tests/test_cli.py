@@ -415,28 +415,8 @@ def test_diverged_network_training_is_a_one_line_config_error(tmp_path, trained_
     assert not out.exists()
 
 
-def _no_pool(workers):
-    raise AssertionError(f"a pool of {workers} workers was started")
-
-
-@pytest.mark.parametrize(
-    "config, flags",
-    [({}, ["--workers", "0"]), ({}, ["--workers", "-1"]), ({"workers": "2"}, []), ({"workers": True}, [])],
-    ids=["flag-0", "flag-negative", "config-string", "config-bool"],
-)
-def test_run_exit_code_config_error_for_bad_workers(tmp_path, survey_csv, capsys, monkeypatch, config, flags):
-    monkeypatch.setattr(daepos.pipeline, "_start_pool", _no_pool)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"folds": 3, "models": [{"family": "forest", "trees": 2}], **config}))
-    out = tmp_path / "out"
-    assert main(["run", str(survey_csv), "--config", str(path), "--out", str(out), *flags]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: workers ") and err.count("\n") == 1, err
-    assert not out.exists()
-
-
 def test_diverged_network_run_fails_alike_with_one_and_two_workers_and_adds_no_file(
-    tmp_path, trained_models, capsys
+    tmp_path, trained_models, capsys, monkeypatch
 ):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"folds": 3, "models": [
@@ -447,8 +427,9 @@ def test_diverged_network_run_fails_alike_with_one_and_two_workers_and_adds_no_f
     (tmp_path / "kept").mkdir()
     (tmp_path / "kept" / "notes.txt").write_text("not the run's\n")
     errors = []
-    for workers, out in (("1", tmp_path / "new"), ("2", tmp_path / "new"), ("2", tmp_path / "kept")):
-        assert main(["run", survey, "--config", str(config), "--out", str(out), "--workers", workers]) == 1
+    for workers, out in ((1, tmp_path / "new"), (2, tmp_path / "new"), (2, tmp_path / "kept")):
+        monkeypatch.setattr(daepos.pipeline, "_worker_count", lambda n_tasks, workers=workers: min(workers, n_tasks))
+        assert main(["run", survey, "--config", str(config), "--out", str(out)]) == 1
         errors.append(capsys.readouterr().err)
     assert errors[0].startswith("error: stage evaluate: ") and errors[0].count("\n") == 1, errors[0]
     assert errors == [errors[0]] * 3
@@ -462,8 +443,10 @@ def test_unguarded_caller_script_fails_fast_with_one_line(tmp_path, trained_mode
     # no `if __name__ == "__main__":`, so every spawned worker runs this script again
     (tmp_path / "caller.py").write_text(
         "import sys\n"
+        "import daepos.pipeline\n"
         "from daepos.cli import main\n"
-        "sys.exit(main(['run', 'survey.csv', '--config', 'config.json', '--out', 'out', '--workers', '2']))\n"
+        "daepos.pipeline._worker_count = lambda n_tasks: 2  # two workers, whatever the core count\n"
+        "sys.exit(main(['run', 'survey.csv', '--config', 'config.json', '--out', 'out']))\n"
     )
     src = str(Path(daepos.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

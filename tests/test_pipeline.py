@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import resource_tracker
 
 import pytest
@@ -89,13 +90,6 @@ def test_load_config_rejects_model_without_family(tmp_path):
         load_config(str(path), {})
 
 
-def test_config_hash_leaves_out_workers_which_must_be_a_positive_integer_or_null():
-    assert len({config_hash(minimal_config(workers=workers)) for workers in (None, 1, 2)}) == 1
-    for bad in (0, -1, "2", True, 2.0):
-        with pytest.raises(ConfigError, match="workers"):
-            minimal_config(workers=bad)
-
-
 @pytest.fixture()
 def survey_files(tmp_path):
     world = SynthWorld(ap_positions=perimeter_aps(8, 8.0, 6.0), shadowing_sigma=2.0, seed=11)
@@ -114,6 +108,11 @@ def pool_config(root, out, **overrides):
 
 def no_pool(workers):
     raise AssertionError(f"a pool of {workers} workers was started")
+
+
+def use_workers(monkeypatch, workers):
+    """Fit with ``workers`` processes (at most one per task), whatever this host's core count."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda n_tasks: min(workers, n_tasks))
 
 
 def test_out_dir_is_byte_identical_with_one_and_two_workers(survey_files, monkeypatch):
@@ -137,8 +136,9 @@ def test_out_dir_is_byte_identical_with_one_and_two_workers(survey_files, monkey
     monkeypatch.setattr(pipeline, "_start_pool", recording_pool)
     files = {}
     for workers in (1, 2):
+        use_workers(monkeypatch, workers)
         out = survey_files / f"out{workers}"
-        run_pipeline(pool_config(survey_files, out.name, workers=workers), log=lambda message: None)
+        run_pipeline(pool_config(survey_files, out.name), log=lambda message: None)
         files[workers] = {path.name: path.read_bytes() for path in out.iterdir()}
     assert started == [2]  # one worker fits in this process
     assert set(blas_threads) == {("1", "1")}
@@ -155,8 +155,9 @@ def test_no_pool_starts_for_one_worker_or_a_lineup_without_forest_or_network(
     survey_files, monkeypatch, models, workers
 ):
     monkeypatch.setattr(pipeline, "_start_pool", no_pool)
+    use_workers(monkeypatch, workers)
     holdout_models = tuple(entry.label for entry in models[-2:])
-    config = pool_config(survey_files, "out", models=models, holdout_models=holdout_models, workers=workers)
+    config = pool_config(survey_files, "out", models=models, holdout_models=holdout_models)
     reports = run_pipeline(config, log=lambda message: None)
     assert [report.label for report in reports] == [entry.label for entry in models] + ["user", "user"]
 
@@ -170,8 +171,47 @@ def test_an_interrupt_stops_the_pool_and_leaves_no_out_dir(survey_files, monkeyp
         return evaluate_model(*args, estimates=estimates, **kwargs)
 
     monkeypatch.setattr(pipeline, "evaluate_model", interrupted)
+    use_workers(monkeypatch, 2)
     with pytest.raises(KeyboardInterrupt):
-        run_pipeline(pool_config(survey_files, "out", workers=2), log=lambda message: None)
+        run_pipeline(pool_config(survey_files, "out"), log=lambda message: None)
     assert multiprocessing.active_children() == []
     assert resource_tracker._resource_tracker._fd is None
     assert sorted(path.name for path in survey_files.iterdir()) == ["holdout.csv", "survey.csv"]
+
+
+def test_a_pool_broken_at_a_submit_is_one_evaluate_stage_error(survey_files, monkeypatch):
+    start_pool = pipeline._start_pool
+
+    def broken_submit(*args):  # what submit raises once a worker has died
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+    def broken_pool(workers):
+        pool = start_pool(workers)
+        pool.submit = broken_submit
+        return pool
+
+    monkeypatch.setattr(pipeline, "_start_pool", broken_pool)
+    use_workers(monkeypatch, 2)
+    with pytest.raises(ConfigError, match=r"^stage evaluate: a worker process ended .*__main__"):
+        run_pipeline(pool_config(survey_files, "out"), log=lambda message: None)
+    assert resource_tracker._resource_tracker._fd is None
+    assert sorted(path.name for path in survey_files.iterdir()) == ["holdout.csv", "survey.csv"]
+
+
+def test_run_stages_its_files_inside_an_existing_out_dir_whose_parent_is_read_only(survey_files):
+    parent = survey_files / "locked"
+    (parent / "out").mkdir(parents=True)
+    listings = []  # the parent's entries each time a stage reports, while the run is writing
+
+    def log(message):
+        listings.append(sorted(path.name for path in parent.iterdir()))
+
+    config = pool_config(survey_files, "locked/out", models=NO_POOL_LINEUP, holdout_input=None)
+    parent.chmod(0o555)
+    try:
+        run_pipeline(config, log=log)
+    finally:
+        parent.chmod(0o755)
+    assert listings and set(map(tuple, listings)) == {("out",)}
+    names = sorted(path.name for path in (parent / "out").iterdir())
+    assert len(names) == 8 and "report.csv" in names and not any(name.startswith(".") for name in names)
