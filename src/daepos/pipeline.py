@@ -64,8 +64,14 @@ class ModelEntry:
     spec: ModelSpec
     variant: str  # which dataset variant this model consumes
 
+    def __post_init__(self):
+        if not (isinstance(self.label, str) and self.label):
+            raise ConfigError(f"model label must be a non-empty string, got {self.label!r}")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"model variant must be plain or xy, got {self.variant!r}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class PipelineConfig:
     input: str
     out_dir: str
@@ -80,15 +86,16 @@ class PipelineConfig:
     holdout_models: tuple[str, ...] = ("RF-xy",)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if not (isinstance(self.input, str) and self.input):
             raise ConfigError(f"an input signature file is required, got {self.input!r}")
         if not (isinstance(self.out_dir, str) and self.out_dir):
             raise ConfigError(f"out_dir must be an output directory path, got {self.out_dir!r}")
         if not (self.holdout_input is None or (isinstance(self.holdout_input, str) and self.holdout_input)):
             raise ConfigError(f"holdout_input must be a file path or null, got {self.holdout_input!r}")
+        holdout = self.holdout_models
+        if not (isinstance(holdout, (list, tuple)) and all(isinstance(label, str) for label in holdout)):
+            raise ConfigError(f"holdout_models must be a list of model labels, got {holdout!r}")
+        object.__setattr__(self, "holdout_models", tuple(holdout))
         if self.fmt not in SIGNATURE_FORMATS:
             raise ConfigError(f"fmt must be one of {SIGNATURE_FORMATS}, got {self.fmt!r}")
         for name in ("ap_count", "k", "folds", "seed"):
@@ -104,9 +111,14 @@ class PipelineConfig:
             raise ConfigError("seed must be non-negative")
         if self.grouping not in GROUPINGS:
             raise ConfigError(f"unknown grouping {self.grouping!r}; expected one of {GROUPINGS}")
+        if not (isinstance(self.models, (list, tuple)) and all(isinstance(e, ModelEntry) for e in self.models)):
+            raise ConfigError(f"models must be a list of model entries, got {self.models!r}")
         # each model's pairs and ECDF files are named by the slug of its label
         labels = [e.label for e in self.active_models()]
         if self.holdout_input:
+            missing = [label for label in self.holdout_models if label not in labels]
+            if missing:
+                raise ConfigError(f"holdout model {missing[0]!r} is not in the active lineup")
             labels += [f"user_{label}" for label in self.holdout_models]
         owners = {}
         for label in labels:
@@ -136,15 +148,11 @@ def _entry_from_dict(d: dict, default_seed: int) -> ModelEntry:
         raise ConfigError(f"model entry {d!r} lacks a family")
     try:
         spec = ModelSpec(**{"seed": default_seed, **params})
+        variant = d.get("variant", "plain")
+        label = d.get("label", spec.default_label() + ("-xy" if variant == "xy" else ""))
+        return ModelEntry(label=label, spec=spec, variant=variant)
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"model entry {d!r}: {exc}") from None
-    variant = d.get("variant", "plain")
-    if variant not in VARIANTS:
-        raise ConfigError(f"model entry variant must be plain or xy, got {variant!r}")
-    label = d.get("label", spec.default_label() + ("-xy" if variant == "xy" else ""))
-    if not (isinstance(label, str) and label):
-        raise ConfigError(f"model entry {d!r}: label must be a non-empty string")
-    return ModelEntry(label=label, spec=spec, variant=variant)
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
@@ -196,19 +204,11 @@ def load_config(path: str | None, overrides: dict | None = None) -> PipelineConf
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    if "models" in merged and not isinstance(merged["models"], list):
-        raise ConfigError(f"models must be a list of model entries, got {merged['models']!r}")
     seed = merged.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    seed = seed if _is_int(seed) else 0  # the entries' default; PipelineConfig reports a bad run seed
     try:
-        if "models" in merged:
+        if isinstance(merged.get("models"), list):  # PipelineConfig reports any other value
             merged["models"] = [_entry_from_dict(m, seed) for m in merged["models"]]
-        holdout = merged.get("holdout_models")
-        if holdout is not None:
-            if isinstance(holdout, str) or not all(isinstance(label, str) for label in holdout):
-                raise ConfigError(f"holdout_models must be a list of model labels, got {holdout!r}")
-            merged["holdout_models"] = tuple(holdout)
         return PipelineConfig(**merged)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
@@ -390,13 +390,9 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
         # A pool worker re-running an unguarded caller script: end it before
         # it reads or writes anything; the parent reports the broken pool.
         raise SystemExit(1)
-    config.validate()
     stamp = provenance(config_to_dict(config))
     entries = config.active_models()
     by_label = {e.label: e for e in entries}
-    missing = [label for label in config.holdout_models if label not in by_label]
-    if config.holdout_input and missing:
-        raise ConfigError(f"holdout model {missing[0]!r} is not in the active lineup")
     holdout_entries = [by_label[label] for label in config.holdout_models] if config.holdout_input else []
 
     with _stage("ingest"):

@@ -13,6 +13,8 @@ class KnnModel(ErrorRegressor):
     family = "knn"
 
     def __init__(self, spec: ModelSpec, train_x: np.ndarray, train_y: np.ndarray, metadata=None):
+        if spec.k > len(train_x):
+            raise DatasetError(f"k={spec.k} exceeds the {len(train_x)} training records")
         super().__init__(spec, input_width=train_x.shape[1], metadata=metadata)
         self.train_x = np.asarray(train_x, dtype=float)
         self.train_y = np.asarray(train_y, dtype=float)
@@ -25,6 +27,4 @@ class KnnModel(ErrorRegressor):
 
 
 def fit_knn(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> KnnModel:
-    if spec.k > len(X):
-        raise DatasetError(f"k={spec.k} exceeds the {len(X)} training records")
     return KnnModel(spec, train_x=X.copy(), train_y=y.copy())

@@ -16,7 +16,7 @@ import zlib
 
 import numpy as np
 
-from ..errors import ConfigError, FormatError
+from ..errors import ConfigError, DatasetError, FormatError
 from .base import ErrorRegressor, ModelSpec
 from .forest import ForestModel, Nodes
 from .knn import KnnModel
@@ -146,10 +146,11 @@ def load_model(source) -> ErrorRegressor:
     The training context (if any) is available as ``model.metadata["context"]``.
     Anything but a well-formed archive of a known family is a ``FormatError``.
     """
+    try:  # not np.load, which also reads a lone .npy and advises unpickling any other file
+        data = np.lib.npyio.NpzFile(source)
+    except zipfile.BadZipFile:
+        raise FormatError("not a model file: not an npz archive") from None
     try:
-        data = np.load(source, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise FormatError("not a model file: a single array, not an archive")
         with data:
             arrays = {k: data[k] for k in data.files}
     except (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile, zlib.error) as exc:
@@ -177,7 +178,10 @@ def load_model(source) -> ErrorRegressor:
     if family == "linear":
         return LinearModel(spec, coef=arrays["coef"], intercept=float(arrays["intercept"]), metadata=metadata)
     if family == "knn":
-        return KnnModel(spec, train_x=arrays["train_x"], train_y=arrays["train_y"], metadata=metadata)
+        try:
+            return KnnModel(spec, train_x=arrays["train_x"], train_y=arrays["train_y"], metadata=metadata)
+        except DatasetError as exc:  # spec.k above the training rows
+            raise FormatError(f"knn model file: {exc}") from None
     if family == "forest":
         _check_forest(arrays, width)
         nodes = Nodes(*(arrays[name] for name in Nodes._fields))

@@ -73,9 +73,6 @@ class RadioSignature:
         # Freeze the mapping so signatures are safe to share between workers.
         object.__setattr__(self, "readings", MappingProxyType(dict(self.readings)))
 
-    def __hash__(self):
-        return hash((self.point_id, self.reference, tuple(sorted(self.readings.items()))))
-
 
 def _out_of_range(rssi: float, ap: str) -> str:
     return f"RSSI {rssi} dBm for AP {ap!r} outside [{RSSI_MIN}, {RSSI_MAX}]"

@@ -491,10 +491,11 @@ def test_exit_code_config_error_for_non_positive_count_flag(tmp_path, trained_mo
 @pytest.mark.parametrize(
     "flags",
     [["--sigma", "nan"], ["--sigma", "inf"], ["--exponent", "nan"], ["--exponent", "inf"], ["--spacing", "nan"],
-     ["--spacing", "inf"], ["--spacing", "1e308"], ["--spacing", "6e307"], ["--spacing", "6e8"], ["--seed", "-1"]],
+     ["--spacing", "inf"], ["--spacing", "1e308"], ["--spacing", "6e307"], ["--spacing", "6e8"], ["--seed", "-1"],
+     ["--grid", "4by3"]],
     ids=["sigma-nan", "sigma-inf", "exponent-nan", "exponent-inf", "spacing-nan", "spacing-inf",
          "spacing-extent-overflow", "spacing-perimeter-overflow", "spacing-extent-beyond-coordinate-bound",
-         "seed-negative"],
+         "seed-negative", "grid-unparseable"],
 )
 def test_synth_exit_code_config_error_for_out_of_range_flag(tmp_path, capsys, flags):
     out = tmp_path / "survey.csv"
@@ -515,6 +516,52 @@ def test_exit_code_data_error_for_bad_dataset_feature_columns(tmp_path, trained_
         err = capsys.readouterr().err
         assert err.startswith("error: dataset feature columns") and err.count("\n") == 1, err
     assert not (tmp_path / "m.npz").exists()
+
+
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        ("", "error: empty dataset file"),
+        ("id,fold,a,delta_pos\np,0,-60,1.5\n", "error: dataset header must be"),
+        ("point_id,fold,x_est,y_est,delta_pos\np,0,1.0,2.0,1.5\n", "error: dataset has no RSSI feature columns"),
+        ("point_id,fold,a,delta_pos\np,0,-60\n", "error: row 1: expected 4 cells, got 3"),
+        ("point_id,fold,a,delta_pos\np,0,loud,1.5\n", "error: row 1: could not convert"),
+        ("point_id,fold,a,delta_pos\n", "error: dataset file has a header but no records"),
+    ],
+    ids=["empty", "bad-header", "no-rssi-column", "short-row", "non-numeric-cell", "header-only"],
+)
+def test_exit_code_data_error_for_malformed_dataset_file(tmp_path, capsys, text, prefix):
+    dae = tmp_path / "dae.csv"
+    dae.write_text(text)
+    assert main(["train", str(dae), "--family", "linear", "--out", str(tmp_path / "m.npz")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert not (tmp_path / "m.npz").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("{not json", "Expecting property name"), ("[1, 2]", "must contain a JSON object")],
+    ids=["invalid-json", "json-list"],
+)
+def test_run_exit_code_config_error_for_unreadable_config_file(tmp_path, survey_csv, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(survey_csv), "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config}") and message in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("layers", ["a,b", ","], ids=["not-integers", "no-width"])
+def test_train_exit_code_config_error_for_unparseable_layers(tmp_path, trained_models, capsys, layers):
+    out = tmp_path / "nn.npz"
+    argv = ["train", str(trained_models / "dae.csv"), "--family", "network", "--layers", layers, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "layer width" in err and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_exit_code_data_error_for_missing_file(tmp_path):
@@ -636,6 +683,18 @@ def _corrupt(arrays: dict, edit: str) -> None:
     elif edit == "spec-k-bool":
         meta["spec"]["k"] = True
         arrays["meta_json"] = np.array(json.dumps(meta))
+    elif edit == "offsets-float":
+        arrays["offsets"] = arrays["offsets"].astype(float)
+    elif edit == "offsets-not-increasing":
+        arrays["offsets"][1] = 0  # the first tree gets no nodes
+    elif edit == "coef-text":
+        arrays["coef"] = arrays["coef"].astype(str)
+    elif edit == "spec-k-above-rows":
+        meta["spec"]["k"] = len(arrays["train_x"]) + 1
+        arrays["meta_json"] = np.array(json.dumps(meta))
+    elif edit == "context-none":
+        meta["context"] = {}
+        arrays["meta_json"] = np.array(json.dumps(meta))
     elif edit.startswith("context-"):
         ap_ids = meta["context"]["ap_ids"]
         meta["context"].update({
@@ -643,6 +702,7 @@ def _corrupt(arrays: dict, edit: str) -> None:
             "context-ap_ids-integer": {"ap_ids": [0, *ap_ids[1:]]},
             "context-ap_ids-string": {"ap_ids": ",".join(ap_ids)},
             "context-variant-unknown": {"variant": "xyz"},
+            "context-width": {"ap_ids": ap_ids[:-1]},
         }[edit])
         arrays["meta_json"] = np.array(json.dumps(meta))
     else:
@@ -677,7 +737,12 @@ _CORRUPT_ARCHIVES = {
     "context-ap_ids-string": ("forest", "error: model context ap_ids"),
     "context-variant-unknown": ("forest", "error: model context variant"),
     "truncated": ("forest", "error: not a model file"),
-    "text": ("linear", "error: not a model file"),
+    "text": ("linear", "error: not a model file: not an npz archive"),
+    "lone-npy": ("linear", "error: not a model file: not an npz archive"),
+    "offsets-float": ("forest", "error: forest offsets, feature indices and child links must be integers"),
+    "offsets-not-increasing": ("forest", "error: forest offsets must be increasing"),
+    "coef-text": ("linear", "error: linear array 'coef' must be numeric"),
+    "spec-k-above-rows": ("knn", "error: knn model file: k="),
 }
 
 
@@ -689,6 +754,9 @@ def test_predict_exit_code_data_error_for_corrupt_forest_archive(tmp_path, train
         model.write_bytes((trained_models / f"{family}.npz").read_bytes()[:200])
     elif edit == "text":
         model.write_text("point_id,x,y\n")
+    elif edit == "lone-npy":
+        with open(model, "wb") as f:
+            np.save(f, np.zeros(3))
     else:
         with np.load(trained_models / f"{family}.npz") as data:
             arrays = {name: data[name] for name in data.files}
@@ -704,6 +772,26 @@ def test_predict_exit_code_data_error_for_corrupt_forest_archive(tmp_path, train
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith(prefix)
     assert result.stderr.count("\n") == 1, result.stderr  # one line, no traceback
+    assert "allow_pickle" not in result.stderr  # no advice to load an untrusted file unsafely
+
+
+@pytest.mark.parametrize(
+    "edit, prefix",
+    [("context-none", "error: model file carries no AP column context"),
+     ("context-width", "error: model width 8 does not match its context width 7")],
+    ids=["context-none", "context-width"],
+)
+def test_predict_exit_code_contract_error_for_model_context(tmp_path, trained_models, capsys, edit, prefix):
+    with np.load(trained_models / "forest.npz") as data:
+        arrays = {name: data[name] for name in data.files}
+    _corrupt(arrays, edit)
+    model = tmp_path / "model.npz"
+    np.savez_compressed(model, **arrays)
+    survey = str(trained_models / "survey.csv")
+    assert main(["predict", survey, "--model", str(model), "--map", survey]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -90,6 +90,37 @@ def test_load_config_rejects_model_without_family(tmp_path):
         load_config(str(path), {})
 
 
+def test_config_is_frozen_and_checks_holdout_models_when_built():
+    config = minimal_config(holdout_models=["RF-xy", "NN"])
+    assert config.holdout_models == ("RF-xy", "NN")  # stored as a tuple, so the config hash ignores the list type
+    assert not hasattr(config, "validate")
+    with pytest.raises(AttributeError):
+        config.folds = 1  # a built config stays as checked
+    for holdout_models in ("LR", ["LR", 5], None):
+        with pytest.raises(ConfigError, match="holdout_models must be a list"):
+            minimal_config(holdout_input="user.csv", holdout_models=holdout_models)
+    with pytest.raises(ConfigError, match="holdout model 'NN' is not in the active lineup"):
+        minimal_config(holdout_input="user.csv", models=NO_POOL_LINEUP, holdout_models=("LR", "NN"))
+    # without a holdout input the labels are not used, so they need not be in the lineup
+    assert minimal_config(models=NO_POOL_LINEUP, holdout_models=("NN",)).holdout_models == ("NN",)
+    with pytest.raises(ConfigError, match="models must be a list of model entries"):
+        minimal_config(models=[{"family": "linear"}])
+
+
+@pytest.mark.parametrize(
+    "label, variant, message",
+    [("X", "zz", "model variant"), ("X", None, "model variant"), ("", "plain", "model label"),
+     (5, "plain", "model label")],
+    ids=["variant-unknown", "variant-none", "label-empty", "label-int"],
+)
+def test_model_entry_is_checked_when_built_before_any_stage_logs(label, variant, message):
+    logged = []
+    with pytest.raises(ConfigError, match=message):
+        entry = ModelEntry(label, ModelSpec(family="linear"), variant)
+        run_pipeline(minimal_config(models=[entry]), log=logged.append)
+    assert logged == []
+
+
 @pytest.fixture()
 def survey_files(tmp_path):
     world = SynthWorld(ap_positions=perimeter_aps(8, 8.0, 6.0), shadowing_sigma=2.0, seed=11)

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from daepos import ConfigError, ContractError, DatasetError, FormatError
 from daepos.regressors import (
+    KnnModel,
     LinearModel,
     ModelSpec,
     fit,
@@ -164,6 +165,17 @@ def test_knn_constant_labels_exact():
 def test_knn_k_exceeding_training_size_is_dataset_error():
     with pytest.raises(DatasetError):
         fit_arrays(ModelSpec(family="knn", k=5), np.zeros((3, 2)), np.zeros(3))
+    # the model checks it, so a model file cannot bring k above its rows either
+    with pytest.raises(DatasetError, match="k=5 exceeds the 3 training records"):
+        KnnModel(ModelSpec(family="knn", k=5), np.zeros((3, 2)), np.zeros(3))
+    arrays = dict(_saved_arrays("knn"))
+    meta = json.loads(str(arrays.pop("meta_json")))
+    meta["spec"]["k"] = len(arrays["train_x"]) + 1
+    buf = io.BytesIO()
+    np.savez(buf, meta_json=np.array(json.dumps(meta)), **arrays)
+    buf.seek(0)
+    with pytest.raises(FormatError, match="knn model file: k=13 exceeds the 12 training records"):
+        load_model(buf)
 
 
 def test_knn_predict_memory_does_not_grow_with_query_count():
@@ -225,6 +237,18 @@ def test_forest_pure_training_fit_without_bootstrap():
     tree = _fit_tree(X, y)
     model = ForestModel(ModelSpec(family="forest", trees=1), np.array([0, tree.n_nodes]), tree, input_width=5)
     assert np.array_equal(model.predict_raw(X), y)
+
+
+def test_forest_split_between_adjacent_floats_separates_them():
+    # the midpoint of 1+eps and 1+2eps rounds up to 1+2eps; a split there would send both rows left
+    lo, hi = np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+    assert 0.5 * (lo + hi) == hi
+    X, y = np.array([[lo], [hi]]), np.array([0.0, 1.0])
+    # checked first: with a split at hi, _fit_tree would split its left child forever
+    assert forest._best_split(X, y) == (0, lo)
+    tree = _fit_tree(X, y)
+    assert tree.threshold[0] == lo
+    assert tree.value[tree.left[0]] == 0.0 and tree.value[tree.right[0]] == 1.0
 
 
 def _tree_predict(tree, X):

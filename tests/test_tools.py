@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,3 +27,68 @@ def test_cli_digests_listing_is_the_same_on_a_rerun(tmp_path):
         assert f"evaluate_holdout/{family}_plain/pairs.csv" in paths
     assert {"ingest/zenodo.csv", "run/report.csv", "run/user_rf_xy_pairs.csv", "run/user_nn_pairs.csv"} <= set(paths)
     assert {"errors/folds.txt", "errors/absent.txt", "errors/width.txt"} <= set(paths)
+
+
+def _load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned_run(wall_s: float, correct: bool = True, failed: int = 0) -> dict:
+    """The last line perfbench/run.py prints, with wall_s set and the other metrics fixed."""
+    values = {"setup_s": 0.5, "wall_s": wall_s, "peak_rss_mb": 60.0, "err_mae_m": 0.7}
+    metrics = {name: {"value": value, "unit": "-"} for name, value in values.items()}
+    return {"correct": correct, "attempted": 40, "failed": failed, "metrics": metrics, "digests": ["7c98"]}
+
+
+def test_ab_bench_alternates_which_side_runs_first(tmp_path, monkeypatch):
+    ab_bench = _load_tool("ab_bench")
+    assert ab_bench.run_order(3) == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"), (2, "parent"), (2, "change")
+    ]
+    srcs = {}
+    for side in ab_bench.SIDES:
+        srcs[side] = tmp_path / side / "src"
+        (srcs[side] / "daepos").mkdir(parents=True)
+        (srcs[side] / "daepos" / "__init__.py").write_text("")
+    monkeypatch.setattr(ab_bench, "BUILD", tmp_path / "build")
+    calls = []
+
+    def fake_run_side(src, workload, seconds):
+        calls.append((src.parent.name, workload, seconds))
+        return _canned_run(4.0)
+
+    monkeypatch.setattr(ab_bench, "run_side", fake_run_side)
+    argv = ["--parent-src", str(srcs["parent"]), "--change-src", str(srcs["change"]), "--workload", "label-large",
+            "--pairs", "2", "--seconds", "5"]
+    assert ab_bench.main(argv) == 0
+    assert calls == [(side, "label-large", 5.0) for side in ("parent", "change", "change", "parent")]
+    assert (tmp_path / "build" / "perfbench" / "run.py").is_file() and (tmp_path / "build" / "BENCHMARK.json").is_file()
+
+
+def test_ab_bench_summary_flags_a_metric_worse_than_its_bound_and_every_bad_run():
+    ab_bench = _load_tool("ab_bench")
+    end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                  {"name": "err_mae_m", "better": "higher", "bound": 0.1}]
+    parent = [_canned_run(wall) for wall in (4.0, 4.4, 4.2, 4.6)]
+    change = [_canned_run(wall) for wall in (3.9, 4.5, 4.1, 4.0)]
+    lines, passed = ab_bench.summarize({"parent": parent, "change": change}, end_to_end)
+    assert passed
+    header, wall, mae = lines
+    assert header.split()[:2] == ["metric", "parent"]
+    # medians 4.3 and 4.05, quartiles 4.05 and 4.55 (exclusive method), change faster in pairs 1, 3 and 4
+    assert wall.split() == ["wall_s", "4.3", "4.05", "0.5", "3/4", "ok"]
+    assert mae.split() == ["err_mae_m", "0.7", "0.7", "0", "0/4", "ok"]  # a tie is not a win
+
+    slow = [_canned_run(wall) for wall in (5.5, 5.4, 5.6, 5.3)]  # median 5.45 > 4.3 * 1.25
+    slow[2] = _canned_run(5.6, correct=False)
+    slow[3] = _canned_run(5.3, failed=2)
+    slow[0]["digests"] = ["ce25"]
+    lines, passed = ab_bench.summarize({"parent": parent, "change": slow}, end_to_end)
+    assert not passed
+    assert lines[1].split()[-1] == "WORSE" and lines[2].split()[-1] == "ok"
+    assert lines[3:] == ["pair 1 change: correct=True, 0 of 40 operations failed, output digests ['ce25']",
+                         "pair 3 change: correct=False, 0 of 40 operations failed, output digests ['7c98']",
+                         "pair 4 change: correct=True, 2 of 40 operations failed, output digests ['7c98']"]
