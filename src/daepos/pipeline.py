@@ -20,7 +20,7 @@ import signal
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .csvio import csv_writer
@@ -81,7 +81,7 @@ class PipelineConfig:
     folds: int = 5
     grouping: str = "by_signature"
     seed: int = 0
-    models: list[ModelEntry] = field(default_factory=list)  # empty = default lineup
+    models: tuple[ModelEntry, ...] = ()  # empty = default lineup
     holdout_input: str | None = None
     holdout_models: tuple[str, ...] = ("RF-xy",)
 
@@ -113,6 +113,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown grouping {self.grouping!r}; expected one of {GROUPINGS}")
         if not (isinstance(self.models, (list, tuple)) and all(isinstance(e, ModelEntry) for e in self.models)):
             raise ConfigError(f"models must be a list of model entries, got {self.models!r}")
+        object.__setattr__(self, "models", tuple(self.models))
         # each model's pairs and ECDF files are named by the slug of its label
         labels = [e.label for e in self.active_models()]
         if self.holdout_input:
@@ -129,8 +130,8 @@ class PipelineConfig:
                 raise ConfigError(f"model labels {owners[slug]!r} and {label!r} both name the files {slug}_*.csv")
             owners[slug] = label
 
-    def active_models(self) -> list[ModelEntry]:
-        return self.models or default_lineup(self.seed)
+    def active_models(self) -> tuple[ModelEntry, ...]:
+        return self.models or tuple(default_lineup(self.seed))
 
 
 def default_lineup(seed: int) -> list[ModelEntry]:

@@ -105,6 +105,10 @@ def test_config_is_frozen_and_checks_holdout_models_when_built():
     assert minimal_config(models=NO_POOL_LINEUP, holdout_models=("NN",)).holdout_models == ("NN",)
     with pytest.raises(ConfigError, match="models must be a list of model entries"):
         minimal_config(models=[{"family": "linear"}])
+    lineup = list(NO_POOL_LINEUP)
+    config = minimal_config(models=lineup)
+    lineup.append(lineup[0])  # a duplicate label, added after the config was checked
+    assert config.models == tuple(NO_POOL_LINEUP)
 
 
 @pytest.mark.parametrize(

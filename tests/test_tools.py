@@ -1,8 +1,11 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import daepos
 
@@ -62,9 +65,10 @@ def test_ab_bench_alternates_which_side_runs_first(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ab_bench, "run_side", fake_run_side)
     argv = ["--parent-src", str(srcs["parent"]), "--change-src", str(srcs["change"]), "--workload", "label-large",
-            "--pairs", "2", "--seconds", "5"]
+            "--pairs", "2"]
     assert ab_bench.main(argv) == 0
-    assert calls == [(side, "label-large", 5.0) for side in ("parent", "change", "change", "parent")]
+    seconds = json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+    assert calls == [(side, "label-large", seconds) for side in ("parent", "change", "change", "parent")]
     assert (tmp_path / "build" / "perfbench" / "run.py").is_file() and (tmp_path / "build" / "BENCHMARK.json").is_file()
 
 
@@ -92,3 +96,16 @@ def test_ab_bench_summary_flags_a_metric_worse_than_its_bound_and_every_bad_run(
     assert lines[3:] == ["pair 1 change: correct=True, 0 of 40 operations failed, output digests ['ce25']",
                          "pair 3 change: correct=False, 0 of 40 operations failed, output digests ['7c98']",
                          "pair 4 change: correct=True, 2 of 40 operations failed, output digests ['7c98']"]
+
+
+def test_ab_bench_run_that_does_not_report_exits_2(tmp_path, monkeypatch, capsys):
+    ab_bench = _load_tool("ab_bench")
+    monkeypatch.setattr(ab_bench, "BUILD", tmp_path / "build")
+    src = tmp_path / "src"
+    (src / "daepos").mkdir(parents=True)
+    monkeypatch.setattr(ab_bench.subprocess, "run",
+                        lambda *args, **kwargs: subprocess.CompletedProcess(args, 3, stdout=""))
+    with pytest.raises(SystemExit) as exit:
+        ab_bench.run_side(src, "label-large", 50)
+    assert exit.value.code == 2  # not 1, which is a WORSE verdict
+    assert capsys.readouterr().err.startswith("error: perfbench/run.py exited 3 with ")

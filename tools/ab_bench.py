@@ -75,7 +75,8 @@ def run_side(src: Path, workload: str, seconds: float) -> dict:
     proc = subprocess.run(argv, cwd=BUILD, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
-        raise SystemExit(f"error: perfbench/run.py exited {proc.returncode} with {src} (see its stderr above)")
+        print(f"error: perfbench/run.py exited {proc.returncode} with {src} (see its stderr above)", file=sys.stderr)
+        raise SystemExit(2)
     digests = [line.split()[-1] for line in lines if line.strip().startswith("output sha256 ")]
     return {**json.loads(lines[-1]), "digests": digests}
 
@@ -86,7 +87,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change-src", type=Path, required=True, help="src/ directory of the change")
     parser.add_argument("--workload", required=True, help="a workload name from BENCHMARK.json")
     parser.add_argument("--pairs", type=int, required=True, help="number of parent/change pairs, at least 2")
-    parser.add_argument("--seconds", type=float, help="seconds per run (default: BENCHMARK.json run_seconds)")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     srcs = {"parent": args.parent_src.resolve(), "change": args.change_src.resolve()}
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     shutil.copy2(ROOT / "BENCHMARK.json", BUILD / "BENCHMARK.json")
     results = {side: [None] * args.pairs for side in SIDES}
     for i, side in run_order(args.pairs):
-        run = run_side(srcs[side], args.workload, args.seconds or benchmark["run_seconds"])
+        run = run_side(srcs[side], args.workload, benchmark["run_seconds"])
         results[side][i] = run
         values = " ".join(f"{name}={metric['value']:.4g}" for name, metric in run["metrics"].items())
         print(f"pair {i + 1}/{args.pairs} {side}: {values}", file=sys.stderr, flush=True)
