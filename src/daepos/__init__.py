@@ -33,7 +33,6 @@ from .signatures import (
     build_registry,
     feature_matrix,
     parse_signatures,
-    vectorize,
     write_signatures,
 )
 from .synth import GridSpec, SynthWorld, generate_grid_dataset, perimeter_aps, sample_signature
@@ -84,7 +83,6 @@ __all__ = [
     "save_model",
     "summarize",
     "true_error",
-    "vectorize",
     "write_dae_dataset",
     "write_signatures",
 ]

@@ -31,7 +31,7 @@ from .dae import (
 from .errors import ConfigError, ContractError, DataError, FormatError
 from .evaluation import evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
 from .pipeline import PipelineConfig, load_config, provenance, run_pipeline
-from .positioning import DEFAULT_K, RadioMap, localize
+from .positioning import RadioMap, localize
 from .regressors import MODEL_FAMILIES, ModelSpec, fit, load_model, save_model
 from .signatures import (
     SIGNATURE_FORMATS,
@@ -114,10 +114,7 @@ def _cmd_build_dataset(args) -> None:
         len(signatures), args.folds, args.seed, args.grouping,
         point_ids=signatures.point_ids,
     )
-    dataset = build_dae_dataset(
-        signatures, registry, plan,
-        k=args.k, variant=args.variant,
-    )
+    dataset = build_dae_dataset(signatures, registry, plan, variant=args.variant)
     write_dae_dataset(dataset, args.out, comment=_stamp(args))
     print(f"wrote {len(dataset)} records to {args.out}")
 
@@ -187,7 +184,7 @@ def _cmd_predict(args) -> None:
         if alone:
             print(f"warning: scan {point_id} has no reading from the model's {len(registry)} APs; "
                   "it is located from the imputed value alone", file=sys.stderr)
-        estimate = localize(vector, radio_map, k=args.k)
+        estimate = localize(vector, radio_map)
         radius = model.predict(feature_rows(vector, [estimate.position.x, estimate.position.y], variant))
         writer.write(f"{estimate.position.x:.3f},{estimate.position.y:.3f},{radius:.3f}\n")
 
@@ -233,7 +230,6 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="signature CSV to read")
     add_format(p)
     p.add_argument("--ap-count", type=_positive_int, default=35, help="APs to retain by availability")
-    p.add_argument("--k", type=_positive_int, default=DEFAULT_K, help="positioning neighbors")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--grouping", choices=GROUPINGS, default="by_signature")
     p.add_argument("--variant", choices=VARIANTS, default="plain",
@@ -268,7 +264,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="model file from train")
     p.add_argument("--map", required=True, help="canonical CSV acting as the radio map")
     add_format(p)
-    p.add_argument("--k", type=_positive_int, default=DEFAULT_K)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
@@ -277,7 +272,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", dest="out_dir", help="output directory (overrides the config file)")
     add_format(p)
     p.add_argument("--ap-count", type=int)
-    p.add_argument("--k", type=int)
     p.add_argument("--folds", type=int)
     p.add_argument("--grouping", choices=GROUPINGS)
     p.add_argument("--seed", type=int)

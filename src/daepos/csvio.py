@@ -4,7 +4,8 @@ Every file the package writes may start with one ``# comment`` line (the
 provenance stamp), and every reader skips leading ``#`` lines.  Rows end in
 ``\\n``; a cell holding ``\\r`` or ``\\n`` is quoted, and reads back intact.
 Files are read in chunks, one row at a time, so a reader never holds the
-whole text.
+whole text.  A path is read as UTF-8 after an optional byte-order mark, and
+written as UTF-8 without one.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import os
 from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
+from .errors import FormatError
+
 _CHUNK = 1 << 16  # characters per read
 
 
@@ -22,7 +25,7 @@ def _opened(target, mode: str):
     """``target`` itself when it is a stream, else the file at that path, opened."""
     if hasattr(target, "read" if mode == "r" else "write"):
         return nullcontext(target)
-    return open(os.fspath(target), mode, encoding="utf-8", newline="")
+    return open(os.fspath(target), mode, encoding="utf-8-sig" if mode == "r" else "utf-8", newline="")
 
 
 def _physical_lines(stream):
@@ -52,10 +55,22 @@ def _physical_lines(stream):
 
 @contextmanager
 def csv_rows(source):
-    """An iterator over the non-empty CSV rows of a path or text stream, leading ``#`` lines skipped."""
+    """An iterator over the non-empty CSV rows of a path or text stream, leading ``#`` lines skipped.
+
+    Text that is not UTF-8, or that ``csv`` cannot read, raises a ``FormatError`` naming the file.
+    """
     with _opened(source, "r") as stream:
         lines = itertools.dropwhile(lambda line: line.lstrip().startswith("#"), _physical_lines(stream))
-        yield filter(None, csv.reader(lines))
+        yield _format_errors(filter(None, csv.reader(lines)), getattr(stream, "name", "input"))
+
+
+def _format_errors(rows, name):
+    try:
+        yield from rows
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{name}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise FormatError(f"{name}: malformed CSV: {exc}") from None
 
 
 @contextmanager

@@ -35,7 +35,6 @@ from .evaluation import (
     write_pairs_csv,
     write_summary_csv,
 )
-from .positioning import DEFAULT_K
 from .regressors import ModelSpec
 from .regressors.base import _is_int
 from .signatures import SIGNATURE_FORMATS, build_registry, parse_signatures
@@ -77,7 +76,6 @@ class PipelineConfig:
     out_dir: str
     fmt: str = "canonical"
     ap_count: int = 35
-    k: int = DEFAULT_K
     folds: int = 5
     grouping: str = "by_signature"
     seed: int = 0
@@ -98,13 +96,11 @@ class PipelineConfig:
         object.__setattr__(self, "holdout_models", tuple(holdout))
         if self.fmt not in SIGNATURE_FORMATS:
             raise ConfigError(f"fmt must be one of {SIGNATURE_FORMATS}, got {self.fmt!r}")
-        for name in ("ap_count", "k", "folds", "seed"):
+        for name in ("ap_count", "folds", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.ap_count < 1:
             raise ConfigError(f"ap_count must be >= 1, got {self.ap_count}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.folds < 2:
             raise ConfigError(f"at least 2 folds are required, got {self.folds}")
         if self.seed < 0:
@@ -191,7 +187,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> PipelineConf
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
             raise ConfigError(f"config file {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must contain a JSON object")
@@ -419,10 +415,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
         datasets = {}
         with _stage("dae-dataset"):
             for variant in sorted({e.variant for e in entries}):
-                dataset = build_dae_dataset(
-                    signatures, registry, plan,
-                    k=config.k, variant=variant,
-                )
+                dataset = build_dae_dataset(signatures, registry, plan, variant=variant)
                 datasets[variant] = dataset
                 name = f"dae_{variant}.csv"
                 write_dae_dataset(dataset, staging / name, comment=stamp)
@@ -432,7 +425,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
             with _stage("holdout"):  # read first, so its fits join the evaluate stage's tasks
                 external = parse_signatures(config.holdout_input, config.fmt)
                 external_sets = {  # the external scans are labeled once per variant
-                    variant: build_holdout_dataset(external, signatures, registry, k=config.k, variant=variant)
+                    variant: build_holdout_dataset(external, signatures, registry, variant=variant)
                     for variant in sorted({e.variant for e in holdout_entries})
                 }
 

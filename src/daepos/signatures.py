@@ -207,11 +207,6 @@ def build_registry(signatures: Sequence[RadioSignature], m: int) -> ApRegistry:
     return ApRegistry(aps=tuple(table.ap_ids[j] for j in kept), availability=tuple(counts[j] for j in kept))
 
 
-def vectorize(signature: RadioSignature, registry: ApRegistry) -> np.ndarray:
-    """The one-row case of :func:`feature_matrix`."""
-    return feature_matrix([signature], registry)[0]
-
-
 def feature_matrix(signatures: Sequence[RadioSignature], registry: ApRegistry) -> np.ndarray:
     """The (n, width) feature rows of ``signatures``, aligned with ``registry`` order.
 

@@ -13,8 +13,23 @@ import numpy as np
 import pytest
 
 import daepos
-from daepos import ApRegistry, build_holdout_dataset, load_model, parse_signatures, read_dae_dataset
+from daepos import (
+    ApRegistry,
+    ModelSpec,
+    RadioMap,
+    build_dae_dataset,
+    build_holdout_dataset,
+    build_registry,
+    feature_matrix,
+    fit,
+    load_model,
+    localize,
+    make_fold_plan,
+    parse_signatures,
+    read_dae_dataset,
+)
 from daepos.cli import build_parser, main
+from daepos.dae import feature_rows
 from daepos.pipeline import PipelineConfig
 from daepos.signatures import FILL_DBM
 
@@ -116,7 +131,7 @@ def test_predict_counts_and_nonnegative_radius(tmp_path, survey_csv, capsys):
     run_ok(["synth", "--grid", "3x1", "--spacing", "2", "--aps", "8", "--scans", "1",
             "--sigma", "2.0", "--seed", "77", "--out", str(scans)])
     capsys.readouterr()
-    run_ok(["predict", str(scans), "--model", str(model), "--map", str(survey_csv), "--k", "4"])
+    run_ok(["predict", str(scans), "--model", str(model), "--map", str(survey_csv)])
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
     assert len(lines) == 3
     for line in lines:
@@ -124,25 +139,27 @@ def test_predict_counts_and_nonnegative_radius(tmp_path, survey_csv, capsys):
         assert radius >= 0.0
 
 
-def test_predict_zero_radius_for_memorized_exact_match(tmp_path, capsys):
+def test_predict_zero_radius_for_memorized_exact_match(tmp_path):
     # noise-free world: sibling scans coincide, so a k=1 map hit is exact and
-    # a dataset built with one scan per fold-complement yields zero labels
+    # a dataset built with one scan per fold-complement yields zero labels.
+    # `predict` always locates with DEFAULT_K, so its per-scan path runs here with k=1.
     survey = tmp_path / "exact.csv"
     run_ok(["synth", "--grid", "4x4", "--spacing", "2", "--aps", "6", "--scans", "3",
             "--sigma", "0", "--seed", "4", "--out", str(survey)])
-    dae = tmp_path / "dae.csv"
-    run_ok(["build-dataset", str(survey), "--folds", "3", "--k", "1", "--seed", "1",
-            "--out", str(dae)])
-    dataset = read_dae_dataset(dae)
-    model = tmp_path / "knn1.bin"
-    run_ok(["train", str(dae), "--family", "knn", "--neighbors", "1", "--out", str(model)])
-    capsys.readouterr()
-    run_ok(["predict", str(survey), "--model", str(model), "--map", str(survey), "--k", "1"])
-    lines = [l for l in capsys.readouterr().out.splitlines() if l]
-    assert len(lines) == 48
+    signatures = parse_signatures(survey)
+    registry = build_registry(signatures, 35)
+    plan = make_fold_plan(len(signatures), 3, 1, "by_signature", point_ids=signatures.point_ids)
+    dataset = build_dae_dataset(signatures, registry, plan, k=1)
+    model = fit(ModelSpec(family="knn", k=1), dataset)
+    radio_map = RadioMap.from_signatures(signatures, registry)
+    radii = []
+    for vector in feature_matrix(signatures, registry):
+        estimate = localize(vector, radio_map, k=1)
+        radii.append(model.predict(feature_rows(vector, [estimate.position.x, estimate.position.y], "plain")))
     # scans identical to map entries: distance-zero hits both for the position
     # and for the error lookup, so most predicted radii collapse to zero
-    radii = np.array([float(l.split(",")[2]) for l in lines])
+    radii = np.array(radii)
+    assert len(radii) == 48
     assert (dataset.labels() == 0.0).mean() > 0.5
     assert (radii == 0.0).mean() > 0.5
     assert radii.min() >= 0.0
@@ -166,16 +183,16 @@ def test_predict_prints_the_holdout_dataset_row_of_every_scan(tmp_path, capsys):
     world = ["--spacing", "2", "--aps", "8", "--floor", "-70"]
     run_ok(["synth", "--grid", "8x6", *world, "--scans", "2", "--seed", "3", "--out", str(survey)])
     run_ok(["synth", "--grid", "8x6", *world, "--scans", "1", "--seed", "4", "--out", str(scans)])
-    run_ok(["build-dataset", str(survey), "--folds", "3", "--k", "3", "--variant", "xy", "--out", str(dae)])
+    run_ok(["build-dataset", str(survey), "--folds", "3", "--variant", "xy", "--out", str(dae)])
     run_ok(["train", str(dae), "--family", "forest", "--trees", "10", "--out", str(model)])
     capsys.readouterr()
-    run_ok(["predict", str(scans), "--model", str(model), "--map", str(survey), "--k", "3"])
+    run_ok(["predict", str(scans), "--model", str(model), "--map", str(survey)])
     printed = capsys.readouterr().out.splitlines()
 
     forest = load_model(model)
     aps = tuple(forest.metadata["context"]["ap_ids"])
     registry = ApRegistry(aps=aps, availability=(0,) * len(aps))
-    holdout = build_holdout_dataset(parse_signatures(scans), parse_signatures(survey), registry, k=3, variant="xy")
+    holdout = build_holdout_dataset(parse_signatures(scans), parse_signatures(survey), registry, variant="xy")
     assert (holdout.X == FILL_DBM).any()  # the floor leaves cells to impute
     # the forest predicts a row alone with the same bits as in a batch, so equality is exact
     assert printed == [f"{row[-2]:.3f},{row[-1]:.3f},{forest.predict(row):.3f}" for row in holdout.X]
@@ -290,7 +307,7 @@ def test_run_checks_holdout_models_before_ingest(tmp_path, survey_csv, capsys, h
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("k", "2.5"),
+        ("k", "4"),
         ("folds", "2.5"),
         ("seed", "1e400"),
         ("seed", "true"),
@@ -303,7 +320,7 @@ def test_run_checks_holdout_models_before_ingest(tmp_path, survey_csv, capsys, h
         ("out_dir", "5"),
         ("holdout_input", "5"),
     ],
-    ids=["k-float", "folds-float", "seed-huge-float", "seed-bool", "ap_count-bool", "fill-removed",
+    ids=["k-removed", "folds-float", "seed-huge-float", "seed-bool", "ap_count-bool", "fill-removed",
          "weighted-removed", "variant-removed", "fmt-unknown", "input-int", "out_dir-int", "holdout_input-int"],
 )
 def test_run_checks_config_types_before_ingest(tmp_path, survey_csv, capsys, key, value):
@@ -472,20 +489,30 @@ def test_unguarded_caller_script_fails_fast_with_one_line(tmp_path, trained_mode
 
 @pytest.mark.parametrize(
     "flags",
-    [["build-dataset", "--ap-count", "0"], ["build-dataset", "--k", "0"], ["predict", "--k", "0"],
-     ["build-dataset", "--seed", "-1"]],
-    ids=["build-dataset-ap-count", "build-dataset-k", "predict-k", "build-dataset-seed-negative"],
+    [["build-dataset", "--ap-count", "0"], ["build-dataset", "--seed", "-1"]],
+    ids=["build-dataset-ap-count", "build-dataset-seed-negative"],
 )
 def test_exit_code_config_error_for_non_positive_count_flag(tmp_path, trained_models, capsys, flags):
     command, *rest = flags
-    survey = str(trained_models / "survey.csv")
-    if command == "predict":
-        argv = ["predict", survey, "--model", str(trained_models / "linear.npz"), "--map", survey, *rest]
-    else:
-        argv = ["build-dataset", survey, *rest, "--out", str(tmp_path / "x.csv")]
-    assert main(argv) == 1
+    assert main([command, str(trained_models / "survey.csv"), *rest, "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "predict", "run"])
+def test_positioning_k_is_not_an_option(tmp_path, trained_models, capsys, command):
+    # every command locates with DEFAULT_K, the k its error models were trained on
+    survey = str(trained_models / "survey.csv")
+    out = tmp_path / "out"
+    argv = {
+        "build-dataset": ["build-dataset", survey, "--out", str(out)],
+        "predict": ["predict", survey, "--model", str(trained_models / "linear.npz"), "--map", survey],
+        "run": ["run", survey, "--out", str(out)],
+    }[command]
+    assert main([*argv, "--k", "3"]) == 1
+    out_text, err = capsys.readouterr()
+    assert err == "error: unrecognized arguments: --k 3\n" and not out_text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -539,14 +566,50 @@ def test_exit_code_data_error_for_malformed_dataset_file(tmp_path, capsys, text,
     assert not (tmp_path / "m.npz").exists()
 
 
+# Each case names the file it spoils: "latin1" gets one Latin-1 byte, "huge-cell" one
+# cell of 200,000 characters, beyond the csv module's field limit.
+_UNREADABLE_CSV_CASES = {
+    "ingest-latin1": (["ingest", "{bad}", "--out", "{out}"], "survey", "latin1"),
+    "ingest-huge-cell": (["ingest", "{bad}", "--out", "{out}"], "survey", "huge-cell"),
+    "build-dataset-latin1": (["build-dataset", "{bad}", "--out", "{out}"], "survey", "latin1"),
+    "train-latin1-dataset": (["train", "{bad}", "--family", "linear", "--out", "{out}"], "dataset", "latin1"),
+    "predict-latin1-scans": (["predict", "{bad}", "--model", "{linear}", "--map", "{survey}"], "survey", "latin1"),
+    "predict-huge-cell-map": (["predict", "{survey}", "--model", "{linear}", "--map", "{bad}"], "survey", "huge-cell"),
+    "run-latin1-holdout": (["run", "{survey}", "--holdout-input", "{bad}", "--out", "{out}"], "survey", "latin1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE_CSV_CASES))
+def test_exit_code_data_error_for_undecodable_or_unsplittable_csv(tmp_path, trained_models, capsys, case):
+    argv, spoiled, spoil = _UNREADABLE_CSV_CASES[case]
+    good = trained_models / ("survey.csv" if spoiled == "survey" else "dae.csv")
+    bad = tmp_path / "bad.csv"
+    if spoil == "latin1":
+        bad.write_bytes(good.read_bytes().replace(b"\np", b"\np\xe9", 1))
+    else:
+        bad.write_bytes(good.read_bytes() + b"p9," + b"1" * 200_000 + b"\n")
+    out = tmp_path / "out"
+    paths = {"bad": bad, "out": out, "survey": trained_models / "survey.csv", "linear": trained_models / "linear.npz"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    reason = "not UTF-8 text" if spoil == "latin1" else "malformed CSV: field larger than field limit"
+    assert err.startswith("error: ") and f"{bad}: {reason}" in err and err.count("\n") == 1, err
+    assert not out.exists()  # `run` leaves no out_dir, and the other commands write no file
+
+
 @pytest.mark.parametrize(
-    "text, message",
-    [("{not json", "Expecting property name"), ("[1, 2]", "must contain a JSON object")],
-    ids=["invalid-json", "json-list"],
+    "data, message",
+    [
+        (b"{not json", "Expecting property name"),
+        (b"[1, 2]", "must contain a JSON object"),
+        (b'{"folds": "\xe9"}', "can't decode byte 0xe9"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["invalid-json", "json-list", "not-utf8", "nested-too-deeply"],
 )
-def test_run_exit_code_config_error_for_unreadable_config_file(tmp_path, survey_csv, capsys, text, message):
+def test_run_exit_code_config_error_for_unreadable_config_file(tmp_path, survey_csv, capsys, data, message):
     config = tmp_path / "config.json"
-    config.write_text(text)
+    config.write_bytes(data)
     out = tmp_path / "out"
     assert main(["run", str(survey_csv), "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -837,7 +900,7 @@ def test_stamps_match_pinned_digests(tmp_path, monkeypatch):
     run_ok(["evaluate", "--model", "knn.model", "--data", "dae.csv", "--out", "ev"])
     config = {"folds": 3, "models": [{"family": "linear", "label": "LR-xy", "variant": "xy"}]}
     Path("cfg.json").write_text(json.dumps(config))
-    run_ok(["run", "survey.csv", "--config", "cfg.json", "--out", "run", "--k", "3", "--seed", "2"])
+    run_ok(["run", "survey.csv", "--config", "cfg.json", "--out", "run", "--seed", "2"])
     stamps = {
         name: Path(name).read_text().splitlines()[0]
         for name in ("survey.csv", "ingested.csv", "dae.csv", "ev/report.csv", "ev/pairs.csv", "ev/ecdf.csv",
@@ -847,11 +910,11 @@ def test_stamps_match_pinned_digests(tmp_path, monkeypatch):
     assert stamps == {
         "survey.csv": "# config_hash=2b2d2ee46eb2 seed=5",
         "ingested.csv": "# config_hash=3463ca24869b seed=0",
-        "dae.csv": "# config_hash=5da8d8f309db seed=0",
+        "dae.csv": "# config_hash=e90ecdfde584 seed=0",
         "ev/report.csv": evaluate,
         "ev/pairs.csv": evaluate,
         "ev/ecdf.csv": evaluate,
-        "run/report.csv": "# config_hash=ea8fde93f4e5 seed=2",
+        "run/report.csv": "# config_hash=63b99748ea63 seed=2",
     }
     specs = []
     for name in ("nn.model", "knn.model"):
@@ -870,8 +933,8 @@ def test_stamps_match_pinned_digests(tmp_path, monkeypatch):
 _ARGUMENT_CHANGES = {
     "synth": {"--grid": "3x4", "--spacing": "2.5", "--aps": "7", "--scans": "2", "--sigma": "1.5",
               "--exponent": "3", "--tx-power": "-41", "--floor": "-90", "--seed": "6"},
-    "build-dataset": {"input": "copy.csv", "--format": "zenodo", "--ap-count": "5", "--k": "3",
-                      "--folds": "4", "--grouping": "by_point", "--variant": "xy", "--seed": "1"},
+    "build-dataset": {"input": "copy.csv", "--format": "zenodo", "--ap-count": "5", "--folds": "4",
+                      "--grouping": "by_point", "--variant": "xy", "--seed": "1"},
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -51,7 +52,7 @@ def test_config_hash_stable_and_sensitive():
     base = minimal_config(seed=3)
     assert config_hash(base) == config_hash(minimal_config(seed=3))
     assert config_hash(base) != config_hash(minimal_config(seed=4))
-    assert config_hash(base) != config_hash(minimal_config(seed=3, k=5))
+    assert config_hash(base) != config_hash(minimal_config(seed=3, folds=4))
     # output location is not part of the experiment identity
     assert config_hash(base) == config_hash(minimal_config(seed=3, out_dir="elsewhere"))
 
@@ -81,6 +82,15 @@ def test_load_config_model_entries(tmp_path):
     assert entries[0].label == "RF-xy" and entries[0].spec.trees == 42
     assert entries[0].spec.seed == 5  # inherits the run seed
     assert entries[1].label == "nearest" and entries[1].variant == "plain"
+    assert entries[1].spec.k == 2  # a model entry's "k" is the kNN regressor's, not the positioner's
+
+
+def test_config_has_no_positioning_k():
+    # the positioner always uses DEFAULT_K, the k its error models are trained on
+    names = [field.name for field in dataclasses.fields(PipelineConfig)]
+    assert len(names) == 10 and "k" not in names
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['k'\]"):
+        load_config(None, {"input": "a.csv", "out_dir": "o", "k": 4})
 
 
 def test_load_config_rejects_model_without_family(tmp_path):

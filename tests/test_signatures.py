@@ -21,7 +21,6 @@ from daepos import (
     build_registry,
     feature_matrix,
     parse_signatures,
-    vectorize,
     write_signatures,
 )
 from daepos.errors import DaeposError
@@ -204,25 +203,25 @@ def test_registry_empty_dataset_is_dataset_error():
         build_registry([], 5)
 
 
-# --- vectorize ---------------------------------------------------------------
+# --- one signature's feature row --------------------------------------------
 
 
 def test_vectorize_fills_missing_with_constant():
     registry = ApRegistry(aps=("AP1", "AP2"), availability=(1, 0))
     sig = RadioSignature("p", Position2D(0, 0), {"AP1": -50.0})
-    assert vectorize(sig, registry).tolist() == [-50.0, FILL_DBM]
+    assert feature_matrix([sig], registry)[0].tolist() == [-50.0, FILL_DBM]
 
 
 def test_vectorize_complete_signature_uses_no_fill():
     registry = ApRegistry(aps=("b", "a"), availability=(1, 1))
     sig = RadioSignature("p", Position2D(0, 0), {"a": -40.0, "b": -70.0})
-    assert vectorize(sig, registry).tolist() == [-70.0, -40.0]
+    assert feature_matrix([sig], registry)[0].tolist() == [-70.0, -40.0]
 
 
 def test_vectorize_drops_readings_outside_registry():
     registry = ApRegistry(aps=("a",), availability=(1,))
     sig = RadioSignature("p", Position2D(0, 0), {"a": -40.0, "other": -50.0})
-    assert vectorize(sig, registry).tolist() == [-40.0]
+    assert feature_matrix([sig], registry)[0].tolist() == [-40.0]
 
 
 def test_vectorize_fill_count_matches_missing_count():
@@ -232,7 +231,7 @@ def test_vectorize_fill_count_matches_missing_count():
         sigs = random_signatures(rng, int(rng.integers(2, 15)), ap_pool=pool)
         registry = build_registry(sigs, int(rng.integers(1, 9)))
         for sig in sigs:
-            vec = vectorize(sig, registry)
+            vec = feature_matrix([sig], registry)[0]
             assert vec.shape == (len(registry),)
             overlap = sum(1 for ap in sig.readings if registry.index_of(ap) is not None)
             assert int(np.sum(vec == FILL_DBM)) == len(registry) - overlap
@@ -508,6 +507,29 @@ def test_path_parse_joins_a_crlf_split_between_reads(tmp_path, monkeypatch):
     path.write_bytes(b"point_id,x,y,a\r\np1,0,0,-50\r\np2,1,0,-60\r\n")
     monkeypatch.setattr(csvio, "_CHUNK", 15)  # the first read ends between "\r" and "\n"
     assert [s.point_id for s in parse_signatures(path)] == ["p1", "p2"]
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("canonical", "point_id,x,y,aa,bb\nq1,0.5,1.5,-60,-61\nq1,0.5,1.5,-62,\nq2,2.5,1.0,,-50\n"),
+        ("zenodo", "label,POS_X,POS_Y,aa,bb\nq1,0.5,1.5,-60,100\nq1,0.5,1.5,-62,-61\nq2,2.5,1.0,-70,-50\n"),
+    ],
+    ids=["canonical", "zenodo"],
+)
+def test_path_parse_skips_a_utf8_byte_order_mark(tmp_path, fmt, text):
+    # a BOM before the first header cell must not hide the id column or fail the header check
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    expected, table = parse_signatures(plain, fmt), parse_signatures(marked, fmt)
+    assert table.point_ids == expected.point_ids == ("q1", "q1", "q2")
+    assert table.ap_ids == expected.ap_ids
+    assert np.array_equal(table.references, expected.references)
+    assert np.array_equal(table.rssi, expected.rssi, equal_nan=True)
+    written = tmp_path / "written.csv"
+    write_signatures(table, written)
+    assert written.read_bytes().startswith(b"point_id,")  # files are written without a BOM
 
 
 @st.composite

@@ -47,7 +47,6 @@ FAMILY_FLAGS = {
 
 RUN_CONFIG = {
     "folds": 3,
-    "k": 3,
     "models": [
         {"family": "linear"},
         {"family": "knn", "k": 3, "variant": "xy"},
@@ -111,7 +110,7 @@ def run_sequence() -> None:
 
     datasets = {"plain": "by_signature", "xy": "by_point"}
     for variant, grouping in datasets.items():
-        _daepos("build-dataset", "survey.csv", "--folds", "3", "--k", "3", "--grouping", grouping,
+        _daepos("build-dataset", "survey.csv", "--folds", "3", "--grouping", grouping,
                 "--variant", variant, "--out", f"dae_{variant}.csv")
     for variant in datasets:
         for family, flags in FAMILY_FLAGS.items():
@@ -121,8 +120,7 @@ def run_sequence() -> None:
                     "--out", f"evaluate/{name}")
             _daepos("evaluate", "--model", f"models/{name}.npz", "--data", f"dae_{variant}.csv",
                     "--holdout", f"dae_{variant}.csv", "--out", f"evaluate_holdout/{name}")
-            stdout = _daepos("predict", "holdout.csv", "--model", f"models/{name}.npz", "--map", "survey.csv",
-                             "--k", "3")
+            stdout = _daepos("predict", "holdout.csv", "--model", f"models/{name}.npz", "--map", "survey.csv")
             Path(f"predict/{name}.txt").write_text(stdout)
 
     Path("errors").mkdir()
