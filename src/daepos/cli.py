@@ -244,9 +244,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trees", type=int, help="forest size")
     p.add_argument("--neighbors", dest="k", type=int, help="knn regression neighbors")
     p.add_argument("--layers", type=_parse_layers, help="network widths, e.g. 128,128,128")
-    p.add_argument("--learning-rate", type=float)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=_cmd_train)

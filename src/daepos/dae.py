@@ -19,7 +19,7 @@ import numpy as np
 from .csvio import csv_rows, csv_writer
 from .errors import ConfigError, ContractError, DatasetError, FormatError, RowError
 from .positioning import DEFAULT_K, RadioMap, localize
-from .signatures import ApRegistry, Position2D, RadioSignature, SignatureTable, feature_matrix
+from .signatures import COORD_MAX, ApRegistry, Position2D, RadioSignature, SignatureTable, feature_matrix
 
 GROUPINGS = ("by_signature", "by_point")
 VARIANTS = ("plain", "xy")
@@ -30,6 +30,9 @@ EXTERNAL_FOLD = -1
 
 # Estimated-position columns the ``xy`` variant appends to the RSSI features.
 XY_COLUMNS = ("x_est", "y_est")
+
+# Bound of every label: two positions within +-COORD_MAX lie at most 2*sqrt(2)*COORD_MAX apart.
+LABEL_MAX = 3 * COORD_MAX
 
 
 def true_error(estimate: Position2D, reference: Position2D) -> float:
@@ -113,7 +116,9 @@ class DaeDataset:
     ``X`` has one row per record in the :func:`feature_names` layout, ``y``
     holds each record's true positioning error in meters, and ``point_ids``
     and ``folds`` its survey point and fold (``EXTERNAL_FOLD`` for records
-    labeled against a full map).  The constructor stores read-only copies.
+    labeled against a full map).  Every feature cell lies within
+    +-``COORD_MAX`` (RSSI in dBm, or a mean of surveyed coordinates) and every
+    label in [0, ``LABEL_MAX``].  The constructor stores read-only copies.
     """
 
     X: np.ndarray
@@ -135,8 +140,10 @@ class DaeDataset:
             raise ContractError(f"feature matrix shape {X.shape} does not match dataset width {width}")
         if y.shape != (len(X),) or folds.shape != (len(X),) or len(point_ids) != len(X):
             raise ContractError("a dataset needs one label, one fold and one point_id per feature row")
-        if not (np.isfinite(y).all() and (y >= 0.0).all()):
-            raise ContractError("record labels must be finite and >= 0")
+        if not (np.abs(X) <= COORD_MAX).all():  # also false for NaN
+            raise ContractError(f"feature cells must lie within +-{COORD_MAX:g}")
+        if not ((y >= 0.0) & (y <= LABEL_MAX)).all():
+            raise ContractError(f"record labels must lie in [0, {LABEL_MAX:g}] m")
         for column in (X, y, folds):
             column.setflags(write=False)
         for name, column in (("X", X), ("y", y), ("folds", folds), ("point_ids", point_ids)):
@@ -214,7 +221,7 @@ def build_dae_dataset(
         train_idx = np.flatnonzero(assignment != fold)
         if len(train_idx) < k:
             raise DatasetError(
-                f"fold {fold}: map would have {len(train_idx)} signatures, fewer than k={k}"
+                f"fold {fold}: map would have {len(train_idx)} signatures; the positioner needs {k} map scans"
             )
         radio_map = RadioMap(
             registry=registry,
@@ -299,8 +306,10 @@ def read_dae_dataset(source) -> DaeDataset:
                 raise RowError(num, f"fold {row[1].strip()} does not fit a 64-bit integer")
             if not all(map(math.isfinite, cells)):
                 raise RowError(num, "non-finite feature or label cell")
-            if cells[-1] < 0.0:
-                raise RowError(num, f"delta_pos must be >= 0, got {cells[-1]}")
+            if max(map(abs, cells[:-1])) > COORD_MAX:
+                raise RowError(num, f"feature cells must lie within +-{COORD_MAX:g}")
+            if not 0.0 <= cells[-1] <= LABEL_MAX:
+                raise RowError(num, f"delta_pos must lie in [0, {LABEL_MAX:g}], got {cells[-1]}")
             ids.append(row[0])
             folds.append(fold)
             values.extend(cells)

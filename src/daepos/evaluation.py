@@ -147,6 +147,9 @@ def evaluate_model(
     if label is None:
         label = spec.default_label()
     _check_protocol(protocol, holdout)
+    width = dataset.X.shape[1]
+    if isinstance(model, ErrorRegressor) and model.input_width != width:  # a refit would hide it
+        raise ContractError(f"feature width mismatch: model expects {model.input_width}, dataset has {width}")
 
     if estimates is None:
         if protocol == "holdout" and isinstance(model, ErrorRegressor):

@@ -186,7 +186,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> PipelineConf
     raw: dict = {}
     if path is not None:
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
             raise ConfigError(f"config file {path}: {exc}") from None
         if not isinstance(raw, dict):

@@ -194,7 +194,7 @@ def localize(query, radio_map: RadioMap, k: int = DEFAULT_K) -> PositionEstimate
     neighbors' reference positions.
     """
     if len(radio_map) < k:
-        raise DatasetError(f"radio map has {len(radio_map)} entries, fewer than k={k}")
+        raise DatasetError(f"radio map has {len(radio_map)} entries; the positioner needs {k} map scans")
     query = np.asarray(query, dtype=float)
     if query.shape != (radio_map.vectors.shape[1],):
         raise ContractError(

@@ -8,8 +8,6 @@ model outputs at zero; ``predict_raw`` keeps the signed diagnostics.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,43 +21,28 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite_number(value) -> bool:
-    """A real number, not a bool, that converts to a finite float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Family choice plus every tunable the families expose.
 
     Only the fields relevant to ``family`` are used: ``k`` for knn;
-    ``trees`` for the forest; ``layers`` and the training hyperparameters
-    for the network.
+    ``trees`` for the forest; ``layers`` and ``epochs`` for the network.
     """
 
     family: str
     k: int = 4
     trees: int = 100
     layers: tuple[int, ...] = (128, 128, 128)
-    learning_rate: float = 1e-3
     epochs: int = 200
-    batch_size: int = 32
     seed: int = 0
 
     def __post_init__(self):
         if self.family not in MODEL_FAMILIES:
             raise ConfigError(f"unknown model family {self.family!r}; expected one of {MODEL_FAMILIES}")
-        for name in ("k", "trees", "epochs", "batch_size", "seed"):
+        for name in ("k", "trees", "epochs", "seed"):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not (_is_finite_number(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be a finite number above 0, got {self.learning_rate!r}")
         if not isinstance(self.layers, (list, tuple)) or not all(_is_int(w) for w in self.layers):
             raise ConfigError(f"layers must be a list of integer widths, got {self.layers!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -72,8 +55,8 @@ class ModelSpec:
         if self.family == "network":
             if not self.layers or any(w < 1 for w in self.layers):
                 raise ConfigError(f"network needs non-empty positive layer widths, got {self.layers}")
-            if self.epochs < 1 or self.batch_size < 1:
-                raise ConfigError("network training hyperparameters must be positive")
+            if self.epochs < 1:
+                raise ConfigError(f"network needs at least one epoch, got {self.epochs}")
 
     def params_text(self) -> str:
         """Human-readable parameter summary for report rows."""

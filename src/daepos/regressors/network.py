@@ -3,7 +3,8 @@
 Hidden layers are linear (no bias; the batch-norm shift takes its place),
 each followed by batch normalization and a rectifier, ending in a scalar
 linear output.  Training minimizes mean squared error with adaptive-moment
-gradient descent on shuffled mini-batches.  Inputs are standardized with
+gradient descent (Adam) at a step of ``LEARNING_RATE`` on shuffled
+mini-batches of ``BATCH_SIZE`` records.  Inputs are standardized with
 training-set statistics; targets stay in meters.  After training, the
 normalization statistics used at inference are recomputed in one pass over
 the full training set.
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DatasetError
 from .base import ErrorRegressor, ModelSpec
 
 BN_EPS = 1e-5
@@ -29,6 +30,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 ADAM_CHUNK = 16_384  # elements per in-place Adam pass: six 128 KiB blocks stay in cache
+LEARNING_RATE = 1e-3  # the Adam step of Kingma & Ba, *Adam* (ICLR 2015)
+BATCH_SIZE = 32
 
 
 def param_shapes(input_dim: int, layers) -> dict:
@@ -48,7 +51,12 @@ def running_shapes(layers) -> dict:
 
 def flat_views(shapes: dict) -> tuple[np.ndarray, dict]:
     """One new float64 buffer, and name -> view of consecutive elements of it for each of ``shapes``."""
-    flat = np.empty(sum(math.prod(shape) for shape in shapes.values()))
+    size = sum(math.prod(shape) for shape in shapes.values())
+    try:
+        flat = np.empty(size)
+    except (ValueError, MemoryError):  # beyond numpy's largest dimension, or more memory than the host grants
+        layers = [shape[0] for key, shape in shapes.items() if key.startswith(("gamma", "mean"))]
+        raise ConfigError(f"network layers {layers} need {size} parameters, more than can be allocated") from None
     views, start = {}, 0
     for key, shape in shapes.items():
         size = math.prod(shape)
@@ -219,26 +227,26 @@ class NetworkModel(ErrorRegressor):
 
 def fit_network(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> NetworkModel:
     rng = np.random.default_rng(spec.seed)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std = np.where(std > 0, std, 1.0)  # constant columns pass through
-    Xs = (X - mean) / std
+    with np.errstate(all="ignore"):  # values near the float range overflow; the result is checked once, below
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+        std = np.where(std > 0, std, 1.0)  # constant columns pass through
+        Xs = (X - mean) / std
 
-    shapes = param_shapes(X.shape[1], spec.layers)
-    flat, params = flat_views(shapes)
-    draw_params(params, rng)
-    params["b_out"][0] = y.mean()  # start at the label mean
-    grad_flat, grads = flat_views(shapes)
-    state = adam_init(flat)
+        shapes = param_shapes(X.shape[1], spec.layers)
+        flat, params = flat_views(shapes)
+        draw_params(params, rng)
+        params["b_out"][0] = y.mean()  # start at the label mean
+        grad_flat, grads = flat_views(shapes)
+        state = adam_init(flat)
 
-    n = len(Xs)
-    with np.errstate(all="ignore"):  # a diverged fit is reported once, below
+        n = len(Xs)
         for _ in range(spec.epochs):
             perm = rng.permutation(n)
-            for start in range(0, n, spec.batch_size):
-                batch = perm[start : start + spec.batch_size]
+            for start in range(0, n, BATCH_SIZE):
+                batch = perm[start : start + BATCH_SIZE]
                 training_loss_and_grads(params, Xs[batch], y[batch], grads)
-                adam_step(flat, grad_flat, state, spec.learning_rate)
+                adam_step(flat, grad_flat, state, LEARNING_RATE)
         del state, grads, grad_flat  # free the moments and gradients before the statistics pass
 
         # Inference statistics from one pass over the full training set.
@@ -247,10 +255,8 @@ def fit_network(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> NetworkModel:
             running[f"mean{i}"][:] = mu
             running[f"var{i}"][:] = var
 
-    if not (np.isfinite(flat).all() and np.isfinite(running_flat).all()):
-        raise ConfigError(
-            f"network training diverged to non-finite values; lower learning_rate (got {spec.learning_rate!r})"
-        )
+    if not all(np.isfinite(array).all() for array in (mean, std, flat, running_flat)):
+        raise DatasetError("network training reached non-finite values; features or labels lie near the float range")
     return NetworkModel(
         spec,
         params=params,

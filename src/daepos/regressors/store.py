@@ -23,7 +23,7 @@ from .knn import KnnModel
 from .linear import LinearModel
 from .network import NetworkModel, param_shapes, running_shapes
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def save_model(model: ErrorRegressor, dest, context: dict | None = None) -> None:

@@ -404,22 +404,26 @@ def test_exit_code_config_error_for_bad_flag_value(tmp_path, survey_csv):
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["nonsense-command"]) == 1
     # rejected before the (absent) dataset is read
-    for flags in (["network", "--learning-rate", "nan"], ["network", "--learning-rate", "inf"],
-                  ["forest", "--trees", "0"]):
+    for flags in (["network", "--epochs", "0"], ["network", "--layers", "8,0"], ["forest", "--trees", "0"]):
         assert main(["train", str(tmp_path / "absent.csv"), "--family", *flags,
                      "--out", str(tmp_path / "m.npz")]) == 1
+
+
+# Widths whose parameter count no host can allocate: numpy refuses the buffer before allocating.
+# With the Adam step a constant, they are the fit failure that a setting can still reach.
+_OVERSIZED_LAYERS = [2**40, 2**40]
 
 
 @pytest.mark.parametrize("command", ["train", "run"])
 def test_diverged_network_training_is_a_one_line_config_error(tmp_path, trained_models, capsys, command):
     if command == "train":
         out = tmp_path / "nn.npz"
-        argv = ["train", str(trained_models / "dae.csv"), "--family", "network", "--layers", "8,8",
-                "--learning-rate", "1e300", "--out", str(out)]
+        argv = ["train", str(trained_models / "dae.csv"), "--family", "network",
+                "--layers", ",".join(map(str, _OVERSIZED_LAYERS)), "--out", str(out)]
     else:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
-            "folds": 3, "models": [{"family": "network", "layers": [8, 8], "epochs": 2, "learning_rate": 1e300}]
+            "folds": 3, "models": [{"family": "network", "layers": _OVERSIZED_LAYERS, "epochs": 2}]
         }))
         out = tmp_path / "run" / "nn_pairs.csv"
         argv = ["run", str(trained_models / "survey.csv"), "--config", str(config), "--out", str(out.parent)]
@@ -428,7 +432,8 @@ def test_diverged_network_training_is_a_one_line_config_error(tmp_path, trained_
         assert main(argv) == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # numpy's overflow warnings
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "learning_rate" in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"network layers {_OVERSIZED_LAYERS} need " in err and "parameters" in err, err
     assert not out.exists()
 
 
@@ -438,7 +443,7 @@ def test_diverged_network_run_fails_alike_with_one_and_two_workers_and_adds_no_f
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"folds": 3, "models": [
         {"family": "forest", "trees": 2, "variant": "xy"},
-        {"family": "network", "layers": [8, 8], "epochs": 2, "learning_rate": 1e300},
+        {"family": "network", "layers": _OVERSIZED_LAYERS, "epochs": 2},
     ]}))
     survey = str(trained_models / "survey.csv")
     (tmp_path / "kept").mkdir()
@@ -452,6 +457,22 @@ def test_diverged_network_run_fails_alike_with_one_and_two_workers_and_adds_no_f
     assert errors == [errors[0]] * 3
     assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "kept"]  # no staging directory left
     assert [path.name for path in (tmp_path / "kept").iterdir()] == ["notes.txt"]
+
+
+@pytest.mark.parametrize("name, value", [("learning_rate", 0.01), ("batch_size", 8)])
+def test_network_step_and_batch_size_are_not_settable(tmp_path, trained_models, capsys, name, value):
+    flag = f"--{name.replace('_', '-')}"
+    out = tmp_path / "nn.npz"
+    argv = ["train", str(trained_models / "dae.csv"), "--family", "network", flag, str(value), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"folds": 3, "models": [{"family": "network", "epochs": 1, name: value}]}))
+    run_out = tmp_path / "run"
+    assert main(["run", str(trained_models / "survey.csv"), "--config", str(config), "--out", str(run_out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model entry") and f"unexpected keyword argument '{name}'" in err, err
+    assert err.count("\n") == 1 and sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_unguarded_caller_script_fails_fast_with_one_line(tmp_path, trained_models):
@@ -566,6 +587,74 @@ def test_exit_code_data_error_for_malformed_dataset_file(tmp_path, capsys, text,
     assert not (tmp_path / "m.npz").exists()
 
 
+def _spoil_dataset(source: Path, dest: Path, spoil: str) -> None:
+    """Copy a dataset CSV with cells beyond the bounds that the package's own datasets keep."""
+    comment, header, *rows = source.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    for i, row in enumerate(cells):
+        if spoil == "feature-1.7e308":  # first AP column alternating +-1.7e308
+            row[2] = repr(1.7e308 if i % 2 == 0 else -1.7e308)
+        elif spoil == "labels-1.7e308":
+            row[-1] = repr(1.7e308)
+        elif spoil == "third-of-labels-1e300" and i % 3 == 0:
+            row[-1] = "1e300"
+    dest.write_text("\n".join([comment, header, *map(",".join, cells)]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "spoil, argv, message",
+    [
+        ("feature-1.7e308", ["train", "--family", "linear"], "feature cells must lie within +-1e+09"),
+        ("feature-1.7e308", ["train", "--family", "network", "--layers", "8,8", "--epochs", "2"],
+         "feature cells must lie within +-1e+09"),
+        ("labels-1.7e308", ["train", "--family", "forest", "--trees", "2"], "delta_pos must lie in [0, 3e+09]"),
+        *[("third-of-labels-1e300", ["evaluate", "--model", f"{family}.npz"], "delta_pos must lie in [0, 3e+09]")
+          for family in ("linear", "knn", "forest", "network")],
+    ],
+    ids=["train-linear-feature", "train-network-feature", "train-forest-labels",
+         *[f"evaluate-{family}-labels" for family in ("linear", "knn", "forest", "network")]],
+)
+def test_exit_code_data_error_for_dataset_cells_beyond_the_bounds(
+    tmp_path, trained_models, capsys, spoil, argv, message
+):
+    dae = tmp_path / "dae.csv"
+    _spoil_dataset(trained_models / "dae.csv", dae, spoil)
+    out = tmp_path / "out"
+    if argv[0] == "train":
+        argv = [*argv[:1], str(dae), *argv[1:], "--out", str(out)]
+    else:
+        argv = ["evaluate", "--model", str(trained_models / argv[2]), "--data", str(dae), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: row 1: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_evaluate_rejects_a_model_whose_width_differs_from_the_data(tmp_path, trained_models, capsys):
+    xy = tmp_path / "dae_xy.csv"
+    run_ok(["build-dataset", str(trained_models / "survey.csv"), "--folds", "3", "--variant", "xy", "--out", str(xy)])
+    model = tmp_path / "forest_xy.npz"
+    run_ok(["train", str(xy), "--family", "forest", "--trees", "2", "--out", str(model)])
+    out = tmp_path / "out"
+    assert main(["evaluate", "--model", str(model), "--data", str(trained_models / "dae.csv"), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: feature width mismatch: model expects 10, dataset has 8\n"
+    assert not out.exists()
+
+
+def test_too_few_map_scans_name_the_positioner_not_a_k(tmp_path, trained_models, capsys):
+    survey = trained_models / "survey.csv"
+    comment, header, *rows = survey.read_text().splitlines()
+    small = tmp_path / "small.csv"
+    small.write_text("\n".join([comment, header, *rows[:3]]) + "\n")
+    assert main(["build-dataset", str(small), "--folds", "2", "--out", str(tmp_path / "dae.csv")]) == 2
+    assert main(["predict", str(survey), "--model", str(trained_models / "linear.npz"), "--map", str(small)]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == [
+        "error: fold 0: map would have 1 signatures; the positioner needs 4 map scans",
+        "error: radio map has 3 entries; the positioner needs 4 map scans",
+    ]
+
+
 # Each case names the file it spoils: "latin1" gets one Latin-1 byte, "huge-cell" one
 # cell of 200,000 characters, beyond the csv module's field limit.
 _UNREADABLE_CSV_CASES = {
@@ -615,6 +704,18 @@ def test_run_exit_code_config_error_for_unreadable_config_file(tmp_path, survey_
     err = capsys.readouterr().err
     assert err.startswith(f"error: config file {config}") and message in err and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_run_config_file_may_start_with_a_byte_order_mark(tmp_path, survey_csv):
+    text = json.dumps({"folds": 3, "models": [{"family": "linear"}]})
+    outputs = []
+    for name, data in (("plain.json", text.encode()), ("bom.json", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / name).write_bytes(data)
+        out = tmp_path / "out"
+        run_ok(["run", str(survey_csv), "--config", str(tmp_path / name), "--out", str(out)])
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        shutil.rmtree(out)
+    assert outputs[0] and outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("layers", ["a,b", ","], ids=["not-integers", "no-width"])
@@ -746,6 +847,12 @@ def _corrupt(arrays: dict, edit: str) -> None:
     elif edit == "spec-k-bool":
         meta["spec"]["k"] = True
         arrays["meta_json"] = np.array(json.dumps(meta))
+    elif edit in ("spec-learning_rate", "spec-batch_size"):  # network settings of format version 2
+        meta["spec"][edit[len("spec-"):]] = 1
+        arrays["meta_json"] = np.array(json.dumps(meta))
+    elif edit == "format-version-2":  # a file as version 2 wrote it
+        meta.update(format_version=2, spec={**meta["spec"], "learning_rate": 1e-3, "batch_size": 32})
+        arrays["meta_json"] = np.array(json.dumps(meta))
     elif edit == "offsets-float":
         arrays["offsets"] = arrays["offsets"].astype(float)
     elif edit == "offsets-not-increasing":
@@ -795,6 +902,9 @@ _CORRUPT_ARCHIVES = {
     "meta-no-input_width": ("forest", "error: model metadata entries missing"),
     "spec-unknown-key": ("network", "error: model spec"),
     "spec-k-bool": ("knn", "error: model spec: k must be an integer"),
+    "spec-learning_rate": ("network", "error: model spec: ModelSpec.__init__() got an unexpected keyword argument"),
+    "spec-batch_size": ("network", "error: model spec: ModelSpec.__init__() got an unexpected keyword argument"),
+    "format-version-2": ("network", "error: unsupported model format version 2; this daepos reads version 3"),
     "context-ap_ids-duplicate": ("forest", "error: model context ap_ids"),
     "context-ap_ids-integer": ("forest", "error: model context ap_ids"),
     "context-ap_ids-string": ("forest", "error: model context ap_ids"),
@@ -868,7 +978,7 @@ def test_predict_exit_code_contract_error_for_model_context(tmp_path, trained_mo
         {"family": "knn", "k": True},
         {"family": "forest", "trees": 2.5},
         {"family": "network", "layers": [2.7]},
-        {"family": "network", "learning_rate": 10**400},
+        {"family": "network", "learning_rate": 1e-3},  # a constant of the network now
         {"family": "forest", "max_depth": 3},  # not a ModelSpec field
         {"family": "linear", "label": 5},
         {"family": "linear", "label": True},
@@ -876,7 +986,7 @@ def test_predict_exit_code_contract_error_for_model_context(tmp_path, trained_mo
         {"family": "linear", "spec": {"family": "knn"}, "label": "X"},  # one entry form: the keys are the spec
     ],
     ids=["unknown-key", "layers-text", "layers-digits", "k-text", "not-an-object", "k-bool", "trees-float",
-         "layers-float", "learning_rate-huge-int", "forest-max_depth", "label-int", "label-bool", "label-empty",
+         "layers-float", "learning_rate-removed", "forest-max_depth", "label-int", "label-bool", "label-empty",
          "spec-nested"],
 )
 def test_run_exit_code_config_error_for_malformed_model_entry(tmp_path, survey_csv, capsys, entry):
@@ -894,8 +1004,8 @@ def test_stamps_match_pinned_digests(tmp_path, monkeypatch):
     run_ok(["synth", "--grid", "4x3", "--aps", "6", "--scans", "2", "--seed", "5", "--out", "survey.csv"])
     run_ok(["ingest", "survey.csv", "--out", "ingested.csv"])
     run_ok(["build-dataset", "survey.csv", "--folds", "3", "--variant", "xy", "--out", "dae.csv"])
-    run_ok(["train", "dae.csv", "--family", "network", "--layers", "4,3", "--epochs", "2",
-            "--learning-rate", "0.01", "--batch-size", "8", "--seed", "6", "--out", "nn.model"])
+    run_ok(["train", "dae.csv", "--family", "network", "--layers", "4,3", "--epochs", "2", "--seed", "6",
+            "--out", "nn.model"])
     run_ok(["train", "dae.csv", "--family", "knn", "--neighbors", "3", "--out", "knn.model"])
     run_ok(["evaluate", "--model", "knn.model", "--data", "dae.csv", "--out", "ev"])
     config = {"folds": 3, "models": [{"family": "linear", "label": "LR-xy", "variant": "xy"}]}
@@ -914,17 +1024,15 @@ def test_stamps_match_pinned_digests(tmp_path, monkeypatch):
         "ev/report.csv": evaluate,
         "ev/pairs.csv": evaluate,
         "ev/ecdf.csv": evaluate,
-        "run/report.csv": "# config_hash=63b99748ea63 seed=2",
+        "run/report.csv": "# config_hash=69437e26aefa seed=2",
     }
     specs = []
     for name in ("nn.model", "knn.model"):
         with np.load(name) as data:
             specs.append(json.loads(str(data["meta_json"]))["spec"])
-    defaults = {"batch_size": 32, "epochs": 200, "k": 4, "layers": [128, 128, 128], "learning_rate": 0.001,
-                "seed": 0, "trees": 100}
+    defaults = {"epochs": 200, "k": 4, "layers": [128, 128, 128], "seed": 0, "trees": 100}
     assert specs == [
-        {**defaults, "family": "network", "batch_size": 8, "epochs": 2, "layers": [4, 3], "learning_rate": 0.01,
-         "seed": 6},
+        {**defaults, "family": "network", "epochs": 2, "layers": [4, 3], "seed": 6},
         {**defaults, "family": "knn", "k": 3},
     ]
 

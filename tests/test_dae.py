@@ -27,7 +27,8 @@ from daepos import (
     true_error,
     write_dae_dataset,
 )
-from daepos.dae import FoldPlan
+from daepos.dae import LABEL_MAX, FoldPlan
+from daepos.signatures import COORD_MAX
 
 
 # --- true error ---------------------------------------------------------------
@@ -242,10 +243,17 @@ def test_dataset_columns_validated_and_read_only():
         {"point_ids": ("p",)},
         {"y": [0.5, -0.1]},
         {"y": [0.5, np.nan]},
+        {"y": [0.5, np.nextafter(LABEL_MAX, np.inf)]},
+        {"X": [[-50.0, -60.0], [np.nan, -80.0]]},
+        {"X": [[-50.0, -60.0], [-np.nextafter(COORD_MAX, np.inf), -80.0]]},
+        {"X": [[-50.0, 1.7e308], [-70.0, -80.0]]},
     ):
         columns = {"X": X, "y": [0.5, 1.5], "point_ids": ("p", "q"), "folds": [0, 1], "variant": "plain"}
         with pytest.raises(ContractError):
             DaeDataset(**{**columns, **bad}, registry=registry)
+    # the bounds themselves are inside
+    DaeDataset(X=[[-COORD_MAX, COORD_MAX]], y=[LABEL_MAX], point_ids=("p",), folds=[0], variant="plain",
+               registry=registry)
 
 
 # --- dataset CSV round-trip -----------------------------------------------------
@@ -276,8 +284,8 @@ def datasets(draw):
     n = draw(st.integers(1, 6))
     width = len(aps) + (2 if variant == "xy" else 0)
     return DaeDataset(
-        X=draw(arrays(float, (n, width), elements=st.floats(allow_nan=False, allow_infinity=False))),
-        y=draw(arrays(float, n, elements=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))),
+        X=draw(arrays(float, (n, width), elements=st.floats(-COORD_MAX, COORD_MAX))),
+        y=draw(arrays(float, n, elements=st.floats(0.0, LABEL_MAX))),
         point_ids=tuple(draw(st.lists(st.text(_ID_CHARS, max_size=8), min_size=n, max_size=n))),
         folds=draw(st.lists(st.integers(-1, 9), min_size=n, max_size=n)),
         variant=variant,
