@@ -147,8 +147,7 @@ def _cmd_evaluate(args) -> None:
     write_summary_csv([report], out / "report.csv", comment=stamp)
     write_pairs_csv(report, out / "pairs.csv", comment=stamp)
     write_ecdf_csv(report, out / "ecdf.csv", comment=stamp)
-    pearson = "undefined" if report.pearson is None else f"{report.pearson:.3f}"
-    print(f"{label}: MAE={report.mae:.3f} MSE={report.mse:.3f} pearson={pearson} -> {out}")
+    print(f"{label}: {report.summary_text()} -> {out}")
 
 
 def _cmd_predict(args) -> None:

@@ -44,6 +44,11 @@ class EvaluationReport:
         """``delta_est - delta_pos``: positive = overestimate, negative = underestimate."""
         return self.delta_est - self.delta_pos
 
+    def summary_text(self) -> str:
+        """``MAE=… MSE=… pearson=…`` to three decimals, with ``pearson=undefined`` when it is."""
+        pearson = "undefined" if self.pearson is None else f"{self.pearson:.3f}"
+        return f"MAE={self.mae:.3f} MSE={self.mse:.3f} pearson={pearson}"
+
 
 def summarize(delta_pos, delta_est, label: str = "") -> EvaluationReport:
     """MAE/MSE/Pearson of true versus estimated errors."""

@@ -10,8 +10,8 @@ produce byte-identical files, whatever the number of worker processes.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -19,7 +19,7 @@ import shutil
 import signal
 import sys
 import tempfile
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -299,24 +299,20 @@ def _broken_pool_as_config_error():
         ) from None
 
 
-def _pooled_result(future):
-    with _broken_pool_as_config_error():
-        return future.result()
-
-
 @contextmanager
 def _fit_results(tasks: list[tuple]):
-    """One zero-argument callable per ``fit_and_predict`` task, returning its estimates.
+    """An iterator of each ``fit_and_predict`` task's estimates, in task order.
 
-    With one worker, a task runs in this process when its result is asked
-    for, so tasks run and fail in the order their results are read.  With
+    With one worker, a task runs in this process when its result is drawn,
+    so tasks run and fail in the order their results are read.  With
     more, every task is submitted at once, longest first, to a spawn pool
-    whose processes each use one BLAS thread.  The pool and every process
-    it started are gone when the block ends, however it ends.
+    whose processes each use one BLAS thread, and the results are read in
+    task order.  The pool and every process it started are gone when the
+    block ends, however it ends.
     """
     workers = _worker_count(len(tasks))
     if workers <= 1:
-        yield [functools.partial(fit_and_predict, *task) for task in tasks]
+        yield (fit_and_predict(*task) for task in tasks)
         return
     from multiprocessing import resource_tracker
 
@@ -327,11 +323,13 @@ def _fit_results(tasks: list[tuple]):
     pool = _start_pool(workers)
     finished = False
     try:
-        futures = {}
-        with _one_blas_thread(), _broken_pool_as_config_error():  # the workers start during these submits
-            for i in sorted(range(len(tasks)), key=lambda i: -_task_cost(tasks[i])):
-                futures[i] = pool.submit(fit_and_predict, *tasks[i])
-        yield [functools.partial(_pooled_result, futures[i]) for i in range(len(tasks))]
+        with _broken_pool_as_config_error():  # at a submit, or at a result read in the block
+            with _one_blas_thread():  # the workers start during these submits
+                futures = {
+                    i: pool.submit(fit_and_predict, *tasks[i])
+                    for i in sorted(range(len(tasks)), key=lambda i: -_task_cost(tasks[i]))
+                }
+            yield (futures[i].result() for i in range(len(tasks)))
         finished = True
     finally:
         processes = list((pool._processes or {}).values())  # the executor has no public process list
@@ -421,57 +419,43 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
                 write_dae_dataset(dataset, staging / name, comment=stamp)
                 log(f"dae-dataset: {len(dataset)} records ({variant}) -> {out / name}")
 
+        # one job per report row, in report order: (entry, protocol, external records, file slug)
+        jobs = [(entry, "cross_fit", None, _slug(entry.label)) for entry in entries]
         if config.holdout_input:
-            with _stage("holdout"):  # read first, so its fits join the evaluate stage's tasks
+            with _stage("holdout"):
                 external = parse_signatures(config.holdout_input, config.fmt)
+                log(f"holdout: {len(external)} external signatures from {config.holdout_input}")
                 external_sets = {  # the external scans are labeled once per variant
                     variant: build_holdout_dataset(external, signatures, registry, variant=variant)
                     for variant in sorted({e.variant for e in holdout_entries})
                 }
+            jobs += [
+                (entry, "holdout", external_sets[entry.variant], _slug(f"user_{entry.label}"))
+                for entry in holdout_entries
+            ]
 
-        jobs = [(entry, "cross_fit", None) for entry in entries]
-        jobs += [(entry, "holdout", external_sets[entry.variant]) for entry in holdout_entries]
-        tasks, task_ranges = [], {}
-        with ExitStack() as pool_scope:
-            with _stage("evaluate"):
-                for entry, protocol, holdout in jobs:
-                    if entry.spec.family in POOLED_FAMILIES:
-                        job_tasks = list(fit_tasks(entry.spec, datasets[entry.variant], protocol, holdout))
-                        task_ranges[entry.label, protocol] = range(len(tasks), len(tasks) + len(job_tasks))
-                        tasks += job_tasks
-                results = pool_scope.enter_context(_fit_results(tasks))
-
-            def evaluate(entry, protocol, holdout, label):
-                # pooled entries' estimates come from their tasks; the rest are fitted here
-                span = task_ranges.get((entry.label, protocol))
-                estimates = None if span is None else [results[i]() for i in span]
-                return evaluate_model(
-                    entry.spec, datasets[entry.variant], protocol=protocol, holdout=holdout, label=label,
-                    estimates=estimates,
-                )
-
-            with _stage("evaluate"):
-                for entry in entries:
-                    report = evaluate(entry, "cross_fit", None, entry.label)
-                    reports.append(report)
-                    slug = _slug(entry.label)
-                    write_pairs_csv(report, staging / f"{slug}_pairs.csv", comment=stamp)
-                    write_ecdf_csv(report, staging / f"{slug}_ecdf.csv", comment=stamp)
-                    pearson = "undefined" if report.pearson is None else f"{report.pearson:.3f}"
-                    log(f"evaluate: {entry.label}: MAE={report.mae:.3f} MSE={report.mse:.3f} pearson={pearson}")
-
-            if config.holdout_input:
-                with _stage("holdout"):
-                    log(f"holdout: {len(external)} external signatures from {config.holdout_input}")
-                    for entry in holdout_entries:
-                        report = evaluate(entry, "holdout", external_sets[entry.variant], "user")
+        with _stage("evaluate"):
+            # pooled entries' fits run as tasks; evaluate_model fits the rest here, one fold at a time
+            job_tasks = [
+                list(fit_tasks(entry.spec, datasets[entry.variant], protocol, holdout))
+                if entry.spec.family in POOLED_FAMILIES else []
+                for entry, protocol, holdout, _ in jobs
+            ]
+            with _fit_results(list(itertools.chain.from_iterable(job_tasks))) as results:
+                for (entry, protocol, holdout, slug), tasks in zip(jobs, job_tasks):
+                    report = evaluate_model(
+                        entry.spec, datasets[entry.variant], protocol=protocol, holdout=holdout,
+                        label="user" if protocol == "holdout" else entry.label,
+                        estimates=list(itertools.islice(results, len(tasks))) if tasks else None,
+                    )
+                    if protocol == "holdout":
                         bare = entry.spec.params_text().split("=", 1)[-1]  # "trees=300" -> "300"
                         report = dataclasses.replace(report, parameters=f"{entry.label} ({bare})")
-                        reports.append(report)
-                        slug = _slug(f"user_{entry.label}")
-                        write_pairs_csv(report, staging / f"{slug}_pairs.csv", comment=stamp)
-                        write_ecdf_csv(report, staging / f"{slug}_ecdf.csv", comment=stamp)
-                        log(f"holdout: {entry.label}: MAE={report.mae:.3f} MSE={report.mse:.3f}")
+                    reports.append(report)
+                    write_pairs_csv(report, staging / f"{slug}_pairs.csv", comment=stamp)
+                    write_ecdf_csv(report, staging / f"{slug}_ecdf.csv", comment=stamp)
+                    stage = "holdout" if protocol == "holdout" else "evaluate"
+                    log(f"{stage}: {entry.label}: {report.summary_text()}")
 
         with _stage("report"):
             write_summary_csv(reports, staging / "report.csv", comment=stamp)

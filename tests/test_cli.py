@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -239,6 +240,40 @@ def test_run_with_holdout_adds_user_row(tmp_path, survey_csv):
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[-1].startswith("user,RF-xy (10),")
     assert (out / "user_rf_xy_pairs.csv").exists()
+
+
+def test_run_logs_each_stage_and_then_each_report_row_in_report_order(tmp_path, survey_csv, capsys):
+    external = tmp_path / "user.csv"
+    run_ok(["synth", "--grid", "3x3", "--spacing", "2.5", "--aps", "8", "--scans", "2",
+            "--sigma", "3.0", "--seed", "99", "--out", str(external)])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "folds": 3,
+        "models": [{"family": "linear"}, {"family": "knn", "k": 3, "variant": "xy"},
+                   {"family": "forest", "trees": 3, "variant": "xy"}],
+        "holdout_models": ["RF-xy", "LR"],
+    }))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    run_ok(["run", str(survey_csv), "--config", str(config), "--out", str(out), "--holdout-input", str(external)])
+    lines = capsys.readouterr().out.splitlines()
+    metrics = r"MAE=\d+\.\d{3} MSE=\d+\.\d{3} pearson=(-?\d\.\d{3}|undefined)"
+    expected = [
+        rf"ingest: 60 signatures from {re.escape(str(survey_csv))}",
+        r"registry: retained 8 APs",
+        rf"dae-dataset: 60 records \(plain\) -> {re.escape(str(out / 'dae_plain.csv'))}",
+        rf"dae-dataset: 60 records \(xy\) -> {re.escape(str(out / 'dae_xy.csv'))}",
+        rf"holdout: 18 external signatures from {re.escape(str(external))}",
+        rf"evaluate: LR: {metrics}",
+        rf"evaluate: kNN-xy: {metrics}",
+        rf"evaluate: RF-xy: {metrics}",
+        rf"holdout: RF-xy: {metrics}",
+        rf"holdout: LR: {metrics}",
+        rf"report: 5 rows -> {re.escape(str(out / 'report.csv'))}",
+    ]
+    assert len(lines) == len(expected), lines
+    for pattern, line in zip(expected, lines):
+        assert re.fullmatch(pattern, line), (pattern, line)
 
 
 def test_run_holdout_labels_the_external_scans_once_per_variant(tmp_path, survey_csv, monkeypatch):

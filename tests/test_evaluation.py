@@ -57,6 +57,7 @@ def test_summarize_hand_computed_mae_mse():
 def test_summarize_perfect_estimates_degenerate_ecdf():
     report = summarize([1.0, 2.0, 0.5], [1.0, 2.0, 0.5])
     assert report.mae == 0.0 and report.mse == 0.0
+    assert report.summary_text() == "MAE=0.000 MSE=0.000 pearson=1.000"
     ecdf = _ecdf_rows(report)
     assert all(value == 0.0 for value, _ in ecdf)
     assert ecdf[-1][1] == 1.0
@@ -70,6 +71,7 @@ def test_summarize_empty_is_dataset_error():
 def test_summarize_pearson_undefined_for_zero_variance():
     report = summarize([1.0, 1.0, 1.0], [0.5, 0.7, 0.9])
     assert report.pearson is None
+    assert report.summary_text() == "MAE=0.300 MSE=0.117 pearson=undefined"
     single = summarize([1.0], [0.5])
     assert single.pearson is None
 

@@ -7,7 +7,21 @@ from multiprocessing import resource_tracker
 
 import pytest
 
-from daepos import ConfigError, GridSpec, ModelSpec, SynthWorld, generate_grid_dataset, perimeter_aps, write_signatures
+from daepos import (
+    ConfigError,
+    GridSpec,
+    ModelSpec,
+    SynthWorld,
+    build_dae_dataset,
+    build_holdout_dataset,
+    build_registry,
+    evaluate_model,
+    generate_grid_dataset,
+    make_fold_plan,
+    parse_signatures,
+    perimeter_aps,
+    write_signatures,
+)
 from daepos import pipeline
 from daepos.pipeline import ModelEntry, PipelineConfig, config_hash, default_lineup, load_config, run_pipeline
 
@@ -205,6 +219,43 @@ def test_no_pool_starts_for_one_worker_or_a_lineup_without_forest_or_network(
     config = pool_config(survey_files, "out", models=models, holdout_models=holdout_models)
     reports = run_pipeline(config, log=lambda message: None)
     assert [report.label for report in reports] == [entry.label for entry in models] + ["user", "user"]
+
+
+# In-process (linear, kNN) and pooled (forest, network) fits alternate in both protocols.
+ALTERNATING_LINEUP = [
+    ModelEntry("LR", ModelSpec(family="linear"), "plain"),
+    ModelEntry("RF-xy", ModelSpec(family="forest", trees=3), "xy"),
+    ModelEntry("kNN-xy", ModelSpec(family="knn", k=3), "xy"),
+    ModelEntry("NN", ModelSpec(family="network", layers=(8,), epochs=3), "plain"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_report_row_carries_the_estimates_of_its_own_model_and_protocol(survey_files, monkeypatch, workers):
+    use_workers(monkeypatch, workers)
+    labels = tuple(entry.label for entry in ALTERNATING_LINEUP)
+    config = pool_config(survey_files, "out", models=ALTERNATING_LINEUP, holdout_models=labels)
+    reports = run_pipeline(config, log=lambda message: None)
+
+    signatures = parse_signatures(config.input)
+    external = parse_signatures(config.holdout_input)
+    registry = build_registry(signatures, config.ap_count)
+    plan = make_fold_plan(len(signatures), config.folds, config.seed, config.grouping, point_ids=signatures.point_ids)
+    datasets = {variant: build_dae_dataset(signatures, registry, plan, variant=variant) for variant in ("plain", "xy")}
+    expected = [evaluate_model(entry.spec, datasets[entry.variant]) for entry in ALTERNATING_LINEUP]
+    expected += [
+        evaluate_model(
+            entry.spec, datasets[entry.variant], protocol="holdout",
+            holdout=build_holdout_dataset(external, signatures, registry, variant=entry.variant),
+        )
+        for entry in ALTERNATING_LINEUP
+    ]
+    assert [(report.label, report.protocol) for report in reports] == (
+        [(label, "cross_fit") for label in labels] + [("user", "holdout")] * len(labels)
+    )
+    for report, direct in zip(reports, expected, strict=True):
+        assert report.delta_est.tobytes() == direct.delta_est.tobytes(), (report.label, report.parameters)
+        assert report.delta_pos.tobytes() == direct.delta_pos.tobytes(), (report.label, report.parameters)
 
 
 def test_an_interrupt_stops_the_pool_and_leaves_no_out_dir(survey_files, monkeypatch):

@@ -9,9 +9,11 @@ The sequence uses whichever ``daepos`` is importable, so pointing
 whether a change alters any output byte.  It runs, inside OUT_DIR (which
 must be empty or absent): ``synth`` of a survey and a holdout survey;
 ``ingest`` of the canonical survey and of a zenodo-layout file; ``run`` with
-``--holdout-input``; ``build-dataset`` with both groupings; ``train`` of all
-four families on both datasets; ``evaluate`` (cross-fit, and holdout on
-the model's own dataset, so each loaded model predicts a whole file in one
+``--holdout-input``, whose holdout rows put a linear fit, made in-process,
+between a forest and a network fit, which go to the worker pool on two or
+more cores; ``build-dataset`` with both groupings; ``train`` of all four
+families on both datasets; ``evaluate`` (cross-fit, and holdout on the
+model's own dataset, so each loaded model predicts a whole file in one
 batch) and ``predict`` with every model.  Then it makes one failing call
 per error exit code (1, 2 and 3), and an ``ingest`` that fails on an
 out-of-range reading.
@@ -53,7 +55,7 @@ RUN_CONFIG = {
         {"family": "forest", "trees": 5, "variant": "xy"},
         {"family": "network", "layers": [160, 96], "epochs": 3},
     ],
-    "holdout_models": ["RF-xy", "NN"],
+    "holdout_models": ["RF-xy", "LR", "NN"],
 }
 
 # A wide file with leading comment lines, a `label` id column, mixed-case
