@@ -153,8 +153,13 @@ def evaluate_model(
         label = spec.default_label()
     _check_protocol(protocol, holdout)
     width = dataset.X.shape[1]
-    if isinstance(model, ErrorRegressor) and model.input_width != width:  # a refit would hide it
-        raise ContractError(f"feature width mismatch: model expects {model.input_width}, dataset has {width}")
+    if isinstance(model, ErrorRegressor):
+        if model.input_width != width:  # a refit would hide it
+            raise ContractError(f"feature width mismatch: model expects {model.input_width}, dataset has {width}")
+        names = (model.metadata.get("context") or {}).get("feature_names")
+        for role, data in (("dataset", dataset), ("holdout", holdout)):  # a holdout of another width fails in predict
+            if names is not None and data is not None and data.X.shape[1] == width and data.feature_names() != names:
+                raise ContractError(f"feature columns differ: model has {names}, {role} has {data.feature_names()}")
 
     if estimates is None:
         if protocol == "holdout" and isinstance(model, ErrorRegressor):

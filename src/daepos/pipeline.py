@@ -79,7 +79,7 @@ class PipelineConfig:
     folds: int = 5
     grouping: str = "by_signature"
     seed: int = 0
-    models: tuple[ModelEntry, ...] = ()  # empty = default lineup
+    models: tuple[ModelEntry, ...] = ()  # empty becomes the default lineup at ``seed``
     holdout_input: str | None = None
     holdout_models: tuple[str, ...] = ("RF-xy",)
 
@@ -109,9 +109,9 @@ class PipelineConfig:
             raise ConfigError(f"unknown grouping {self.grouping!r}; expected one of {GROUPINGS}")
         if not (isinstance(self.models, (list, tuple)) and all(isinstance(e, ModelEntry) for e in self.models)):
             raise ConfigError(f"models must be a list of model entries, got {self.models!r}")
-        object.__setattr__(self, "models", tuple(self.models))
+        object.__setattr__(self, "models", tuple(self.models) or tuple(default_lineup(self.seed)))
         # each model's pairs and ECDF files are named by the slug of its label
-        labels = [e.label for e in self.active_models()]
+        labels = [e.label for e in self.models]
         if self.holdout_input:
             missing = [label for label in self.holdout_models if label not in labels]
             if missing:
@@ -125,9 +125,6 @@ class PipelineConfig:
             if slug in owners:
                 raise ConfigError(f"model labels {owners[slug]!r} and {label!r} both name the files {slug}_*.csv")
             owners[slug] = label
-
-    def active_models(self) -> tuple[ModelEntry, ...]:
-        return self.models or tuple(default_lineup(self.seed))
 
 
 def default_lineup(seed: int) -> list[ModelEntry]:
@@ -159,7 +156,6 @@ def config_to_dict(config: PipelineConfig) -> dict:
     """
     d = dataclasses.asdict(config)
     d.pop("out_dir")
-    d["models"] = [dataclasses.asdict(e) for e in config.active_models()]
     return d
 
 
@@ -286,20 +282,6 @@ def _one_blas_thread():
 
 
 @contextmanager
-def _broken_pool_as_config_error():
-    """Turn a pool that lost a worker, at a submit or at a result, into one error line."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        yield
-    except BrokenProcessPool:
-        raise ConfigError(
-            "a worker process ended before its fit did: it was killed, or the calling script starts "
-            "run_pipeline without an `if __name__ == \"__main__\":` guard"
-        ) from None
-
-
-@contextmanager
 def _fit_results(tasks: list[tuple]):
     """An iterator of each ``fit_and_predict`` task's estimates, in task order.
 
@@ -314,6 +296,7 @@ def _fit_results(tasks: list[tuple]):
     if workers <= 1:
         yield (fit_and_predict(*task) for task in tasks)
         return
+    from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import resource_tracker
 
     # The pool's semaphores start multiprocessing's resource tracker process
@@ -323,14 +306,18 @@ def _fit_results(tasks: list[tuple]):
     pool = _start_pool(workers)
     finished = False
     try:
-        with _broken_pool_as_config_error():  # at a submit, or at a result read in the block
-            with _one_blas_thread():  # the workers start during these submits
-                futures = {
-                    i: pool.submit(fit_and_predict, *tasks[i])
-                    for i in sorted(range(len(tasks)), key=lambda i: -_task_cost(tasks[i]))
-                }
-            yield (futures[i].result() for i in range(len(tasks)))
+        with _one_blas_thread():  # the workers start during these submits
+            futures = {
+                i: pool.submit(fit_and_predict, *tasks[i])
+                for i in sorted(range(len(tasks)), key=lambda i: -_task_cost(tasks[i]))
+            }
+        yield (futures[i].result() for i in range(len(tasks)))
         finished = True
+    except BrokenProcessPool:  # at a submit, or at a result read in the block
+        raise ConfigError(
+            "a worker process ended before its fit did: it was killed, or the calling script starts "
+            "run_pipeline without an `if __name__ == \"__main__\":` guard"
+        ) from None
     finally:
         processes = list((pool._processes or {}).values())  # the executor has no public process list
         if not finished:  # stop the fits still running instead of waiting for them
@@ -386,8 +373,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
         # it reads or writes anything; the parent reports the broken pool.
         raise SystemExit(1)
     stamp = provenance(config_to_dict(config))
-    entries = config.active_models()
-    by_label = {e.label: e for e in entries}
+    by_label = {e.label: e for e in config.models}
     holdout_entries = [by_label[label] for label in config.holdout_models] if config.holdout_input else []
 
     with _stage("ingest"):
@@ -412,7 +398,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
     with _staged_output(out) as staging:  # made once the input is read, so a bad input leaves no directory
         datasets = {}
         with _stage("dae-dataset"):
-            for variant in sorted({e.variant for e in entries}):
+            for variant in sorted({e.variant for e in config.models}):
                 dataset = build_dae_dataset(signatures, registry, plan, variant=variant)
                 datasets[variant] = dataset
                 name = f"dae_{variant}.csv"
@@ -420,7 +406,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
                 log(f"dae-dataset: {len(dataset)} records ({variant}) -> {out / name}")
 
         # one job per report row, in report order: (entry, protocol, external records, file slug)
-        jobs = [(entry, "cross_fit", None, _slug(entry.label)) for entry in entries]
+        jobs = [(entry, "cross_fit", None, _slug(entry.label)) for entry in config.models]
         if config.holdout_input:
             with _stage("holdout"):
                 external = parse_signatures(config.holdout_input, config.fmt)

@@ -182,12 +182,12 @@ def adam_init(flat: np.ndarray) -> dict:
     }
 
 
-def adam_step(flat: np.ndarray, grad_flat: np.ndarray, state: dict, lr: float) -> None:
+def adam_step(flat: np.ndarray, grad_flat: np.ndarray, state: dict) -> None:
     """One Adam update of ``flat`` in place, ``ADAM_CHUNK`` elements at a time.
 
     Every element goes through the operations of
     ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-    p = p - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)``
+    p = p - LEARNING_RATE * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)``
     in that order, so the update is the same bits as that expression.
     """
     state["t"] += 1
@@ -206,7 +206,7 @@ def adam_step(flat: np.ndarray, grad_flat: np.ndarray, state: dict, lr: float) -
         np.sqrt(np.divide(v, v_correction, out=denom), out=denom)
         denom += ADAM_EPS
         np.divide(m, m_correction, out=step)
-        step *= lr
+        step *= LEARNING_RATE
         step /= denom
         p -= step
 
@@ -246,7 +246,7 @@ def fit_network(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> NetworkModel:
             for start in range(0, n, BATCH_SIZE):
                 batch = perm[start : start + BATCH_SIZE]
                 training_loss_and_grads(params, Xs[batch], y[batch], grads)
-                adam_step(flat, grad_flat, state, LEARNING_RATE)
+                adam_step(flat, grad_flat, state)
         del state, grads, grad_flat  # free the moments and gradients before the statistics pass
 
         # Inference statistics from one pass over the full training set.

@@ -92,16 +92,14 @@ def _check_forest(arrays: dict, input_width: int) -> None:
             raise FormatError(f"forest {name} links must point to a later node of the same tree")
 
 
-def _array_shapes(family: str, spec: ModelSpec, width: int) -> dict:
-    """Name -> shape of every array a ``family`` archive holds; ``None`` leaves a size open."""
-    if family == "linear":
+def _array_shapes(spec: ModelSpec, width: int) -> dict:
+    """Name -> shape of every array a ``spec.family`` archive holds; ``None`` leaves a size open."""
+    if spec.family == "linear":
         return {"coef": (width,), "intercept": ()}
-    if family == "knn":
+    if spec.family == "knn":
         return {"train_x": (None, width), "train_y": (None,)}
-    if family == "forest":  # _check_forest matches the sizes to the offsets
+    if spec.family == "forest":  # _check_forest matches the sizes to the offsets
         return {"offsets": (None,), **dict.fromkeys(Nodes._fields, (None,))}
-    if family != "network":
-        raise FormatError(f"unknown model family {family!r} in file")
     return {
         "scaler_mean": (width,),
         "scaler_std": (width,),
@@ -135,9 +133,7 @@ def _check_arrays(family: str, shapes: dict, arrays: dict) -> None:
 
 
 # the metadata entries load_model reads, with their JSON types
-_META_TYPES = {
-    "family": str, "spec": dict, "input_width": int, "metadata": (dict, type(None)), "context": (dict, type(None))
-}
+_META_TYPES = {"spec": dict, "input_width": int, "metadata": (dict, type(None)), "context": (dict, type(None))}
 
 
 def load_model(source) -> ErrorRegressor:
@@ -172,8 +168,8 @@ def load_model(source) -> ErrorRegressor:
     except (TypeError, ConfigError) as exc:
         raise FormatError(f"model spec: {exc}") from None
     metadata = {**(meta.get("metadata") or {}), "context": meta.get("context") or {}}
-    family, width = meta["family"], meta["input_width"]
-    _check_arrays(family, _array_shapes(family, spec, width), arrays)
+    family, width = spec.family, meta["input_width"]  # the "family" entry is written for older readers, not read
+    _check_arrays(family, _array_shapes(spec, width), arrays)
 
     if family == "linear":
         return LinearModel(spec, coef=arrays["coef"], intercept=float(arrays["intercept"]), metadata=metadata)

@@ -676,6 +676,37 @@ def test_evaluate_rejects_a_model_whose_width_differs_from_the_data(tmp_path, tr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spoiled", ["dataset", "holdout", "context"])
+def test_evaluate_rejects_a_dataset_whose_columns_differ_from_the_model(tmp_path, trained_models, capsys, spoiled):
+    # same width, other AP columns: the forest would score columns it was never trained on
+    dae = trained_models / "dae.csv"
+    comment, header, *rows = dae.read_text().splitlines()
+    other = tmp_path / "dae_other.csv"
+    other.write_text("\n".join([comment, header.replace(",ap", ",zz"), *rows]) + "\n")
+    model = trained_models / "forest.npz"
+    if spoiled == "context":  # a feature_names entry that is not a list
+        with np.load(model) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(arrays["meta_json"]))
+        meta["context"]["feature_names"] = "ap000"
+        arrays["meta_json"] = np.array(json.dumps(meta))
+        model = tmp_path / "model.npz"
+        np.savez_compressed(model, **arrays)
+    data, holdout = (other, dae) if spoiled == "dataset" else (dae, other)
+    out = tmp_path / "out"
+    argv = ["evaluate", "--model", str(model), "--data", str(data), "--holdout", str(holdout), "--out", str(out)]
+    assert main(argv) == 3
+    names = header.split(",")[2:-1]
+    renamed = [name.replace("ap", "zz") for name in names]
+    expected = {
+        "dataset": f"model has {names}, dataset has {renamed}",
+        "holdout": f"model has {names}, holdout has {renamed}",
+        "context": f"model has ap000, dataset has {names}",
+    }[spoiled]
+    assert capsys.readouterr().err == f"error: feature columns differ: {expected}\n"
+    assert not out.exists()
+
+
 def test_too_few_map_scans_name_the_positioner_not_a_k(tmp_path, trained_models, capsys):
     survey = trained_models / "survey.csv"
     comment, header, *rows = survey.read_text().splitlines()
@@ -882,6 +913,9 @@ def _corrupt(arrays: dict, edit: str) -> None:
     elif edit == "spec-k-bool":
         meta["spec"]["k"] = True
         arrays["meta_json"] = np.array(json.dumps(meta))
+    elif edit == "spec-family-knn":  # the family entry still says forest; the spec's family is the one read
+        meta["spec"]["family"] = "knn"
+        arrays["meta_json"] = np.array(json.dumps(meta))
     elif edit in ("spec-learning_rate", "spec-batch_size"):  # network settings of format version 2
         meta["spec"][edit[len("spec-"):]] = 1
         arrays["meta_json"] = np.array(json.dumps(meta))
@@ -932,11 +966,11 @@ _CORRUPT_ARCHIVES = {
     "scaler_std-zero": ("network", "error: network array 'scaler_std' must be positive"),
     "threshold-nan": ("forest", "error: forest array 'threshold' holds non-finite"),
     "meta-not-json": ("linear", "error: model metadata is not JSON"),
-    "meta-no-family": ("knn", "error: model metadata entries missing"),
     "meta-no-spec": ("knn", "error: model metadata entries missing"),
     "meta-no-input_width": ("forest", "error: model metadata entries missing"),
     "spec-unknown-key": ("network", "error: model spec"),
     "spec-k-bool": ("knn", "error: model spec: k must be an integer"),
+    "spec-family-knn": ("forest", "error: knn model file lacks"),
     "spec-learning_rate": ("network", "error: model spec: ModelSpec.__init__() got an unexpected keyword argument"),
     "spec-batch_size": ("network", "error: model spec: ModelSpec.__init__() got an unexpected keyword argument"),
     "format-version-2": ("network", "error: unsupported model format version 2; this daepos reads version 3"),

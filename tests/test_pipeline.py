@@ -92,7 +92,7 @@ def test_load_config_model_entries(tmp_path):
         ],
     }))
     config = load_config(str(path), {})
-    entries = config.active_models()
+    entries = config.models
     assert entries[0].label == "RF-xy" and entries[0].spec.trees == 42
     assert entries[0].spec.seed == 5  # inherits the run seed
     assert entries[1].label == "nearest" and entries[1].variant == "plain"

@@ -371,7 +371,7 @@ def test_network_single_step_decreases_single_example_loss():
         state = net.adam_init(flat)
         before = net.training_loss(params, X, y)
         net.training_loss_and_grads(params, X, y, grads)
-        net.adam_step(flat, grad_flat, state, lr=1e-4)
+        net.adam_step(flat, grad_flat, state)
         assert net.training_loss(params, X, y) < before
 
 
@@ -505,10 +505,10 @@ def test_chunked_adam_step_equals_the_dict_based_oracle_bit_for_bit():
     flat = rng.standard_normal(size)
     expected = {"p": flat.copy()}
     state, oracle_state = net.adam_init(flat), _oracle_adam_init(expected)
-    for lr in (1e-3, 1e-3, 0.5, 1e-3, 7.0, 1e-3):
+    for _ in range(6):
         grad = rng.standard_normal(size) * rng.choice([1e-9, 1.0, 1e5], size=size)
-        net.adam_step(flat, grad, state, lr)
-        _oracle_adam_step(expected, {"p": grad}, oracle_state, lr)
+        net.adam_step(flat, grad, state)
+        _oracle_adam_step(expected, {"p": grad}, oracle_state, net.LEARNING_RATE)
         assert flat.tobytes() == expected["p"].tobytes()
         assert state["m"].tobytes() == oracle_state["m"]["p"].tobytes()
         assert state["v"].tobytes() == oracle_state["v"]["p"].tobytes()
@@ -632,6 +632,14 @@ def test_model_file_roundtrip_reproduces_predictions_exactly(tmp_path, spec):
     assert loaded.metadata["context"]["feature_names"] == [f"f{i}" for i in range(X.shape[1])]
     assert np.array_equal(loaded.predict_raw(probes), model.predict_raw(probes))
     assert type(loaded) is type(model)
+    # the family is the spec's: the "family" entry is still written, and a file without it loads the same
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(str(arrays["meta_json"]))
+    assert meta.pop("family") == spec.family
+    with open(path, "wb") as f:
+        np.savez(f, **{**arrays, "meta_json": np.array(json.dumps(meta))})
+    assert np.array_equal(load_model(path).predict_raw(probes), model.predict_raw(probes))
 
 
 def test_model_file_roundtrip_via_stream():

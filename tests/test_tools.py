@@ -97,6 +97,16 @@ def test_ab_bench_summary_flags_a_metric_worse_than_its_bound_and_every_bad_run(
                          "pair 3 change: correct=False, 0 of 40 operations failed, output digests ['7c98']",
                          "pair 4 change: correct=True, 2 of 40 operations failed, output digests ['7c98']"]
 
+    # quartiles 4.05 and 6.3: an IQR of 2.25 is wider than 25% of the 5.1 median
+    spread = [_canned_run(wall) for wall in (4.0, 6.0, 4.2, 6.4)]
+    faster = [_canned_run(wall) for wall in (3.9, 5.0, 4.1, 6.0)]  # wins every pair, but 6.0 > 4.0
+    lines, passed = ab_bench.summarize({"parent": spread, "change": faster}, end_to_end)
+    assert passed  # unresolved leaves the exit code alone
+    assert lines[1].split() == ["wall_s", "5.1", "4.55", "2.25", "4/4", "unresolved"]
+    dominant = [_canned_run(wall) for wall in (3.0, 3.5, 3.2, 3.9)]  # every run beats every parent run
+    lines, passed = ab_bench.summarize({"parent": spread, "change": dominant}, end_to_end)
+    assert passed and lines[1].split() == ["wall_s", "5.1", "3.35", "2.25", "4/4", "ok"]
+
 
 def test_ab_bench_run_that_does_not_report_exits_2(tmp_path, monkeypatch, capsys):
     ab_bench = _load_tool("ab_bench")

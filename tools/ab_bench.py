@@ -14,12 +14,16 @@ can differ in wall time and memory for no reason in the code.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints both medians,
 the parent's interquartile range, how many pairs the change won, and
-``WORSE`` when the change's median is worse than the parent's by more than
-the metric's bound, a share of the parent's median. It lists every run that
-was not correct, had failed operations or wrote outputs whose digests differ
-from the parent's first run. The exit code is 1 if a metric is worse or a
-run is listed, 2 if a run did not report, and 0 otherwise. The result files
-of every run stay in ``.bench_build/ab/.perfbench_results/``.
+a verdict. The verdict is ``WORSE`` when the change's median is worse than
+the parent's by more than the metric's bound, a share of the parent's median.
+Otherwise it is ``unresolved`` when the parent's IQR is wider than that
+share and some change run does not beat every parent run: runs that spread
+wider than the bound cannot tell a change from noise. Otherwise it is
+``ok``. It lists every run that was not correct, had failed operations or
+wrote outputs whose digests differ from the parent's first run. The exit
+code is 1 if a metric is worse or a run is listed, 2 if a run did not
+report, and 0 otherwise, ``unresolved`` included. The result files of every
+run stay in ``.bench_build/ab/.perfbench_results/``.
 """
 
 from __future__ import annotations
@@ -52,10 +56,13 @@ def summarize(results: dict[str, list[dict]], end_to_end: list[dict]) -> tuple[l
         q1, _, q3 = statistics.quantiles(parent, n=4)
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         parent_median, change_median = statistics.median(parent), statistics.median(change)
-        worse = sign * (change_median - parent_median) > metric["bound"] * abs(parent_median)
+        allowed = metric["bound"] * abs(parent_median)
+        worse = sign * (change_median - parent_median) > allowed
+        dominates = max(sign * c for c in change) < min(sign * p for p in parent)
+        verdict = "WORSE" if worse else "unresolved" if q3 - q1 > allowed and not dominates else "ok"
         passed &= not worse
         lines.append(f"{name:<16}{parent_median:>15.4g}{change_median:>15.4g}{q3 - q1:>12.3g}"
-                     f"{f'{wins}/{len(parent)}':>13}  {'WORSE' if worse else 'ok'}")
+                     f"{f'{wins}/{len(parent)}':>13}  {verdict}")
     digests = results["parent"][0]["digests"]
     for side in SIDES:
         for i, run in enumerate(results[side]):
