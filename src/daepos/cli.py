@@ -22,13 +22,12 @@ from .dae import (
     GROUPINGS,
     VARIANTS,
     build_dae_dataset,
-    feature_names,
     feature_rows,
     make_fold_plan,
     read_dae_dataset,
     write_dae_dataset,
 )
-from .errors import ConfigError, ContractError, DataError, FormatError
+from .errors import ConfigError, ContractError, DataError, DatasetError
 from .evaluation import evaluate_model, write_ecdf_csv, write_pairs_csv, write_summary_csv
 from .pipeline import PipelineConfig, load_config, provenance, run_pipeline
 from .positioning import RadioMap, localize
@@ -123,12 +122,8 @@ def _cmd_train(args) -> None:
     spec = ModelSpec(**{key: value for key, value in _fields_of(ModelSpec, args).items() if value is not None})
     dataset = read_dae_dataset(args.data)
     model = fit(spec, dataset)
-    context = {
-        "feature_names": dataset.feature_names(),
-        "ap_ids": list(dataset.registry.aps),
-        "variant": dataset.variant,
-    }
-    save_model(model, args.out, context=context)
+    model.metadata["context"] = {"ap_ids": list(dataset.registry.aps), "variant": dataset.variant}
+    save_model(model, args.out)
     print(f"trained {spec.family} on {len(dataset)} records -> {args.out}")
 
 
@@ -150,36 +145,28 @@ def _cmd_evaluate(args) -> None:
     print(f"{label}: {report.summary_text()} -> {out}")
 
 
+def _blind(table, registry: ApRegistry) -> np.ndarray:
+    """Whether each row of ``table`` lacks a reading from every AP of ``registry``."""
+    retained = [j for j, ap in enumerate(table.ap_ids) if registry.index_of(ap) is not None]
+    return np.isnan(table.rssi[:, retained]).all(axis=1)
+
+
 def _cmd_predict(args) -> None:
-    model = load_model(args.model)
-    context = model.metadata.get("context") or {}
-    ap_ids = context.get("ap_ids")
-    variant = context.get("variant", "plain")
-    if not ap_ids:
-        raise ContractError(
-            "model file carries no AP column context; train it via the CLI to embed one"
-        )
-    if not (isinstance(ap_ids, list) and all(isinstance(ap, str) and ap for ap in ap_ids)
-            and len(set(ap_ids)) == len(ap_ids)):
-        raise FormatError("model context ap_ids must be a list of distinct, non-empty AP names")
-    if variant not in VARIANTS:
-        raise FormatError(f"model context variant must be one of {VARIANTS}, got {variant!r}")
-    registry = ApRegistry(aps=tuple(ap_ids), availability=tuple(0 for _ in ap_ids))
-    expected = len(feature_names(registry.aps, variant))
-    if model.input_width != expected:
-        raise ContractError(
-            f"model width {model.input_width} does not match its context width {expected}"
-        )
+    model = load_model(args.model)  # checks the context, if the file has one
+    if "context" not in model.metadata:
+        raise ContractError("model file carries no AP column context; train it via the CLI to embed one")
+    ap_ids, variant = model.metadata["context"]["ap_ids"], model.metadata["context"]["variant"]
+    registry = ApRegistry(aps=tuple(ap_ids), availability=(0,) * len(ap_ids))
 
     map_signatures = parse_signatures(args.map, args.format)
+    if _blind(map_signatures, registry).all():
+        raise DatasetError(f"map {args.map} has no reading from the model's {len(registry)} APs")
     radio_map = RadioMap.from_signatures(map_signatures, registry)
     scans = parse_signatures(args.scans, args.format)
     vectors = feature_matrix(scans, registry)
-    retained = [j for j, ap in enumerate(scans.ap_ids) if registry.index_of(ap) is not None]
-    blind = np.isnan(scans.rssi[:, retained]).all(axis=1).tolist()
 
     writer = sys.stdout
-    for point_id, vector, alone in zip(scans.point_ids, vectors, blind):
+    for point_id, vector, alone in zip(scans.point_ids, vectors, _blind(scans, registry).tolist()):
         if alone:
             print(f"warning: scan {point_id} has no reading from the model's {len(registry)} APs; "
                   "it is located from the imputed value alone", file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .csvio import csv_writer
-from .dae import DaeDataset
+from .dae import DaeDataset, feature_names
 from .errors import ConfigError, ContractError, DatasetError
 from .regressors import ErrorRegressor, ModelSpec, fit_arrays
 
@@ -156,7 +156,8 @@ def evaluate_model(
     if isinstance(model, ErrorRegressor):
         if model.input_width != width:  # a refit would hide it
             raise ContractError(f"feature width mismatch: model expects {model.input_width}, dataset has {width}")
-        names = (model.metadata.get("context") or {}).get("feature_names")
+        context = model.metadata.get("context")  # load_model checked it
+        names = feature_names(context["ap_ids"], context["variant"]) if context else None
         for role, data in (("dataset", dataset), ("holdout", holdout)):  # a holdout of another width fails in predict
             if names is not None and data is not None and data.X.shape[1] == width and data.feature_names() != names:
                 raise ContractError(f"feature columns differ: model has {names}, {role} has {data.feature_names()}")

@@ -1,9 +1,9 @@
 """Versioned model files.
 
 A model is stored as an npz archive: a JSON metadata entry (format version,
-family, spec, fitted flags, optional training context such as the feature
-column names) plus the fitted arrays in raw binary, so loading reproduces
-predictions bit for bit.
+spec, input width, and the model's ``metadata`` with its training context, if
+any) plus the fitted arrays in raw binary, so loading reproduces predictions
+bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import zlib
 
 import numpy as np
 
+from ..dae import VARIANTS, feature_names
 from ..errors import ConfigError, DatasetError, FormatError
 from .base import ErrorRegressor, ModelSpec
 from .forest import ForestModel, Nodes
@@ -23,18 +24,16 @@ from .knn import KnnModel
 from .linear import LinearModel
 from .network import NetworkModel, param_shapes, running_shapes
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
-def save_model(model: ErrorRegressor, dest, context: dict | None = None) -> None:
+def save_model(model: ErrorRegressor, dest) -> None:
     """Write ``model`` to ``dest`` (path or binary stream)."""
     meta = {
         "format_version": FORMAT_VERSION,
-        "family": model.family,
         "spec": dataclasses.asdict(model.spec),
         "input_width": model.input_width,
         "metadata": model.metadata,
-        "context": context or model.metadata.get("context") or {},
     }
     arrays = {"meta_json": np.array(json.dumps(meta, sort_keys=True))}
 
@@ -132,15 +131,30 @@ def _check_arrays(family: str, shapes: dict, arrays: dict) -> None:
         raise FormatError("knn archive needs one label per training row, and at least one row")
 
 
+def _check_context(context, width: int) -> None:
+    """Reject a training context that is not the AP columns and variant of a ``width``-wide model."""
+    keys = sorted(context) if isinstance(context, dict) else type(context).__name__
+    if keys != ["ap_ids", "variant"]:
+        raise FormatError(f"model context must hold exactly ap_ids and variant, got {keys}")
+    ap_ids, variant = context["ap_ids"], context["variant"]
+    if not (isinstance(ap_ids, list) and ap_ids and all(isinstance(ap, str) and ap for ap in ap_ids)
+            and len(set(ap_ids)) == len(ap_ids)):
+        raise FormatError("model context ap_ids must be a list of distinct, non-empty AP names")
+    if variant not in VARIANTS:
+        raise FormatError(f"model context variant must be one of {VARIANTS}, got {variant!r}")
+    if width != (expected := len(feature_names(ap_ids, variant))):
+        raise FormatError(f"model width {width} does not match its context width {expected}")
+
+
 # the metadata entries load_model reads, with their JSON types
-_META_TYPES = {"spec": dict, "input_width": int, "metadata": (dict, type(None)), "context": (dict, type(None))}
+_META_TYPES = {"spec": dict, "input_width": int, "metadata": dict}
 
 
 def load_model(source) -> ErrorRegressor:
     """Load a model written by :func:`save_model`.
 
-    The training context (if any) is available as ``model.metadata["context"]``.
-    Anything but a well-formed archive of a known family is a ``FormatError``.
+    The training context, if any, is ``model.metadata["context"]``.  Anything
+    but a well-formed archive of a known family and context is a ``FormatError``.
     """
     try:  # not np.load, which also reads a lone .npy and advises unpickling any other file
         data = np.lib.npyio.NpzFile(source)
@@ -167,8 +181,9 @@ def load_model(source) -> ErrorRegressor:
         spec = ModelSpec(**meta["spec"])
     except (TypeError, ConfigError) as exc:
         raise FormatError(f"model spec: {exc}") from None
-    metadata = {**(meta.get("metadata") or {}), "context": meta.get("context") or {}}
-    family, width = spec.family, meta["input_width"]  # the "family" entry is written for older readers, not read
+    metadata, family, width = meta["metadata"], spec.family, meta["input_width"]
+    if "context" in metadata:
+        _check_context(metadata["context"], width)
     _check_arrays(family, _array_shapes(spec, width), arrays)
 
     if family == "linear":

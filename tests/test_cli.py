@@ -178,6 +178,18 @@ def test_predict_warns_for_a_scan_without_a_retained_ap(tmp_path, trained_models
     assert err.startswith("warning: scan lonely ") and err.count("\n") == 1, err
 
 
+def test_predict_refuses_a_map_without_a_reading_from_the_models_aps(tmp_path, trained_models, capsys):
+    # every scan would be located at the same imputed map entry
+    survey = trained_models / "survey.csv"
+    comment, header, *rows = survey.read_text().splitlines()
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text("\n".join([comment, header.replace(",ap", ",zz"), *rows]) + "\n")
+    assert main(["predict", str(survey), "--model", str(trained_models / "forest.npz"), "--map", str(renamed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: map {renamed} has no reading from the model's 8 APs\n"
+    assert captured.out == ""
+
+
 def test_predict_prints_the_holdout_dataset_row_of_every_scan(tmp_path, capsys):
     # predict and dataset building must form the same feature row, imputed cells included
     survey, scans, dae, model = (tmp_path / name for name in ("survey.csv", "scans.csv", "dae.csv", "rf.npz"))
@@ -684,26 +696,20 @@ def test_evaluate_rejects_a_dataset_whose_columns_differ_from_the_model(tmp_path
     other = tmp_path / "dae_other.csv"
     other.write_text("\n".join([comment, header.replace(",ap", ",zz"), *rows]) + "\n")
     model = trained_models / "forest.npz"
-    if spoiled == "context":  # a feature_names entry that is not a list
-        with np.load(model) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        meta = json.loads(str(arrays["meta_json"]))
-        meta["context"]["feature_names"] = "ap000"
-        arrays["meta_json"] = np.array(json.dumps(meta))
-        model = tmp_path / "model.npz"
-        np.savez_compressed(model, **arrays)
+    if spoiled == "context":  # a second list of column names beside the context: refused when the file is loaded
+        model = _corrupted(tmp_path, trained_models, "forest", "context-extra-key")
     data, holdout = (other, dae) if spoiled == "dataset" else (dae, other)
     out = tmp_path / "out"
     argv = ["evaluate", "--model", str(model), "--data", str(data), "--holdout", str(holdout), "--out", str(out)]
-    assert main(argv) == 3
     names = header.split(",")[2:-1]
     renamed = [name.replace("ap", "zz") for name in names]
-    expected = {
-        "dataset": f"model has {names}, dataset has {renamed}",
-        "holdout": f"model has {names}, holdout has {renamed}",
-        "context": f"model has ap000, dataset has {names}",
+    code, expected = {
+        "dataset": (3, f"feature columns differ: model has {names}, dataset has {renamed}"),
+        "holdout": (3, f"feature columns differ: model has {names}, holdout has {renamed}"),
+        "context": (2, "model context must hold exactly ap_ids and variant, got ['ap_ids', 'feature_names', 'variant']"),
     }[spoiled]
-    assert capsys.readouterr().err == f"error: feature columns differ: {expected}\n"
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {expected}\n"
     assert not out.exists()
 
 
@@ -922,6 +928,11 @@ def _corrupt(arrays: dict, edit: str) -> None:
     elif edit == "format-version-2":  # a file as version 2 wrote it
         meta.update(format_version=2, spec={**meta["spec"], "learning_rate": 1e-3, "batch_size": 32})
         arrays["meta_json"] = np.array(json.dumps(meta))
+    elif edit == "format-version-3":  # a file as version 3 wrote it: the context beside the metadata
+        context = meta["metadata"].pop("context")
+        names = [*context["ap_ids"], *(("x_est", "y_est") if context["variant"] == "xy" else ())]
+        meta.update(format_version=3, family=meta["spec"]["family"], context={**context, "feature_names": names})
+        arrays["meta_json"] = np.array(json.dumps(meta))
     elif edit == "offsets-float":
         arrays["offsets"] = arrays["offsets"].astype(float)
     elif edit == "offsets-not-increasing":
@@ -932,16 +943,20 @@ def _corrupt(arrays: dict, edit: str) -> None:
         meta["spec"]["k"] = len(arrays["train_x"]) + 1
         arrays["meta_json"] = np.array(json.dumps(meta))
     elif edit == "context-none":
-        meta["context"] = {}
+        del meta["metadata"]["context"]
         arrays["meta_json"] = np.array(json.dumps(meta))
     elif edit.startswith("context-"):
-        ap_ids = meta["context"]["ap_ids"]
-        meta["context"].update({
+        context = meta["metadata"]["context"]
+        ap_ids = context["ap_ids"]
+        context.update({
             "context-ap_ids-duplicate": {"ap_ids": [ap_ids[0], *ap_ids[:-1]]},
             "context-ap_ids-integer": {"ap_ids": [0, *ap_ids[1:]]},
             "context-ap_ids-string": {"ap_ids": ",".join(ap_ids)},
+            "context-ap_ids-empty": {"ap_ids": []},
             "context-variant-unknown": {"variant": "xyz"},
             "context-width": {"ap_ids": ap_ids[:-1]},
+            "context-variant-xy": {"variant": "xy"},  # the width of the plain model is then two short
+            "context-extra-key": {"feature_names": ap_ids},  # what version 3 also wrote
         }[edit])
         arrays["meta_json"] = np.array(json.dumps(meta))
     else:
@@ -973,11 +988,17 @@ _CORRUPT_ARCHIVES = {
     "spec-family-knn": ("forest", "error: knn model file lacks"),
     "spec-learning_rate": ("network", "error: model spec: ModelSpec.__init__() got an unexpected keyword argument"),
     "spec-batch_size": ("network", "error: model spec: ModelSpec.__init__() got an unexpected keyword argument"),
-    "format-version-2": ("network", "error: unsupported model format version 2; this daepos reads version 3"),
+    "format-version-2": ("network", "error: unsupported model format version 2; this daepos reads version 4"),
+    "format-version-3": ("forest", "error: unsupported model format version 3; this daepos reads version 4"),
     "context-ap_ids-duplicate": ("forest", "error: model context ap_ids"),
     "context-ap_ids-integer": ("forest", "error: model context ap_ids"),
     "context-ap_ids-string": ("forest", "error: model context ap_ids"),
+    "context-ap_ids-empty": ("forest", "error: model context ap_ids"),
     "context-variant-unknown": ("forest", "error: model context variant"),
+    "context-width": ("forest", "error: model width 8 does not match its context width 7"),
+    "context-variant-xy": ("knn", "error: model width 8 does not match its context width 10"),
+    "context-extra-key": ("forest", "error: model context must hold exactly ap_ids and variant, got ['ap_ids', "
+                                    "'feature_names', 'variant']"),
     "truncated": ("forest", "error: not a model file"),
     "text": ("linear", "error: not a model file: not an npz archive"),
     "lone-npy": ("linear", "error: not a model file: not an npz archive"),
@@ -1000,10 +1021,7 @@ def test_predict_exit_code_data_error_for_corrupt_forest_archive(tmp_path, train
         with open(model, "wb") as f:
             np.save(f, np.zeros(3))
     else:
-        with np.load(trained_models / f"{family}.npz") as data:
-            arrays = {name: data[name] for name in data.files}
-        _corrupt(arrays, edit)
-        np.savez_compressed(model, **arrays)
+        model = _corrupted(tmp_path, trained_models, family, edit)
     # a child link that loops would make predict spin forever, so run it in a child process
     env = {**os.environ, "PYTHONPATH": str(Path(daepos.__file__).parents[1])}
     survey = str(trained_models / "survey.csv")
@@ -1017,23 +1035,38 @@ def test_predict_exit_code_data_error_for_corrupt_forest_archive(tmp_path, train
     assert "allow_pickle" not in result.stderr  # no advice to load an untrusted file unsafely
 
 
-@pytest.mark.parametrize(
-    "edit, prefix",
-    [("context-none", "error: model file carries no AP column context"),
-     ("context-width", "error: model width 8 does not match its context width 7")],
-    ids=["context-none", "context-width"],
-)
-def test_predict_exit_code_contract_error_for_model_context(tmp_path, trained_models, capsys, edit, prefix):
-    with np.load(trained_models / "forest.npz") as data:
+def _corrupted(tmp_path, trained_models, family: str, edit: str) -> Path:
+    """A copy of the trained ``family`` model file with one ``_corrupt`` edit."""
+    with np.load(trained_models / f"{family}.npz") as data:
         arrays = {name: data[name] for name in data.files}
     _corrupt(arrays, edit)
     model = tmp_path / "model.npz"
     np.savez_compressed(model, **arrays)
+    return model
+
+
+@pytest.mark.parametrize("edit", ["context-none"])  # a malformed context is a data error, in _CORRUPT_ARCHIVES
+def test_predict_exit_code_contract_error_for_model_context(tmp_path, trained_models, capsys, edit):
+    model = _corrupted(tmp_path, trained_models, "forest", edit)
     survey = str(trained_models / "survey.csv")
     assert main(["predict", survey, "--model", str(model), "--map", survey]) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
+    assert captured.err == "error: model file carries no AP column context; train it via the CLI to embed one\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("holdout", [False, True], ids=["cross_fit", "holdout"])
+@pytest.mark.parametrize("edit", ["context-width", "context-variant-xy", "context-extra-key", "format-version-3"])
+def test_evaluate_exit_code_data_error_for_a_bad_model_context(tmp_path, trained_models, capsys, edit, holdout):
+    # evaluate reads the same context as predict, so it refuses the same files with the same line
+    family, prefix = _CORRUPT_ARCHIVES[edit]
+    model = _corrupted(tmp_path, trained_models, family, edit)
+    dae, out = str(trained_models / "dae.csv"), tmp_path / "out"
+    argv = ["evaluate", "--model", str(model), "--data", dae, "--out", str(out), *(["--holdout", dae] * holdout)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -625,21 +625,23 @@ def test_model_file_roundtrip_reproduces_predictions_exactly(tmp_path, spec):
     X, y = regression_problem(rng, n=40)
     probes = rng.uniform(-110, -30, size=(25, X.shape[1]))
     model = fit_arrays(spec, X, y)
+    context = {"ap_ids": [f"ap{i}" for i in range(X.shape[1])], "variant": "plain"}
+    model.metadata["context"] = context
     path = tmp_path / "model.bin"
-    save_model(model, path, context={"feature_names": [f"f{i}" for i in range(X.shape[1])]})
+    save_model(model, path)
     loaded = load_model(path)
     assert loaded.spec == spec
-    assert loaded.metadata["context"]["feature_names"] == [f"f{i}" for i in range(X.shape[1])]
+    assert loaded.metadata["context"] == context
     assert np.array_equal(loaded.predict_raw(probes), model.predict_raw(probes))
     assert type(loaded) is type(model)
-    # the family is the spec's: the "family" entry is still written, and a file without it loads the same
+    # the family is the spec's, and the context is stated once, inside the metadata
     with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    meta = json.loads(str(arrays["meta_json"]))
-    assert meta.pop("family") == spec.family
-    with open(path, "wb") as f:
-        np.savez(f, **{**arrays, "meta_json": np.array(json.dumps(meta))})
-    assert np.array_equal(load_model(path).predict_raw(probes), model.predict_raw(probes))
+        meta = json.loads(str(data["meta_json"]))
+    assert sorted(meta) == ["format_version", "input_width", "metadata", "spec"]
+    # a loaded model saves to the same bytes
+    again = tmp_path / "again.bin"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_model_file_roundtrip_via_stream():
@@ -721,7 +723,7 @@ def fuzzed_archives(draw):
     for _ in range(draw(st.integers(1, 3))):
         edit = draw(st.sampled_from(["drop", "replace", "poke", "meta", "spec"]))
         if edit == "meta" or (edit == "spec" and not isinstance(meta.get("spec"), dict)):
-            meta[draw(st.sampled_from(["family", "spec", "input_width", "format_version", "context"]))] = draw(
+            meta[draw(st.sampled_from(["spec", "input_width", "format_version", "metadata"]))] = draw(
                 _JSON_VALUES
             )
         elif edit == "spec":

@@ -30,6 +30,11 @@ def test_cli_digests_listing_is_the_same_on_a_rerun(tmp_path):
         assert f"evaluate_holdout/{family}_plain/pairs.csv" in paths
     assert {"ingest/zenodo.csv", "run/report.csv", "run/user_rf_xy_pairs.csv", "run/user_nn_pairs.csv"} <= set(paths)
     assert {"errors/folds.txt", "errors/absent.txt", "errors/width.txt"} <= set(paths)
+    # every model archive entry has its own digest, right after the archive's line
+    archive = paths.index("models/forest_xy.npz")
+    entries = ["feature", "left", "meta_json", "offsets", "right", "threshold", "value"]
+    assert paths[archive + 1 : archive + 8] == [f"models/forest_xy.npz:{e}.npy" for e in entries]
+    assert all(f"models/{family}_plain.npz:meta_json.npy" in paths for family in ("linear", "knn", "network"))
 
 
 def _load_tool(name: str):

@@ -23,6 +23,8 @@ stamps do not depend on where OUT_DIR lives.
 It prints one ``sha256  relative/path`` line per file, sorted by path; the
 stdout of each ``predict`` call is captured to ``predict/<model>.txt``, and
 the exit code and stderr of each failing call to ``errors/<name>.txt``.
+Each ``.npz`` archive's line is followed by one ``sha256  path:entry`` line
+per archive entry, so a listing shows which arrays of a model file differ.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import io
 import json
 import os
 import sys
+import zipfile
 from pathlib import Path
 
 from daepos.cli import main as daepos_main
@@ -135,9 +138,16 @@ def run_sequence() -> None:
 
 
 def digests(root: Path) -> list[str]:
-    """``sha256  relative/path`` for every file under ``root``, sorted by path."""
-    files = sorted(p for p in root.rglob("*") if p.is_file())
-    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(root).as_posix()}" for p in files]
+    """``sha256  relative/path`` for every file under ``root``, sorted by path, and ``path:entry`` for npz entries."""
+    lines = []
+    for p in sorted(p for p in root.rglob("*") if p.is_file()):
+        name = p.relative_to(root).as_posix()
+        lines.append(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {name}")
+        if p.suffix == ".npz":
+            with zipfile.ZipFile(p) as archive:
+                entries = sorted(archive.namelist())
+                lines += [f"{hashlib.sha256(archive.read(e)).hexdigest()}  {name}:{e}" for e in entries]
+    return lines
 
 
 def main(argv=None) -> int:
