@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,30 +104,35 @@ def _check_protocol(protocol: str, holdout: DaeDataset | None) -> None:
 
 def fit_tasks(
     spec: ModelSpec, dataset: DaeDataset, protocol: str = "cross_fit", holdout: DaeDataset | None = None
-) -> Iterator[tuple]:
+) -> list[tuple]:
     """The independent fits behind one evaluation, each as ``fit_and_predict`` arguments.
 
-    ``cross_fit`` yields one ``(fold spec, training rows, their labels, test
-    rows)`` task per fold, in fold order; ``holdout`` yields one task that
-    fits ``spec`` on the whole dataset and predicts the external records.
-    A task's row copies are made only when it is drawn, so a caller that
-    runs each task before drawing the next holds one fold's copies at a
-    time.
+    ``cross_fit`` gives one ``(fold spec, X, y, test mask, None)`` task per
+    fold, in fold order; ``holdout`` gives one ``(spec, X, y, None,
+    external features)`` task that fits ``spec`` on the whole dataset.
+    Every task holds references to the datasets' own arrays and no row
+    copies: ``fit_and_predict`` makes a fold's rows when it runs.
     """
     _check_protocol(protocol, holdout)
     X, y = dataset.features(), dataset.labels()
     if protocol == "holdout":
-        yield spec, X, y, holdout.features()
-        return
-    for fold in _cross_fit_folds(dataset):
-        test = dataset.folds == fold
-        fold_spec = dataclasses.replace(spec, seed=_fold_seed(spec.seed, fold))
-        yield fold_spec, X[~test], y[~test], X[test]
+        return [(spec, X, y, None, holdout.features())]
+    return [
+        (dataclasses.replace(spec, seed=_fold_seed(spec.seed, fold)), X, y, dataset.folds == fold, None)
+        for fold in _cross_fit_folds(dataset)
+    ]
 
 
-def fit_and_predict(spec: ModelSpec, X, y, X_test) -> np.ndarray:
-    """Fit ``spec`` on ``(X, y)`` and return its estimates for ``X_test``: one task of ``fit_tasks``."""
-    return fit_arrays(spec, X, y).predict(X_test)
+def fit_and_predict(spec: ModelSpec, X, y, test, X_test) -> np.ndarray:
+    """Run one task of ``fit_tasks``: fit ``spec`` and return its estimates.
+
+    With a boolean ``test`` mask, the fit uses the rows of ``(X, y)``
+    outside it and predicts the rows in it; with ``test`` None, it uses
+    every row and predicts ``X_test``.
+    """
+    if test is None:
+        return fit_arrays(spec, X, y).predict(X_test)
+    return fit_arrays(spec, X[~test], y[~test]).predict(X[test])
 
 
 def evaluate_model(

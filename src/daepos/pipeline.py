@@ -229,8 +229,10 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_TH
 
 
 def _task_cost(task: tuple) -> float:
-    spec, X, _, _ = task
+    spec, X, _, test, _ = task
     rows, width = X.shape
+    if test is not None:  # a cross-fit fold trains on the rows outside its test mask
+        rows -= int(test.sum())
     if spec.family == "forest":
         return _SECONDS_PER_UNIT["forest"] * spec.trees * rows
     widths = (width, *spec.layers, 1)
@@ -423,7 +425,7 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
         with _stage("evaluate"):
             # pooled entries' fits run as tasks; evaluate_model fits the rest here, one fold at a time
             job_tasks = [
-                list(fit_tasks(entry.spec, datasets[entry.variant], protocol, holdout))
+                fit_tasks(entry.spec, datasets[entry.variant], protocol, holdout)
                 if entry.spec.family in POOLED_FAMILIES else []
                 for entry, protocol, holdout, _ in jobs
             ]

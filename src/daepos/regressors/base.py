@@ -16,6 +16,10 @@ from ..errors import ConfigError, ContractError
 
 MODEL_FAMILIES = ("linear", "knn", "forest", "network")
 
+# Bound of ``trees`` and ``epochs``: far above the paper's 300 trees and 200
+# epochs, and below what makes a fit overflow numpy's sizes or never end.
+COUNT_MAX = 10**6
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -46,6 +50,9 @@ class ModelSpec:
         if not isinstance(self.layers, (list, tuple)) or not all(_is_int(w) for w in self.layers):
             raise ConfigError(f"layers must be a list of integer widths, got {self.layers!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
+        for name in ("trees", "epochs"):
+            if getattr(self, name) > COUNT_MAX:
+                raise ConfigError(f"{name} must be at most {COUNT_MAX}, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError("model seed must be non-negative")
         if self.family == "knn" and self.k < 1:

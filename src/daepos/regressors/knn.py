@@ -18,11 +18,12 @@ class KnnModel(ErrorRegressor):
         super().__init__(spec, input_width=train_x.shape[1], metadata=metadata)
         self.train_x = np.asarray(train_x, dtype=float)
         self.train_y = np.asarray(train_y, dtype=float)
+        self.train_norms = np.einsum("ij,ij->i", self.train_x, self.train_x)  # once for every predict
 
     def _raw(self, X: np.ndarray) -> np.ndarray:
         # ties resolve toward the lower training index, so predictions are
         # order-deterministic
-        indices, _ = nearest(X, self.train_x, self.spec.k)
+        indices, _ = nearest(X, self.train_x, self.spec.k, norms=self.train_norms)
         return self.train_y[indices].mean(axis=1)
 
 

@@ -157,7 +157,8 @@ def training_loss_and_grads(params: dict, X: np.ndarray, y: np.ndarray, out: dic
             m * d_zhat - d_zhat.sum(axis=0) - z_hat * (d_zhat * z_hat).sum(axis=0)
         )
         np.matmul(h_prev.T, d_z, out=out[f"W{i}"])
-        d_h = d_z @ params[f"W{i}"].T
+        if i:  # the inputs need no gradient
+            d_h = d_z @ params[f"W{i}"].T
 
     return loss, out, stats
 

@@ -567,6 +567,30 @@ def test_exit_code_config_error_for_non_positive_count_flag(tmp_path, trained_mo
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--family", "forest", "--trees", str(2**70)], ["--family", "network", "--epochs", str(10**6 + 1)]],
+    ids=["trees-2**70", "epochs-above-the-bound"],
+)
+def test_train_refuses_a_count_above_the_bound_in_one_line(tmp_path, trained_models, capsys, flags):
+    # 2**70 trees overflowed numpy's SeedSequence.spawn in a traceback; a million epochs never end
+    out = tmp_path / "model.npz"
+    assert main(["train", str(trained_models / "dae.csv"), *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flags[2][2:]} must be at most 1000000, got {flags[3]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["spec-trees-huge", "spec-epochs-huge"])
+def test_evaluate_refuses_a_model_file_whose_count_exceeds_the_bound(tmp_path, trained_models, capsys, edit):
+    family, prefix = _CORRUPT_ARCHIVES[edit]
+    model = _corrupted(tmp_path, trained_models, family, edit)
+    out = tmp_path / "out"
+    assert main(["evaluate", "--model", str(model), "--data", str(trained_models / "dae.csv"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["build-dataset", "predict", "run"])
 def test_positioning_k_is_not_an_option(tmp_path, trained_models, capsys, command):
     # every command locates with DEFAULT_K, the k its error models were trained on
@@ -919,6 +943,9 @@ def _corrupt(arrays: dict, edit: str) -> None:
     elif edit == "spec-k-bool":
         meta["spec"]["k"] = True
         arrays["meta_json"] = np.array(json.dumps(meta))
+    elif edit in ("spec-trees-huge", "spec-epochs-huge"):
+        meta["spec"][edit.split("-")[1]] = 2**70
+        arrays["meta_json"] = np.array(json.dumps(meta))
     elif edit == "spec-family-knn":  # the family entry still says forest; the spec's family is the one read
         meta["spec"]["family"] = "knn"
         arrays["meta_json"] = np.array(json.dumps(meta))
@@ -986,6 +1013,8 @@ _CORRUPT_ARCHIVES = {
     "spec-unknown-key": ("network", "error: model spec"),
     "spec-k-bool": ("knn", "error: model spec: k must be an integer"),
     "spec-family-knn": ("forest", "error: knn model file lacks"),
+    "spec-trees-huge": ("forest", f"error: model spec: trees must be at most 1000000, got {2**70}"),
+    "spec-epochs-huge": ("network", f"error: model spec: epochs must be at most 1000000, got {2**70}"),
     "spec-learning_rate": ("network", "error: model spec: ModelSpec.__init__() got an unexpected keyword argument"),
     "spec-batch_size": ("network", "error: model spec: ModelSpec.__init__() got an unexpected keyword argument"),
     "format-version-2": ("network", "error: unsupported model format version 2; this daepos reads version 4"),

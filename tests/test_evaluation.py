@@ -1,8 +1,11 @@
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daepos import (
     ContractError,
@@ -11,8 +14,19 @@ from daepos import (
     evaluate_model,
     summarize,
 )
-from daepos.evaluation import write_ecdf_csv, write_pairs_csv, write_summary_csv
-from daepos.regressors import ModelSpec, fit
+from daepos.dae import EXTERNAL_FOLD, make_fold_plan
+from daepos.evaluation import (
+    PROTOCOLS,
+    _fold_seed,
+    fit_and_predict,
+    fit_tasks,
+    write_ecdf_csv,
+    write_pairs_csv,
+    write_summary_csv,
+)
+from daepos.pipeline import _SECONDS_PER_UNIT, POOLED_FAMILIES, _task_cost
+from daepos.regressors import ModelSpec, fit, fit_arrays
+from daepos.signatures import ApRegistry
 
 
 # --- signed error -----------------------------------------------------------------
@@ -168,13 +182,101 @@ def test_unknown_protocol_rejected(survey_dataset_plain):
         evaluate_model(ModelSpec(family="linear"), survey_dataset_plain, protocol="bootstrap")
 
 
+# --- fit tasks ---------------------------------------------------------------------
+
+
+def _head(dataset: DaeDataset, n: int) -> DaeDataset:
+    """The first ``n`` records of ``dataset`` as external records."""
+    return DaeDataset(
+        X=dataset.X[:n], y=dataset.y[:n], point_ids=dataset.point_ids[:n], folds=[EXTERNAL_FOLD] * n,
+        variant=dataset.variant, registry=dataset.registry,
+    )
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_fit_tasks_reference_the_dataset_arrays_and_copy_no_rows(survey_dataset_plain, protocol):
+    dataset = survey_dataset_plain
+    holdout = _head(dataset, 20) if protocol == "holdout" else None
+    tasks = fit_tasks(ModelSpec(family="forest", trees=3), dataset, protocol, holdout)
+    assert len(tasks) == (1 if holdout else len(np.unique(dataset.folds)))
+    for _, X, y, test, X_test in tasks:
+        assert np.shares_memory(X, dataset.X) and np.shares_memory(y, dataset.y)
+        if holdout:
+            assert test is None and np.shares_memory(X_test, holdout.X)
+        else:
+            assert X_test is None and test.dtype == bool and test.shape == (len(dataset),)
+
+
+def _copied_tasks(spec, dataset, protocol, holdout):
+    """The fit tasks as row copies, ``(spec, training rows, their labels, test rows)``: the oracle."""
+    X, y = dataset.features(), dataset.labels()
+    if protocol == "holdout":
+        return [(spec, X, y, holdout.features())]
+    tasks = []
+    for fold in np.unique(dataset.folds).tolist():
+        test = dataset.folds == fold
+        fold_spec = dataclasses.replace(spec, seed=_fold_seed(spec.seed, fold))
+        tasks.append((fold_spec, X[~test], y[~test], X[test]))
+    return tasks
+
+
+def _copied_task_cost(task) -> float:
+    """Longest-first scheduling cost of a row-copy task: the oracle of ``pipeline._task_cost``."""
+    spec, X, _, _ = task
+    rows, width = X.shape
+    if spec.family == "forest":
+        return _SECONDS_PER_UNIT["forest"] * spec.trees * rows
+    widths = (width, *spec.layers, 1)
+    weights = sum(a * b for a, b in zip(widths, widths[1:]))
+    return _SECONDS_PER_UNIT["network"] * spec.epochs * rows * weights
+
+
+@st.composite
+def small_datasets(draw) -> tuple[DaeDataset, DaeDataset]:
+    """A random dataset with a random fold plan, and random external records of its width."""
+    n, n_folds, width = draw(st.integers(6, 24)), draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    registry = ApRegistry(aps=tuple(f"ap{j}" for j in range(width)), availability=(1,) * width)
+    plan = make_fold_plan(n, n_folds, draw(st.integers(0, 99)))
+
+    def dataset(rows, folds):
+        return DaeDataset(
+            X=rng.uniform(-100.0, -30.0, (rows, width)), y=rng.uniform(0.0, 10.0, rows),
+            point_ids=[f"p{i}" for i in range(rows)], folds=folds, variant="plain", registry=registry,
+        )
+
+    external = draw(st.integers(1, 8))
+    return dataset(n, plan.assignment), dataset(external, [EXTERNAL_FOLD] * external)
+
+
+SPECS = st.one_of(
+    st.just(ModelSpec(family="linear")),
+    st.builds(ModelSpec, family=st.just("knn"), k=st.integers(1, 3)),
+    st.builds(ModelSpec, family=st.just("forest"), trees=st.integers(1, 4), seed=st.integers(0, 99)),
+    st.builds(ModelSpec, family=st.just("network"), layers=st.sampled_from([(3,), (4, 2)]),
+              epochs=st.integers(1, 3), seed=st.integers(0, 99)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(datasets=small_datasets(), spec=SPECS, protocol=st.sampled_from(PROTOCOLS))
+def test_fit_and_predict_matches_row_copy_tasks_bit_for_bit(datasets, spec, protocol):
+    dataset, holdout = datasets
+    tasks = fit_tasks(spec, dataset, protocol, holdout)
+    copied = _copied_tasks(spec, dataset, protocol, holdout)
+    assert len(tasks) == len(copied)
+    for task, (fold_spec, X, y, X_test) in zip(tasks, copied):
+        assert task[0] == fold_spec
+        assert fit_and_predict(*task).tobytes() == fit_arrays(fold_spec, X, y).predict(X_test).tobytes()
+        if spec.family in POOLED_FAMILIES:  # the same costs give the same longest-first submission order
+            assert _task_cost(task) == _copied_task_cost((fold_spec, X, y, X_test))
+
+
 # --- emission ----------------------------------------------------------------------
 
 
 def test_summary_csv_layout():
     report = summarize([1.0, 2.0], [1.5, 1.5], label="RF")
-    import dataclasses
-
     report = dataclasses.replace(report, parameters="trees=100")
     buf = io.StringIO()
     write_summary_csv([report], buf, comment="config_hash=abc seed=0")

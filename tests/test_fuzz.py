@@ -30,10 +30,6 @@ VARIANTS = ("plain", "xy")
 ODD_VALUES = [None, 2**70, math.nan, math.inf, "", [], {}, 10**400, True, False, [[0, [None]], []], -1, 0]
 DELETE = object()
 
-# These two size the refits of `evaluate`: a huge integer there asks for that much work, which is a
-# request and not a malformed file, so they get every odd value but the huge integers.
-WORK_SIZES = {("spec", "trees"), ("spec", "epochs")}
-
 
 def _call(argv) -> tuple[int, str]:
     """Exit code and stderr of one in-process CLI call."""
@@ -79,8 +75,7 @@ def edited_metadata(draw, meta: dict) -> dict:
         if not leaves:
             break
         path = draw(st.sampled_from(leaves))
-        odd = [v for v in ODD_VALUES if path not in WORK_SIZES or not (isinstance(v, int) and v > 2**31)]
-        value = draw(st.sampled_from([DELETE, *odd]))
+        value = draw(st.sampled_from([DELETE, *ODD_VALUES]))
         parent = meta
         for key in path[:-1]:
             parent = parent[key]
@@ -91,6 +86,29 @@ def edited_metadata(draw, meta: dict) -> dict:
     return meta
 
 
+def _check_commands(root, variant: str, arrays: dict, meta: dict) -> list[int]:
+    """The exit codes of predict, evaluate and evaluate --holdout on the model with ``meta``.
+
+    Each command must work or fail in one line.
+    """
+    model = root / "edited.npz"
+    np.savez(model, **{**arrays, "meta_json": np.array(json.dumps(meta))})
+    survey, dae, out = root / "survey.csv", root / f"dae_{variant}.csv", root / "out"
+    evaluate = ["evaluate", "--model", str(model), "--data", str(dae), "--out", str(out)]
+    codes = []
+    for argv in (["predict", str(survey), "--model", str(model), "--map", str(survey)],
+                 evaluate, [*evaluate, "--holdout", str(dae)]):
+        code, err = _call(argv)
+        codes.append(code)
+        shutil.rmtree(out, ignore_errors=True)
+        assert code in (0, 1, 2, 3), (argv[0], code, err)
+        if code:
+            lines = err.splitlines()
+            assert [line for line in lines if line.startswith("error:")] == lines[-1:], err
+            assert "Traceback" not in err
+    return codes
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_model_file_with_edited_metadata_fails_in_one_line_or_works(trained, data):
@@ -98,17 +116,17 @@ def test_model_file_with_edited_metadata_fails_in_one_line_or_works(trained, dat
     family, variant = data.draw(st.sampled_from(sorted(archives)), label="model")
     arrays = archives[family, variant]
     meta = data.draw(edited_metadata(json.loads(str(arrays["meta_json"]))), label="metadata")
-    model = root / "edited.npz"
-    np.savez(model, **{**arrays, "meta_json": np.array(json.dumps(meta))})
+    _check_commands(root, variant, arrays, meta)
 
-    survey, dae, out = root / "survey.csv", root / f"dae_{variant}.csv", root / "out"
-    evaluate = ["evaluate", "--model", str(model), "--data", str(dae), "--out", str(out)]
-    for argv in (["predict", str(survey), "--model", str(model), "--map", str(survey)],
-                 evaluate, [*evaluate, "--holdout", str(dae)]):
-        code, err = _call(argv)
-        shutil.rmtree(out, ignore_errors=True)
-        assert code in (0, 1, 2, 3), (argv[0], code, err)
-        if code:
-            lines = err.splitlines()
-            assert [line for line in lines if line.startswith("error:")] == lines[-1:], err
-            assert "Traceback" not in err
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_model_file_with_a_huge_tree_or_epoch_count_fails_in_one_line(trained, data):
+    # both counts size the refits of evaluate; a huge one must be refused, not started
+    root, archives = trained
+    family, variant = data.draw(st.sampled_from(sorted(archives)), label="model")
+    arrays = archives[family, variant]
+    meta = json.loads(str(arrays["meta_json"]))
+    name = data.draw(st.sampled_from(["trees", "epochs"]), label="count")
+    meta["spec"][name] = data.draw(st.integers(min_value=10**6 + 1, max_value=10**400), label="value")
+    assert _check_commands(root, variant, arrays, meta) == [2, 2, 2]
