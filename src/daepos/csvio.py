@@ -11,6 +11,7 @@ written as UTF-8 without one.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import os
 from contextlib import contextmanager, nullcontext
@@ -19,6 +20,8 @@ from types import SimpleNamespace
 from .errors import FormatError
 
 _CHUNK = 1 << 16  # characters per read
+# a "\r\n" terminator makes the writer quote cells holding "\r" as well as "\n"
+_DIALECT = {"lineterminator": "\r\n"}
 
 
 def _opened(target, mode: str):
@@ -76,10 +79,26 @@ def _format_errors(rows, name):
 @contextmanager
 def csv_writer(dest, comment: str | None = None):
     """A ``csv.writer`` on a path or text stream, after a ``# comment`` line if one is given."""
+    with line_writer(dest, comment) as write:
+        # the writer writes each row in one call, and the row's "\r\n" becomes "\n" here
+        yield csv.writer(SimpleNamespace(write=lambda row: write(row[:-2] + "\n")), **_DIALECT)
+
+
+@contextmanager
+def line_writer(dest, comment: str | None = None):
+    """The ``write`` of a path or text stream, after a ``# comment`` line if one is given.
+
+    Each call must write whole ``\n``-ended lines, their cells made by :func:`csv_cell`.
+    """
     with _opened(dest, "w") as stream:
         if comment:
             stream.write(f"# {comment}\n")
-        # a "\r\n" terminator makes the writer quote cells holding "\r" as well as "\n";
-        # it writes each row in one call, and the row's "\r\n" becomes "\n" here
-        rows = SimpleNamespace(write=lambda row: stream.write(row[:-2] + "\n"))
-        yield csv.writer(rows, lineterminator="\r\n")
+        yield stream.write
+
+
+def csv_cell(text: str) -> str:
+    """``text`` as :func:`csv_writer` writes it in a row of two or more cells: quoted if it must be, else itself."""
+    row = io.StringIO()
+    csv.writer(row, **_DIALECT).writerow((text, ""))
+    cell = row.getvalue()[:-3]  # less the empty cell's "," and the "\r\n"
+    return text if cell == text else cell

@@ -9,6 +9,7 @@ that contains it.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .csvio import csv_rows, csv_writer
+from .csvio import csv_cell, csv_rows, line_writer
 from .errors import ConfigError, ContractError, DatasetError, FormatError, RowError
 from .positioning import DEFAULT_K, RadioMap, localize
 from .signatures import COORD_MAX, ApRegistry, Position2D, RadioSignature, SignatureTable, feature_matrix
@@ -263,11 +264,12 @@ def build_holdout_dataset(
 
 
 def write_dae_dataset(dataset: DaeDataset, dest, comment: str | None = None) -> None:
-    with csv_writer(dest, comment) as writer:
-        writer.writerow(["point_id", "fold", *dataset.feature_names(), "delta_pos"])
+    id_cell = functools.cache(csv_cell)
+    with line_writer(dest, comment) as write:
+        write(",".join(map(csv_cell, ["point_id", "fold", *dataset.feature_names(), "delta_pos"])) + "\n")
         columns = zip(dataset.point_ids, dataset.folds.tolist(), dataset.X, dataset.y.tolist())
-        for point_id, fold, row, label in columns:  # one row at a time: no full-matrix list of floats
-            writer.writerow([point_id, fold, *map(repr, row.tolist()), repr(label)])
+        for point_id, fold, row, label in columns:  # one line at a time: the file's text is never held
+            write(f"{id_cell(point_id)},{fold},{','.join(map(repr, row.tolist()))},{label!r}\n")
 
 
 def read_dae_dataset(source) -> DaeDataset:

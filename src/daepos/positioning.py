@@ -108,7 +108,7 @@ def nearest(queries, vectors, k: int, norms=None) -> tuple[np.ndarray, np.ndarra
         norms = np.einsum("ij,ij->i", V, V)
     indices = np.empty((len(Q), k), dtype=np.intp)
     keys = np.empty((len(Q), k))
-    # 64 bytes per (query, entry): the filter's three float blocks take 24;
+    # 64 bytes per (query, entry): the filter's two float blocks take 16;
     # with every entry a candidate, the four per-candidate arrays take 32 and
     # the key slices below another 3/8 of the scratch
     rows = max(1, _SCRATCH_BYTES // (64 * max(1, n)))
@@ -139,50 +139,51 @@ def _candidates(block, V, k, norms):
     candidate for ``k >= n``, and when the block or ``V`` holds a squared
     norm that is not finite or exceeds ``_NORM_LIMIT`` (a non-finite value,
     or one near the float range).  Otherwise a BLAS expansion of the
-    squared distance rules out the pairs that cannot rank.
+    squared distance, less the query's own squared norm, rules out the
+    pairs that cannot rank, with one bound per query row.
 
     Error bound.  Let u = eps/2 be the unit roundoff, w the width and, per
-    (query q, entry v), s = |q|^2 + |v|^2 and D = |q - v|^2 <= 2s.  A sum of
-    w products, in any order, errs by at most gamma_w = w*u/(1 - w*u) times
-    the sum of their magnitudes (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, section 3.1), whatever order BLAS uses.  So:
+    query q, S = |q|^2 + max_v |v|^2, so that every entry v of that row has
+    s = |q|^2 + |v|^2 <= S and D = |q - v|^2 <= 2s.  A sum of w products, in
+    any order, errs by at most gamma_w = w*u/(1 - w*u) times the sum of their
+    magnitudes (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 3.1), whatever order BLAS uses.  So:
 
     - the exact key fl(sum (q_j - v_j)^2) carries at most w + 2 rounding
       factors per non-negative term (the difference's, squared, the square's
-      and w - 1 from the sum): |key - D| <= gamma_{w+2} D <= 2 gamma_{w+2} s;
-    - approx = fl(fl(-2 q.v) + fl(|q|^2) + fl(|v|^2)): the dot product errs
-      by gamma_w * sum|q_j v_j| <= gamma_w * s/2 (doubling is exact), the
-      norms by gamma_w * s together, and the two additions, whose partial
-      sums are at most about 2s, by 2u * 2s: |approx - D| <= 2 gamma_w s + 4u s.
+      and w - 1 from the sum): |key - D| <= gamma_{w+2} D <= 2 gamma_{w+2} S;
+    - g = fl(fl((-2q).v) + fl(|v|^2)) approximates G = D - |q|^2: scaling by
+      -2 is exact, the dot product errs by gamma_w * sum|2 q_j v_j| <=
+      gamma_w * s, the norm by gamma_w * |v|^2, and the addition, whose
+      operands sum to at most 2s in magnitude, by u * 2s: |g - G| <=
+      2 gamma_w S + 2u S.
 
-    Hence |approx - key| <= (4w + 8) u s (1 + O(wu)) = 2(w + 2) eps s, and
-    the slack 8(w + 8) eps s is at least four times that, which also absorbs
-    the roundings of forming the slack, approx +- slack and the threshold.
-    Gradual underflow adds at most u * tiny per product (4w of them), which
-    the ``tiny`` added to s covers.  Both norms are at most _NORM_LIMIT, so s
-    and the partial sums stay finite.  With approx - slack <= key <= approx +
-    slack on every entry, the k-th smallest approx + slack (thr) is at least
-    the k-th smallest key, so every entry whose key is at most the k-th
-    smallest key, ties included, has approx - slack <= thr and is a candidate.
+    Hence each entry of the row has |g - (key - |q|^2)| <= E = (4w + 6) u S
+    (1 + O(wu)) = (2w + 3) eps S, and its bound e = 8(w + 8) eps (S + tiny)
+    is at least four times that, which also absorbs the roundings of the
+    computed norms, of e and of the threshold.  Gradual underflow adds at
+    most u * tiny per product (3w of them), which the ``tiny`` covers.  Both
+    norms are at most _NORM_LIMIT, so S, g and the partial sums stay finite.
+    Let K be the row's k-th smallest key and t its k-th smallest g.  Every g
+    is at least key - |q|^2 - E, so t >= K - |q|^2 - E; every entry whose key
+    is at most K, ties included, has g <= key - |q|^2 + E <= t + 2E <= t + 2e
+    and is a candidate.
     """
     n, width = V.shape
     block_norms = np.einsum("ij,ij->i", block, block)
+    norm_max = norms.max()
     # `not <=` is also true for a NaN maximum
-    if k == n or not (block_norms.max() <= _NORM_LIMIT and norms.max() <= _NORM_LIMIT):
+    if k == n or not (block_norms.max() <= _NORM_LIMIT and norm_max <= _NORM_LIMIT):
         return np.divmod(np.arange(len(block) * n), n)
-    approx = block @ V.T
-    approx *= -2.0
-    approx += block_norms[:, None]
-    approx += norms
-    c = 8 * (width + 8) * _EPS
-    slack = np.add.outer(c * block_norms, c * (norms + _TINY))
-    upper = approx + slack
-    upper.partition(k - 1, axis=1)
-    thr = upper[:, k - 1 : k].copy()
-    del upper
-    approx -= slack
-    del slack
-    return np.nonzero(approx <= thr)
+    g = (-2.0 * block) @ V.T
+    g += norms
+    bound = (2 * 8 * (width + 8) * _EPS) * (block_norms + (norm_max + _TINY))
+    # the sum is a new array, so the partitioned copy is freed before the comparison
+    thr = np.partition(g, k - 1, axis=1)[:, k - 1] + bound
+    mask = g <= thr[:, None]
+    del g  # before the index arrays are made
+    # np.nonzero's pairs, which it finds several times slower in a 2-D mask
+    return np.divmod(np.flatnonzero(mask), n)
 
 
 def localize(query, radio_map: RadioMap, k: int = DEFAULT_K) -> PositionEstimate:

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from daepos import (
     true_error,
     write_dae_dataset,
 )
+from daepos.csvio import csv_writer
 from daepos.dae import LABEL_MAX, FoldPlan
 from daepos.signatures import COORD_MAX
 
@@ -304,3 +306,44 @@ def test_dataset_csv_roundtrip_property(ds, comment):
     assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
     assert back.point_ids == ds.point_ids
     assert back.folds.tolist() == ds.folds.tolist()
+
+
+def write_dae_dataset_with_csv_writer(dataset, dest, comment=None):
+    """The dataset writer as it was before it wrote each row as one string: one ``csv`` row per record."""
+    with csv_writer(dest, comment) as writer:
+        writer.writerow(["point_id", "fold", *dataset.feature_names(), "delta_pos"])
+        columns = zip(dataset.point_ids, dataset.folds.tolist(), dataset.X, dataset.y.tolist())
+        for point_id, fold, row, label in columns:
+            writer.writerow([point_id, fold, *map(repr, row.tolist()), repr(label)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=datasets(), comment=st.sampled_from([None, "config_hash=x seed=0"]))
+def test_dataset_csv_is_the_csv_writers_bytes(ds, comment):
+    buf, oracle = io.StringIO(), io.StringIO()
+    write_dae_dataset(ds, buf, comment=comment)
+    write_dae_dataset_with_csv_writer(ds, oracle, comment=comment)
+    assert buf.getvalue() == oracle.getvalue()
+
+
+def test_dataset_csv_is_written_a_line_at_a_time(tmp_path):
+    # 6,000 rows of 37 cells, each id its own: about 4 MB of text
+    n, aps = 6000, tuple(f"ap{i:02d}" for i in range(35))
+    rng = np.random.default_rng(3)
+    ds = DaeDataset(
+        X=np.hstack([rng.uniform(-100, -30, size=(n, len(aps))), rng.uniform(0, 80, size=(n, 2))]),
+        y=rng.uniform(0, 10, size=n),
+        point_ids=tuple(f"pt{i:05d}" for i in range(n)),
+        folds=rng.integers(0, 5, size=n),
+        variant="xy",
+        registry=ApRegistry(aps=aps, availability=tuple(0 for _ in aps)),
+    )
+    path = tmp_path / "dataset.csv"
+    tracemalloc.start()
+    try:
+        write_dae_dataset(ds, path, comment="config_hash=x seed=0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 4 * 2**20
+    assert peak < 2**20

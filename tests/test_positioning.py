@@ -181,7 +181,9 @@ def filter_cases(draw):
     width = draw(st.integers(1, 40))
     n_queries = draw(st.integers(1, 8))
     k = draw(st.integers(1, n - 1))
-    kind = draw(st.sampled_from(["dbm-grid", "large-near-ties", "mixed-columns", "underflow", "overflow"]))
+    kind = draw(st.sampled_from(
+        ["dbm-grid", "large-near-ties", "far-map", "mixed-columns", "underflow", "overflow", "outlier-norm"]
+    ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "dbm-grid":
         # integer dBm rows, many duplicated; some queries repeat map rows
@@ -196,6 +198,17 @@ def filter_cases(draw):
         ulp = np.spacing(1e4)
         V = -1e4 + rng.integers(-4, 5, size=(n, width)) * ulp
         Q = -1e4 + rng.integers(-4, 5, size=(n_queries, width)) * ulp
+    elif kind == "far-map":
+        # the same map near -1e4 dBm, queries near 0: the map's norms, not
+        # the queries', set the expansion's rounding error
+        V = -1e4 + rng.integers(-4, 5, size=(n, width)) * np.spacing(1e4)
+        Q = rng.integers(-1, 2, size=(n_queries, width)).astype(float)
+    elif kind == "outlier-norm":
+        # one map row with a squared norm ~1e12 times the rest's (still far
+        # below _NORM_LIMIT) widens every query row's bound
+        V = rng.integers(-100, -29, size=(n, width)).astype(float)
+        V[rng.integers(0, n)] *= 1e6
+        Q = rng.integers(-100, -29, size=(n_queries, width)).astype(float)
     elif kind in ("underflow", "overflow"):
         # squares in the subnormal range, where rounding errs by an absolute
         # amount the relative slack alone would not cover; or near the top of
@@ -227,7 +240,7 @@ def test_nearest_equals_full_stable_argsort(case):
     np.testing.assert_array_equal(keys, np.take_along_axis(key, expected, axis=1))
 
 
-@pytest.mark.parametrize("kind", ["random", "all-ties", "non-finite"])
+@pytest.mark.parametrize("kind", ["random", "all-ties", "non-finite", "outlier-norm"])
 def test_nearest_peak_memory_is_the_scratch_bound_plus_outputs(kind):
     rng = np.random.default_rng(5)
     if kind == "random":
@@ -236,9 +249,13 @@ def test_nearest_peak_memory_is_the_scratch_bound_plus_outputs(kind):
     elif kind == "all-ties":  # every entry a candidate: the per-candidate arrays are largest
         V = np.full((1920, 37), -60.0)
         Q = np.full((200, 37), -60.0)
-    else:  # no filter: every entry a candidate
+    elif kind == "non-finite":  # no filter: every entry a candidate
         V = rng.uniform(-110, -30, size=(1920, 37))
         V[0, 0] = np.nan
+        Q = rng.uniform(-110, -30, size=(200, 37))
+    else:  # one entry's norm widens every row's bound, so most entries are candidates
+        V = rng.uniform(-110, -30, size=(1920, 37))
+        V[0] *= 1e6
         Q = rng.uniform(-110, -30, size=(200, 37))
     k = 4
     outputs = len(Q) * k * (np.dtype(np.intp).itemsize + 8)
@@ -249,6 +266,46 @@ def test_nearest_peak_memory_is_the_scratch_bound_plus_outputs(kind):
     finally:
         tracemalloc.stop()
     assert peak <= positioning._SCRATCH_BYTES + outputs + 64 * 1024
+
+
+def per_entry_slack_candidates(block, V, k, norms):
+    """The pre-filter with a slack per (query, entry) pair, as ``nearest`` used before its per-row bound.
+
+    Each pair's expansion |q|^2 + |v|^2 - 2 q.v gets the slack
+    8(w + 8) eps (|q|^2 + |v|^2 + tiny), and a pair is a candidate when its
+    expansion less the slack is at most the row's k-th smallest expansion
+    plus slack.
+    """
+    n, width = V.shape
+    block_norms = np.einsum("ij,ij->i", block, block)
+    if k == n or not (block_norms.max() <= positioning._NORM_LIMIT and norms.max() <= positioning._NORM_LIMIT):
+        return np.divmod(np.arange(len(block) * n), n)
+    approx = block @ V.T
+    approx *= -2.0
+    approx += block_norms[:, None]
+    approx += norms
+    c = 8 * (width + 8) * positioning._EPS
+    slack = np.add.outer(c * block_norms, c * (norms + positioning._TINY))
+    upper = approx + slack
+    upper.partition(k - 1, axis=1)
+    thr = upper[:, k - 1 : k].copy()
+    del upper
+    approx -= slack
+    del slack
+    return np.nonzero(approx <= thr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(search_cases().map(lambda case: (*case, False)), filter_cases()))
+def test_nearest_is_the_same_bits_as_with_the_per_entry_slack_filter(case):
+    Q, V, k, cap, overflows = case
+    with np.errstate(over="ignore" if overflows else "raise"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(positioning, "_SCRATCH_BYTES", cap)
+        indices, keys = nearest(Q, V, k)
+        mp.setattr(positioning, "_candidates", per_entry_slack_candidates)
+        oracle_indices, oracle_keys = nearest(Q, V, k)
+    assert indices.tobytes() == oracle_indices.tobytes()
+    assert keys.tobytes() == oracle_keys.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -113,6 +113,31 @@ def test_ab_bench_summary_flags_a_metric_worse_than_its_bound_and_every_bad_run(
     assert passed and lines[1].split() == ["wall_s", "5.1", "3.35", "2.25", "4/4", "ok"]
 
 
+def test_ab_bench_summary_calls_a_gain_only_on_9_of_10_wins_and_a_median_gap_wider_than_the_iqr():
+    ab_bench = _load_tool("ab_bench")
+    end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                  {"name": "err_mae_m", "better": "higher", "bound": 0.25}]
+    parent = [_canned_run(wall) for wall in (1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.1, 0.9, 1.05, 0.95)]
+    # quartiles 0.9375 and 1.0625: an IQR of 0.125; the parent's median is 1.0
+
+    def verdicts(walls, maes=None):
+        change = [_canned_run(wall) for wall in walls]
+        for run, mae in zip(change, maes or []):
+            run["metrics"]["err_mae_m"]["value"] = mae
+        lines, passed = ab_bench.summarize({"parent": parent, "change": change}, end_to_end)
+        assert passed
+        return [line.split()[-2:] for line in lines[1:]]
+
+    nine = [0.8, 0.85, 0.8, 0.85, 0.8, 0.85, 0.8, 0.85, 0.8, 1.2]  # median 0.825, slower in pair 10
+    assert verdicts(nine)[0] == ["9/10", "gain"]
+    eight = nine[:8] + [1.2, 1.2]  # median still 0.825, but 8/10
+    assert verdicts(eight)[0] == ["8/10", "ok"]
+    close = [wall - 0.1 for wall in (1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.1, 0.9, 1.05, 0.95)]  # gap 0.1 < 0.125
+    assert verdicts(close)[0] == ["10/10", "ok"]
+    # a metric that is better higher: err_mae_m at 0.7 for the parent, 0.9 for the change in every pair
+    assert verdicts(nine, maes=[0.9] * 10) == [["9/10", "gain"], ["10/10", "gain"]]
+
+
 def test_ab_bench_run_that_does_not_report_exits_2(tmp_path, monkeypatch, capsys):
     ab_bench = _load_tool("ab_bench")
     monkeypatch.setattr(ab_bench, "BUILD", tmp_path / "build")

@@ -16,14 +16,17 @@ For each end-to-end metric of ``BENCHMARK.json`` it prints both medians,
 the parent's interquartile range, how many pairs the change won, and
 a verdict. The verdict is ``WORSE`` when the change's median is worse than
 the parent's by more than the metric's bound, a share of the parent's median.
-Otherwise it is ``unresolved`` when the parent's IQR is wider than that
-share and some change run does not beat every parent run: runs that spread
-wider than the bound cannot tell a change from noise. Otherwise it is
-``ok``. It lists every run that was not correct, had failed operations or
-wrote outputs whose digests differ from the parent's first run. The exit
-code is 1 if a metric is worse or a run is listed, 2 if a run did not
-report, and 0 otherwise, ``unresolved`` included. The result files of every
-run stay in ``.bench_build/ab/.perfbench_results/``.
+Otherwise it is ``gain`` when the change wins at least 9 in 10 of the pairs
+and its median is better than the parent's by more than the parent's IQR:
+the rule a claimed speed-up must meet. Otherwise it is ``unresolved`` when
+the parent's IQR is wider than the bound's share and some change run does
+not beat every parent run: runs that spread wider than the bound cannot
+tell a change from noise. Otherwise it is ``ok``. It lists every run that
+was not correct, had failed operations or wrote outputs whose digests
+differ from the parent's first run. The exit code is 1 if a metric is worse
+or a run is listed, 2 if a run did not report, and 0 otherwise, ``gain`` and
+``unresolved`` included. The result files of every run stay in
+``.bench_build/ab/.perfbench_results/``.
 """
 
 from __future__ import annotations
@@ -58,8 +61,10 @@ def summarize(results: dict[str, list[dict]], end_to_end: list[dict]) -> tuple[l
         parent_median, change_median = statistics.median(parent), statistics.median(change)
         allowed = metric["bound"] * abs(parent_median)
         worse = sign * (change_median - parent_median) > allowed
+        gain = 10 * wins >= 9 * len(parent) and sign * (parent_median - change_median) > q3 - q1
         dominates = max(sign * c for c in change) < min(sign * p for p in parent)
-        verdict = "WORSE" if worse else "unresolved" if q3 - q1 > allowed and not dominates else "ok"
+        verdict = ("WORSE" if worse else "gain" if gain else
+                   "unresolved" if q3 - q1 > allowed and not dominates else "ok")
         passed &= not worse
         lines.append(f"{name:<16}{parent_median:>15.4g}{change_median:>15.4g}{q3 - q1:>12.3g}"
                      f"{f'{wins}/{len(parent)}':>13}  {verdict}")
