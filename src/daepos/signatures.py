@@ -237,7 +237,10 @@ def parse_signatures(source, fmt: str = "canonical") -> SignatureTable:
     :data:`SIGNATURE_FORMATS`; it decides which columns hold the point id
     and coordinates and which RSSI cells are missed detections.  Every
     other column is an AP, whose names must be non-empty and unique.  The
-    file is read one row at a time, and each row is checked as it is read.
+    file is read one row at a time, and each row's cell count and
+    coordinates are checked as it is read.  The readings are checked over
+    the whole table after the last row, and before any later error is
+    raised, so the first bad row in file order is the one reported.
     """
     if fmt not in _LAYOUTS:
         raise ContractError(f"unknown signature format {fmt!r}; expected one of {sorted(_LAYOUTS)}")
@@ -248,44 +251,66 @@ def parse_signatures(source, fmt: str = "canonical") -> SignatureTable:
             raise DatasetError("empty signature file")
         header = [h.strip() for h in header]
         pi, xi, yi = locate(header)
-        ap_cols = [i for i in range(len(header)) if i not in {pi, xi, yi}]
-        ap_ids = [header[i] for i in ap_cols]
+        id_columns = sorted({pi, xi, yi} - {None}, reverse=True)
+        ap_ids = [name for i, name in enumerate(header) if i not in id_columns]
         if not ap_ids:
             raise FormatError("no AP columns left after removing coordinate/id columns")
         if len(set(ap_ids)) != len(ap_ids) or not all(ap_ids):
             raise FormatError("AP columns must be non-empty and unique")
 
         point_ids, coordinates, readings = [], array("d"), array("d")
-        for num, row in enumerate(rows, start=1):
-            if len(row) != len(header):
-                raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
-            x = _parse_float(row[xi])
-            y = _parse_float(row[yi])
-            if x is None or y is None:
-                raise RowError(num, f"non-numeric coordinate ({row[xi]!r}, {row[yi]!r})")
-            if not (abs(x) <= COORD_MAX and abs(y) <= COORD_MAX):
-                raise RowError(num, _coordinates_outside(x, y))
-            rssi = np.array([_reading(row[i]) for i in ap_cols])
-            rssi[~np.isfinite(rssi)] = np.nan  # unreadable cell: a missed detection
-            outside = (rssi < RSSI_MIN) | (rssi > RSSI_MAX)
-            if sentinels:
-                rssi[outside | (rssi == 0.0)] = np.nan
-            if np.isnan(rssi).all():
-                raise RowError(num, "scan contains no readings")
-            if not sentinels and outside.any():
-                j = int(outside.argmax())
-                raise RowError(num, _out_of_range(float(rssi[j]), ap_ids[j]))
-            point_ids.append(row[pi].strip() if pi is not None else f"row{num}")
-            coordinates.extend((x, y))
-            readings.frombytes(rssi.tobytes())
+        try:
+            for num, row in enumerate(rows, start=1):
+                if len(row) != len(header):
+                    raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
+                x = _parse_float(row[xi])
+                y = _parse_float(row[yi])
+                if x is None or y is None:
+                    raise RowError(num, f"non-numeric coordinate ({row[xi]!r}, {row[yi]!r})")
+                if not (abs(x) <= COORD_MAX and abs(y) <= COORD_MAX):
+                    raise RowError(num, _coordinates_outside(x, y))
+                point_ids.append(row[pi].strip() if pi is not None else f"row{num}")
+                coordinates.extend((x, y))
+                for i in id_columns:
+                    del row[i]  # the AP cells are left, in column order
+                try:
+                    readings.fromlist([float(cell) if cell else math.nan for cell in row])
+                except ValueError:
+                    readings.fromlist([_reading(cell) for cell in row])
+        except (RowError, FormatError):
+            _checked_readings(readings, ap_ids, sentinels)  # a bad reading in an earlier row comes first
+            raise
     if not point_ids:
         raise DatasetError("signature file has a header but no data rows")
     return SignatureTable(
         tuple(point_ids),
         np.frombuffer(coordinates).reshape(-1, 2),
         tuple(ap_ids),
-        np.frombuffer(readings).reshape(-1, len(ap_ids)),
+        _checked_readings(readings, ap_ids, sentinels),
     )
+
+
+def _checked_readings(readings: array, ap_ids: list[str], sentinels: bool) -> np.ndarray:
+    """The parsed readings as an (n, len(ap_ids)) view, missed detections made NaN in place.
+
+    An unreadable (non-finite) cell is a missed detection, and so is a
+    zenodo sentinel.  The first row, in file order, without a reading or,
+    in the canonical layout, with a reading out of range is a ``RowError``.
+    """
+    rssi = np.frombuffer(readings).reshape(-1, len(ap_ids))
+    rssi[~np.isfinite(rssi)] = np.nan
+    outside = (rssi < RSSI_MIN) | (rssi > RSSI_MAX)
+    if sentinels:
+        rssi[outside | (rssi == 0.0)] = np.nan
+    empty = np.isnan(rssi).all(axis=1)
+    bad = empty if sentinels else empty | outside.any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        if empty[i]:
+            raise RowError(i + 1, "scan contains no readings") from None
+        j = int(outside[i].argmax())
+        raise RowError(i + 1, _out_of_range(float(rssi[i, j]), ap_ids[j])) from None
+    return rssi
 
 
 def _reading(cell: str) -> float:

@@ -384,6 +384,52 @@ def _old_parse(text, fmt):
     return signatures
 
 
+def _row_loop_parse(source, fmt):
+    """The parser before readings were checked over the whole table: every row checked as it is read."""
+    from daepos.csvio import csv_rows
+    from daepos.signatures import _LAYOUTS, _coordinates_outside, _out_of_range, _parse_float, _reading
+
+    locate, sentinels = _LAYOUTS[fmt]
+    with csv_rows(source) as rows:
+        header = next(rows, None)
+        if header is None:
+            raise DatasetError("empty signature file")
+        header = [h.strip() for h in header]
+        pi, xi, yi = locate(header)
+        ap_cols = [i for i in range(len(header)) if i not in {pi, xi, yi}]
+        ap_ids = [header[i] for i in ap_cols]
+        if not ap_ids:
+            raise FormatError("no AP columns left after removing coordinate/id columns")
+        if len(set(ap_ids)) != len(ap_ids) or not all(ap_ids):
+            raise FormatError("AP columns must be non-empty and unique")
+        point_ids, coordinates, readings = [], [], []
+        for num, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
+            x, y = _parse_float(row[xi]), _parse_float(row[yi])
+            if x is None or y is None:
+                raise RowError(num, f"non-numeric coordinate ({row[xi]!r}, {row[yi]!r})")
+            if not (abs(x) <= COORD_MAX and abs(y) <= COORD_MAX):
+                raise RowError(num, _coordinates_outside(x, y))
+            rssi = np.array([_reading(row[i]) for i in ap_cols])
+            rssi[~np.isfinite(rssi)] = np.nan
+            outside = (rssi < RSSI_MIN) | (rssi > RSSI_MAX)
+            if sentinels:
+                rssi[outside | (rssi == 0.0)] = np.nan
+            if np.isnan(rssi).all():
+                raise RowError(num, "scan contains no readings")
+            if not sentinels and outside.any():
+                j = int(outside.argmax())
+                raise RowError(num, _out_of_range(float(rssi[j]), ap_ids[j]))
+            point_ids.append(row[pi].strip() if pi is not None else f"row{num}")
+            coordinates.append((x, y))
+            readings.append(rssi)
+    if not point_ids:
+        raise DatasetError("signature file has a header but no data rows")
+    return SignatureTable(tuple(point_ids), np.reshape(coordinates, (-1, 2)), tuple(ap_ids),
+                          np.reshape(readings, (-1, len(ap_ids))))
+
+
 def _old_build_registry(signatures, m):
     counts, rssi_sums = {}, {}
     for sig in signatures:
@@ -412,6 +458,15 @@ def _outcome(parse):
         return "ok", list(parse())
     except DaeposError as exc:
         return type(exc).__name__, str(exc)
+
+
+def _table_outcome(parse):
+    """A parse's table as bits, or its error's type and message."""
+    try:
+        table = parse()
+    except DaeposError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", (table.point_ids, table.ap_ids, table.references.tobytes(), table.rssi.tobytes())
 
 
 class _TrickleStream:
@@ -482,9 +537,13 @@ def survey_texts(draw):
 def test_parse_matches_the_per_signature_oracle(case, step):
     fmt, text = case
     expected = _outcome(lambda: _old_parse(text, fmt))
+    bits = _table_outcome(lambda: _row_loop_parse(io.StringIO(text), fmt))
     assert _outcome(lambda: parse_signatures(io.StringIO(text), fmt)) == expected
+    assert _table_outcome(lambda: parse_signatures(io.StringIO(text), fmt)) == bits
     # short reads split lines, and "\r\n" pairs, across reads
     assert _outcome(lambda: parse_signatures(_TrickleStream(text, step), fmt)) == expected
+    assert _table_outcome(lambda: parse_signatures(_TrickleStream(text, step), fmt)) == bits
+    assert _table_outcome(lambda: _row_loop_parse(_TrickleStream(text, step), fmt)) == bits
     if expected[0] == "ok":
         table, sigs = parse_signatures(io.StringIO(text), fmt), expected[1]
         for m in range(1, len(table.ap_ids) + 2):
@@ -498,6 +557,32 @@ def test_parse_reports_the_first_out_of_range_reading_of_the_first_bad_row():
     with pytest.raises(RowError, match=r"^row 2: RSSI -130.0 dBm for AP 'b' outside \[-120.0, 0.0\]$"):
         parse_text(text)
     assert _outcome(lambda: parse_text(text)) == _outcome(lambda: _old_parse(text, "canonical"))
+
+
+def test_a_bad_reading_comes_before_text_that_is_not_utf8_a_later_read_finds(tmp_path):
+    from daepos import csvio
+
+    good = "".join(f"p{i},{i % 7},0,-50\n" for i in range(10_000))
+    assert len(good) > csvio._CHUNK  # the bad bytes come in a later read than row 2
+    path = tmp_path / "s.csv"
+    path.write_bytes(("point_id,x,y,a\np1,0,0,-50\np2,1,0,-130\n" + good).encode() + b"\xff\xfe")
+    with pytest.raises(RowError, match=r"^row 2: RSSI -130.0 dBm for AP 'a' outside"):
+        parse_signatures(path)
+
+
+@pytest.mark.parametrize("later", ["p3,2,0", "p3,oops,0,-50"], ids=["short-row", "non-numeric-coordinate"])
+def test_a_bad_reading_comes_before_a_later_row_error(later):
+    text = f"point_id,x,y,a\np1,0,0,-50\np2,1,0,5\n{later}\n"
+    with pytest.raises(RowError, match=r"^row 2: RSSI 5.0 dBm for AP 'a' outside"):
+        parse_text(text)
+    expected = _table_outcome(lambda: _row_loop_parse(io.StringIO(text), "canonical"))
+    assert _table_outcome(lambda: parse_text(text)) == expected
+
+
+def test_zenodo_row_of_sentinels_only_has_no_readings():
+    text = "x,y,ap1,ap2\n0,0,-50,\n1,0,0,-200\n2,0,,100\n"
+    with pytest.raises(RowError, match=r"^row 2: scan contains no readings$"):
+        parse_text(text, fmt="zenodo")
 
 
 def test_path_parse_joins_a_crlf_split_between_reads(tmp_path, monkeypatch):

@@ -51,16 +51,22 @@ def _canned_run(wall_s: float, correct: bool = True, failed: int = 0) -> dict:
     return {"correct": correct, "attempted": 40, "failed": failed, "metrics": metrics, "digests": ["7c98"]}
 
 
+def _src_trees(tmp_path, sides) -> dict:
+    """An empty daepos package under ``tmp_path/<side>/src`` for each side."""
+    srcs = {}
+    for side in sides:
+        srcs[side] = tmp_path / side / "src"
+        (srcs[side] / "daepos").mkdir(parents=True)
+        (srcs[side] / "daepos" / "__init__.py").write_text("")
+    return srcs
+
+
 def test_ab_bench_alternates_which_side_runs_first(tmp_path, monkeypatch):
     ab_bench = _load_tool("ab_bench")
     assert ab_bench.run_order(3) == [
         (0, "parent"), (0, "change"), (1, "change"), (1, "parent"), (2, "parent"), (2, "change")
     ]
-    srcs = {}
-    for side in ab_bench.SIDES:
-        srcs[side] = tmp_path / side / "src"
-        (srcs[side] / "daepos").mkdir(parents=True)
-        (srcs[side] / "daepos" / "__init__.py").write_text("")
+    srcs = _src_trees(tmp_path, ab_bench.SIDES)
     monkeypatch.setattr(ab_bench, "BUILD", tmp_path / "build")
     calls = []
 
@@ -75,6 +81,32 @@ def test_ab_bench_alternates_which_side_runs_first(tmp_path, monkeypatch):
     seconds = json.loads((ab_bench.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
     assert calls == [(side, "label-large", seconds) for side in ("parent", "change", "change", "parent")]
     assert (tmp_path / "build" / "perfbench" / "run.py").is_file() and (tmp_path / "build" / "BENCHMARK.json").is_file()
+
+
+def test_ab_bench_empties_old_results_and_writes_every_run_of_the_session(tmp_path, monkeypatch):
+    ab_bench = _load_tool("ab_bench")
+    srcs = _src_trees(tmp_path, ab_bench.SIDES)
+    build = tmp_path / "build"
+    monkeypatch.setattr(ab_bench, "BUILD", build)
+    stale = build / ".perfbench_results" / "label-large-s1-trace0-old.json"
+    stale.parent.mkdir(parents=True)
+    stale.write_text("{}")
+    walls = iter([4.0, 3.0, 3.5, 4.5])
+
+    def fake_run_side(src, workload, seconds):
+        assert not stale.exists()
+        return _canned_run(next(walls))
+
+    monkeypatch.setattr(ab_bench, "run_side", fake_run_side)
+    argv = ["--parent-src", str(srcs["parent"]), "--change-src", str(srcs["change"]), "--workload", "label-large",
+            "--pairs", "2"]
+    assert ab_bench.main(argv) == 0
+    session = json.loads((build / "session-label-large.json").read_text(encoding="utf-8"))
+    assert session["workload"] == "label-large"
+    assert session["srcs"] == {side: str(src.resolve()) for side, src in srcs.items()}
+    runs = [(run["pair"], run["side"], run["metrics"]["wall_s"]["value"], run["digests"]) for run in session["runs"]]
+    assert runs == [(1, "parent", 4.0, ["7c98"]), (1, "change", 3.0, ["7c98"]),
+                    (2, "change", 3.5, ["7c98"]), (2, "parent", 4.5, ["7c98"])]
 
 
 def test_ab_bench_summary_flags_a_metric_worse_than_its_bound_and_every_bad_run():

@@ -25,8 +25,12 @@ tell a change from noise. Otherwise it is ``ok``. It lists every run that
 was not correct, had failed operations or wrote outputs whose digests
 differ from the parent's first run. The exit code is 1 if a metric is worse
 or a run is listed, 2 if a run did not report, and 0 otherwise, ``gain`` and
-``unresolved`` included. The result files of every run stay in
-``.bench_build/ab/.perfbench_results/``.
+``unresolved`` included.
+
+Each session starts by emptying ``.bench_build/ab/.perfbench_results/``, so
+the result files perfbench writes there are this session's alone. After
+each run it rewrites ``.bench_build/ab/session-W.json``: every run so far,
+in run order, with its pair, side, metrics and output digests.
 """
 
 from __future__ import annotations
@@ -113,10 +117,14 @@ def main(argv=None) -> int:
     shutil.rmtree(BUILD / "perfbench", ignore_errors=True)
     shutil.copytree(ROOT / "perfbench", BUILD / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy2(ROOT / "BENCHMARK.json", BUILD / "BENCHMARK.json")
+    shutil.rmtree(BUILD / ".perfbench_results", ignore_errors=True)
     results = {side: [None] * args.pairs for side in SIDES}
+    session = {"workload": args.workload, "srcs": {side: str(src) for side, src in srcs.items()}, "runs": []}
     for i, side in run_order(args.pairs):
         run = run_side(srcs[side], args.workload, benchmark["run_seconds"])
         results[side][i] = run
+        session["runs"].append({"pair": i + 1, "side": side, **run})
+        (BUILD / f"session-{args.workload}.json").write_text(json.dumps(session, indent=1), encoding="utf-8")
         values = " ".join(f"{name}={metric['value']:.4g}" for name, metric in run["metrics"].items())
         print(f"pair {i + 1}/{args.pairs} {side}: {values}", file=sys.stderr, flush=True)
 
