@@ -14,14 +14,12 @@ import csv
 import io
 import itertools
 import os
+from array import array
 from contextlib import contextmanager, nullcontext
-from types import SimpleNamespace
 
-from .errors import FormatError
+from .errors import FormatError, RowError
 
 _CHUNK = 1 << 16  # characters per read
-# a "\r\n" terminator makes the writer quote cells holding "\r" as well as "\n"
-_DIALECT = {"lineterminator": "\r\n"}
 
 
 def _opened(target, mode: str):
@@ -67,6 +65,26 @@ def csv_rows(source):
         yield _format_errors(filter(None, csv.reader(lines)), getattr(stream, "name", "input"))
 
 
+def numeric_table(rows, width: int, convert, check):
+    """Each row's key, and ``check`` of one ``array('d')`` of every row's numbers, as ``convert(num, row)`` gives them.
+
+    Rows have ``width`` cells and ``num`` counts from 1.  ``check`` raises the ``RowError`` of the array's first
+    bad row, and runs before a later row's error escapes, so the first bad row in file order is the one reported.
+    """
+    keys, values = [], array("d")
+    try:
+        for num, row in enumerate(rows, start=1):
+            if len(row) != width:
+                raise RowError(num, f"expected {width} cells, got {len(row)}")
+            key, numbers = convert(num, row)
+            keys.append(key)
+            values.fromlist(numbers)
+    except (RowError, FormatError):
+        check(values)
+        raise
+    return keys, check(values)
+
+
 def _format_errors(rows, name):
     try:
         yield from rows
@@ -77,28 +95,20 @@ def _format_errors(rows, name):
 
 
 @contextmanager
-def csv_writer(dest, comment: str | None = None):
-    """A ``csv.writer`` on a path or text stream, after a ``# comment`` line if one is given."""
-    with line_writer(dest, comment) as write:
-        # the writer writes each row in one call, and the row's "\r\n" becomes "\n" here
-        yield csv.writer(SimpleNamespace(write=lambda row: write(row[:-2] + "\n")), **_DIALECT)
-
-
-@contextmanager
 def line_writer(dest, comment: str | None = None):
-    """The ``write`` of a path or text stream, after a ``# comment`` line if one is given.
+    """A path, opened, or a text stream, after a ``# comment`` line if one is given.
 
-    Each call must write whole ``\n``-ended lines, their cells made by :func:`csv_cell`.
+    Write it one ``\n``-ended row at a time, with text cells made by :func:`csv_cell`.
     """
     with _opened(dest, "w") as stream:
         if comment:
             stream.write(f"# {comment}\n")
-        yield stream.write
+        yield stream
 
 
 def csv_cell(text: str) -> str:
-    """``text`` as :func:`csv_writer` writes it in a row of two or more cells: quoted if it must be, else itself."""
+    """``text`` as ``csv`` writes it in a row of two or more cells: quoted if it must be, else itself."""
     row = io.StringIO()
-    csv.writer(row, **_DIALECT).writerow((text, ""))
+    csv.writer(row, lineterminator="\r\n").writerow((text, ""))  # "\r\n" makes it quote "\r" as well as "\n"
     cell = row.getvalue()[:-3]  # less the empty cell's "," and the "\r\n"
     return text if cell == text else cell

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .csvio import csv_cell, csv_rows, line_writer
+from .csvio import csv_cell, csv_rows, line_writer, numeric_table
 from .errors import ConfigError, ContractError, DatasetError, FormatError, RowError
 from .positioning import DEFAULT_K, RadioMap, localize
 from .signatures import COORD_MAX, ApRegistry, Position2D, RadioSignature, SignatureTable, feature_matrix
@@ -265,11 +264,11 @@ def build_holdout_dataset(
 
 def write_dae_dataset(dataset: DaeDataset, dest, comment: str | None = None) -> None:
     id_cell = functools.cache(csv_cell)
-    with line_writer(dest, comment) as write:
-        write(",".join(map(csv_cell, ["point_id", "fold", *dataset.feature_names(), "delta_pos"])) + "\n")
+    with line_writer(dest, comment) as out:
+        out.write(",".join(map(csv_cell, ["point_id", "fold", *dataset.feature_names(), "delta_pos"])) + "\n")
         columns = zip(dataset.point_ids, dataset.folds.tolist(), dataset.X, dataset.y.tolist())
         for point_id, fold, row, label in columns:  # one line at a time: the file's text is never held
-            write(f"{id_cell(point_id)},{fold},{','.join(map(repr, row.tolist()))},{label!r}\n")
+            out.write(f"{id_cell(point_id)},{fold},{','.join(map(repr, row.tolist()))},{label!r}\n")
 
 
 def read_dae_dataset(source) -> DaeDataset:
@@ -295,10 +294,7 @@ def read_dae_dataset(source) -> DaeDataset:
             raise FormatError("dataset has no RSSI feature columns")
         registry = ApRegistry(aps=tuple(ap_ids), availability=tuple(0 for _ in ap_ids))
 
-        ids, folds, values = [], [], array("d")
-        for num, row in enumerate(rows, start=1):
-            if len(row) != len(header):
-                raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
+        def convert(num: int, row: list[str]) -> tuple[tuple[str, int], list[float]]:
             try:
                 fold = int(row[1])
                 cells = [float(c) for c in row[2:]]
@@ -306,16 +302,28 @@ def read_dae_dataset(source) -> DaeDataset:
                 raise RowError(num, str(exc)) from None
             if not -(2**63) <= fold < 2**63:
                 raise RowError(num, f"fold {row[1].strip()} does not fit a 64-bit integer")
-            if not all(map(math.isfinite, cells)):
-                raise RowError(num, "non-finite feature or label cell")
-            if max(map(abs, cells[:-1])) > COORD_MAX:
-                raise RowError(num, f"feature cells must lie within +-{COORD_MAX:g}")
-            if not 0.0 <= cells[-1] <= LABEL_MAX:
-                raise RowError(num, f"delta_pos must lie in [0, {LABEL_MAX:g}], got {cells[-1]}")
-            ids.append(row[0])
-            folds.append(fold)
-            values.extend(cells)
-    if not ids:
+            return (row[0], fold), cells
+
+        keys, values = numeric_table(rows, len(header), convert, lambda v: _checked_values(v, len(names)))
+    if not keys:
         raise DatasetError("dataset file has a header but no records")
-    values = np.frombuffer(values).reshape(len(ids), -1)
-    return DaeDataset(values[:, :-1], values[:, -1], tuple(ids), folds, variant, registry)
+    ids, folds = zip(*keys)
+    return DaeDataset(values[:, :-1], values[:, -1], ids, folds, variant, registry)
+
+
+def _checked_values(values, features: int) -> np.ndarray:
+    """The parsed rows as an (n, features + 1) view, each row's features then its label.
+
+    The first row with a non-finite cell, a feature beyond ``COORD_MAX`` or a label outside
+    ``[0, LABEL_MAX]`` is a ``RowError``, with the first of these messages.
+    """
+    table = np.frombuffer(values).reshape(-1, features + 1)
+    labels = table[:, -1]
+    fault = np.select([~np.isfinite(table).all(axis=1), (np.abs(table[:, :-1]) > COORD_MAX).any(axis=1),
+                       (labels < 0.0) | (labels > LABEL_MAX)], [1, 2, 3])
+    if fault.any():
+        i = int(np.flatnonzero(fault)[0])
+        messages = ["non-finite feature or label cell", f"feature cells must lie within +-{COORD_MAX:g}",
+                    f"delta_pos must lie in [0, {LABEL_MAX:g}], got {labels[i].item()}"]
+        raise RowError(i + 1, messages[fault[i] - 1]) from None
+    return table

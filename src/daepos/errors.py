@@ -41,7 +41,15 @@ class DatasetError(DataError):
     """Dataset is empty or unusable for the requested operation."""
 
 
+class DataValueError(DataError, ValueError):
+    """A domain type refuses a value of the data: a reading, a position or an AP name."""
+
+
 class ContractError(DaeposError):
     """A call violated an API precondition, e.g. mismatched vector widths."""
 
     exit_code = 3
+
+
+class ShapeError(ContractError, ValueError):
+    """A domain type's columns do not fit one another."""

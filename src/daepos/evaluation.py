@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvio import csv_writer
+from .csvio import csv_cell, line_writer
 from .dae import DaeDataset, feature_names
 from .errors import ConfigError, ContractError, DatasetError
 from .regressors import ErrorRegressor, ModelSpec, fit_arrays
@@ -190,22 +190,21 @@ def evaluate_model(
 
 def write_summary_csv(reports: Sequence[EvaluationReport], dest, comment: str | None = None) -> None:
     """Row-per-model summary: algorithm,parameters,MAE,MSE."""
-    with csv_writer(dest, comment) as writer:
-        writer.writerow(["algorithm", "parameters", "MAE", "MSE"])
-        for rep in reports:
-            writer.writerow([rep.label, rep.parameters, f"{rep.mae:.3f}", f"{rep.mse:.3f}"])
+    with line_writer(dest, comment) as out:
+        out.write("algorithm,parameters,MAE,MSE\n")
+        out.writelines(f"{csv_cell(r.label)},{csv_cell(r.parameters)},{r.mae:.3f},{r.mse:.3f}\n" for r in reports)
 
 
 def write_pairs_csv(report: EvaluationReport, dest, comment: str | None = None) -> None:
-    with csv_writer(dest, comment) as writer:
-        writer.writerow(["delta_pos", "delta_est"])
-        writer.writerows(zip(map(repr, report.delta_pos.tolist()), map(repr, report.delta_est.tolist())))
+    with line_writer(dest, comment) as out:
+        out.write("delta_pos,delta_est\n")
+        out.writelines(f"{pos!r},{est!r}\n" for pos, est in zip(report.delta_pos.tolist(), report.delta_est.tolist()))
 
 
 def write_ecdf_csv(report: EvaluationReport, dest, comment: str | None = None) -> None:
     """ECDF of the signed errors: each sorted value with its cumulative fraction."""
     ordered = np.sort(report.signed_errors())
     fractions = np.arange(1, len(ordered) + 1) / len(ordered)
-    with csv_writer(dest, comment) as writer:
-        writer.writerow(["signed_error", "fraction"])
-        writer.writerows(zip(map(repr, ordered.tolist()), map(repr, fractions.tolist())))
+    with line_writer(dest, comment) as out:
+        out.write("signed_error,fraction\n")
+        out.writelines(f"{error!r},{fraction!r}\n" for error, fraction in zip(ordered.tolist(), fractions.tolist()))

@@ -23,7 +23,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
-from .csvio import csv_writer
+from .csvio import csv_cell, line_writer
 from .dae import GROUPINGS, VARIANTS, build_dae_dataset, build_holdout_dataset, make_fold_plan, write_dae_dataset
 from .errors import ConfigError, DaeposError
 from .evaluation import (
@@ -454,10 +454,9 @@ def run_pipeline(config: PipelineConfig, log=print) -> list[EvaluationReport]:
 
 
 def _write_metrics_csv(reports, path, comment):
-    with csv_writer(path, comment) as writer:
-        writer.writerow(["algorithm", "parameters", "protocol", "MAE", "MSE", "pearson", "n_pairs"])
+    with line_writer(path, comment) as out:
+        out.write("algorithm,parameters,protocol,MAE,MSE,pearson,n_pairs\n")
         for rep in reports:
             pearson = "" if rep.pearson is None else repr(rep.pearson)
-            writer.writerow(
-                [rep.label, rep.parameters, rep.protocol, repr(rep.mae), repr(rep.mse), pearson, len(rep.delta_pos)]
-            )
+            text = ",".join(map(csv_cell, (rep.label, rep.parameters, rep.protocol)))
+            out.write(f"{text},{rep.mae!r},{rep.mse!r},{pearson},{len(rep.delta_pos)}\n")

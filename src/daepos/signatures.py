@@ -17,7 +17,6 @@ CSVs with different column conventions through the same parser.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -25,8 +24,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .csvio import csv_rows, csv_writer
-from .errors import ContractError, DatasetError, FormatError, RowError
+from .csvio import csv_cell, csv_rows, line_writer, numeric_table
+from .errors import ContractError, DataValueError, DatasetError, FormatError, RowError, ShapeError
 
 # Physically meaningful RSSI range for received Wi-Fi signals.
 RSSI_MIN = -120.0
@@ -51,7 +50,7 @@ class Position2D:
 
     def __post_init__(self):
         if not (abs(self.x) <= COORD_MAX and abs(self.y) <= COORD_MAX):
-            raise ValueError(_coordinates_outside(self.x, self.y))
+            raise DataValueError(_coordinates_outside(self.x, self.y))
 
 
 @dataclass(frozen=True)
@@ -64,12 +63,12 @@ class RadioSignature:
 
     def __post_init__(self):
         if not self.readings:
-            raise ValueError("a radio signature needs at least one reading")
+            raise DataValueError("a radio signature needs at least one reading")
         for ap, rssi in self.readings.items():
             if not ap:
-                raise ValueError("empty AP identifier")
+                raise DataValueError("empty AP identifier")
             if not (RSSI_MIN <= rssi <= RSSI_MAX):
-                raise ValueError(_out_of_range(rssi, ap))
+                raise DataValueError(_out_of_range(rssi, ap))
         # Freeze the mapping so signatures are safe to share between workers.
         object.__setattr__(self, "readings", MappingProxyType(dict(self.readings)))
 
@@ -103,24 +102,24 @@ class SignatureTable(Sequence):
         references = np.array(self.references, dtype=float)
         rssi = np.array(self.rssi, dtype=float)
         if references.shape != (len(point_ids), 2) or rssi.shape != (len(point_ids), len(ap_ids)):
-            raise ValueError(
+            raise ShapeError(
                 f"references {references.shape} and readings {rssi.shape} do not fit "
                 f"{len(point_ids)} scans of {len(ap_ids)} APs"
             )
         if not all(ap_ids):
-            raise ValueError("empty AP identifier")
+            raise DataValueError("empty AP identifier")
         if len(set(ap_ids)) != len(ap_ids):
-            raise ValueError("duplicate AP identifier")
+            raise DataValueError("duplicate AP identifier")
         inside = (np.abs(references) <= COORD_MAX).all(axis=1)
         if not inside.all():
-            raise ValueError(_coordinates_outside(*references[inside.argmin()].tolist()))
+            raise DataValueError(_coordinates_outside(*references[inside.argmin()].tolist()))
         detected = ~np.isnan(rssi)
         if not detected.any(axis=1).all():
-            raise ValueError("a radio signature needs at least one reading")
+            raise DataValueError("a radio signature needs at least one reading")
         outside = detected & ~((rssi >= RSSI_MIN) & (rssi <= RSSI_MAX))
         if outside.any():
             i, j = np.argwhere(outside)[0].tolist()
-            raise ValueError(_out_of_range(float(rssi[i, j]), ap_ids[j]))
+            raise DataValueError(_out_of_range(float(rssi[i, j]), ap_ids[j]))
         references.setflags(write=False)
         rssi.setflags(write=False)
         for name, value in (("point_ids", point_ids), ("references", references), ("ap_ids", ap_ids), ("rssi", rssi)):
@@ -168,11 +167,11 @@ class ApRegistry:
 
     def __post_init__(self):
         if len(self.aps) != len(self.availability):
-            raise ValueError("aps and availability lengths differ")
+            raise ShapeError("aps and availability lengths differ")
         if len(set(self.aps)) != len(self.aps):
-            raise ValueError("duplicate AP in registry")
+            raise DataValueError("duplicate AP in registry")
         if any(not ap for ap in self.aps):
-            raise ValueError("empty AP identifier in registry")
+            raise DataValueError("empty AP identifier in registry")
         object.__setattr__(self, "_slot", {ap: i for i, ap in enumerate(self.aps)})
 
     def __len__(self) -> int:
@@ -233,14 +232,10 @@ def feature_matrix(signatures: Sequence[RadioSignature], registry: ApRegistry) -
 def parse_signatures(source, fmt: str = "canonical") -> SignatureTable:
     """Parse a signature file in the given format into a :class:`SignatureTable`.
 
-    ``source`` may be a path or an open text stream.  ``fmt`` is one of
-    :data:`SIGNATURE_FORMATS`; it decides which columns hold the point id
-    and coordinates and which RSSI cells are missed detections.  Every
-    other column is an AP, whose names must be non-empty and unique.  The
-    file is read one row at a time, and each row's cell count and
-    coordinates are checked as it is read.  The readings are checked over
-    the whole table after the last row, and before any later error is
-    raised, so the first bad row in file order is the one reported.
+    ``source`` may be a path or an open text stream.  ``fmt`` is one of :data:`SIGNATURE_FORMATS`; it
+    decides which columns hold the point id and coordinates and which RSSI cells are missed detections.
+    Every other column is an AP, whose names must be non-empty and unique.  Each row's coordinates are
+    checked as it is read, and the readings of all rows in one pass (:func:`csvio.numeric_table`).
     """
     if fmt not in _LAYOUTS:
         raise ContractError(f"unknown signature format {fmt!r}; expected one of {sorted(_LAYOUTS)}")
@@ -258,46 +253,34 @@ def parse_signatures(source, fmt: str = "canonical") -> SignatureTable:
         if len(set(ap_ids)) != len(ap_ids) or not all(ap_ids):
             raise FormatError("AP columns must be non-empty and unique")
 
-        point_ids, coordinates, readings = [], array("d"), array("d")
-        try:
-            for num, row in enumerate(rows, start=1):
-                if len(row) != len(header):
-                    raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
-                x = _parse_float(row[xi])
-                y = _parse_float(row[yi])
-                if x is None or y is None:
-                    raise RowError(num, f"non-numeric coordinate ({row[xi]!r}, {row[yi]!r})")
-                if not (abs(x) <= COORD_MAX and abs(y) <= COORD_MAX):
-                    raise RowError(num, _coordinates_outside(x, y))
-                point_ids.append(row[pi].strip() if pi is not None else f"row{num}")
-                coordinates.extend((x, y))
-                for i in id_columns:
-                    del row[i]  # the AP cells are left, in column order
-                try:
-                    readings.fromlist([float(cell) if cell else math.nan for cell in row])
-                except ValueError:
-                    readings.fromlist([_reading(cell) for cell in row])
-        except (RowError, FormatError):
-            _checked_readings(readings, ap_ids, sentinels)  # a bad reading in an earlier row comes first
-            raise
+        def convert(num: int, row: list[str]) -> tuple[str, list[float]]:
+            x, y = _reading(row[xi]), _reading(row[yi])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise RowError(num, f"non-numeric coordinate ({row[xi]!r}, {row[yi]!r})")
+            if not (abs(x) <= COORD_MAX and abs(y) <= COORD_MAX):
+                raise RowError(num, _coordinates_outside(x, y))
+            point_id = row[pi].strip() if pi is not None else f"row{num}"
+            for i in id_columns:
+                del row[i]  # the AP cells are left, in column order
+            try:
+                return point_id, [x, y, *[float(cell) if cell else math.nan for cell in row]]
+            except ValueError:
+                return point_id, [x, y, *map(_reading, row)]
+
+        point_ids, table = numeric_table(rows, len(header), convert, lambda v: _checked_table(v, ap_ids, sentinels))
     if not point_ids:
         raise DatasetError("signature file has a header but no data rows")
-    return SignatureTable(
-        tuple(point_ids),
-        np.frombuffer(coordinates).reshape(-1, 2),
-        tuple(ap_ids),
-        _checked_readings(readings, ap_ids, sentinels),
-    )
+    return SignatureTable(tuple(point_ids), table[:, :2], tuple(ap_ids), table[:, 2:])
 
 
-def _checked_readings(readings: array, ap_ids: list[str], sentinels: bool) -> np.ndarray:
-    """The parsed readings as an (n, len(ap_ids)) view, missed detections made NaN in place.
+def _checked_table(values, ap_ids: list[str], sentinels: bool) -> np.ndarray:
+    """The parsed rows as an (n, 2 + len(ap_ids)) view of x, y and the readings, missed detections made NaN.
 
-    An unreadable (non-finite) cell is a missed detection, and so is a
-    zenodo sentinel.  The first row, in file order, without a reading or,
-    in the canonical layout, with a reading out of range is a ``RowError``.
+    A non-finite reading is a missed detection, and so is a zenodo sentinel.  The first row without a
+    reading or, in the canonical layout, with a reading out of range is a ``RowError``.
     """
-    rssi = np.frombuffer(readings).reshape(-1, len(ap_ids))
+    table = np.frombuffer(values).reshape(-1, 2 + len(ap_ids))
+    rssi = table[:, 2:]
     rssi[~np.isfinite(rssi)] = np.nan
     outside = (rssi < RSSI_MIN) | (rssi > RSSI_MAX)
     if sentinels:
@@ -310,25 +293,15 @@ def _checked_readings(readings: array, ap_ids: list[str], sentinels: bool) -> np
             raise RowError(i + 1, "scan contains no readings") from None
         j = int(outside[i].argmax())
         raise RowError(i + 1, _out_of_range(float(rssi[i, j]), ap_ids[j])) from None
-    return rssi
+    return table
 
 
 def _reading(cell: str) -> float:
-    """The number in an RSSI cell, or NaN when the cell is empty or unparseable."""
-    if cell:  # skipping empty cells first avoids slow exceptions
-        try:
-            return float(cell)
-        except ValueError:
-            pass
-    return math.nan
-
-
-def _parse_float(cell: str) -> float | None:
+    """The number in a cell, or NaN when the cell is empty or unparseable."""
     try:
-        value = float(cell)
+        return float(cell)
     except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        return math.nan
 
 
 def _canonical_columns(header: list[str]) -> tuple[int, int, int]:
@@ -386,8 +359,8 @@ def write_signatures(signatures: Sequence[RadioSignature], dest, comment: str | 
     ap_order = sorted(ap for ap, seen in zip(table.ap_ids, detected) if seen)
     columns = [table.column_of(ap) for ap in ap_order]
 
-    with csv_writer(dest, comment) as writer:
-        writer.writerow(["point_id", "x", "y", *ap_order])
+    with line_writer(dest, comment) as out:
+        out.write(",".join(map(csv_cell, ["point_id", "x", "y", *ap_order])) + "\n")
         for point_id, (x, y), row in zip(table.point_ids, table.references.tolist(), table.rssi):
-            cells = ["" if rssi != rssi else repr(rssi) for rssi in row[columns].tolist()]
-            writer.writerow([point_id, repr(x), repr(y), *cells])
+            cells = ",".join(["" if rssi != rssi else repr(rssi) for rssi in row[columns].tolist()])
+            out.write(f"{csv_cell(point_id)},{x!r},{y!r},{cells}\n")

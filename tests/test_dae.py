@@ -1,5 +1,7 @@
 import io
+import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -28,8 +30,10 @@ from daepos import (
     true_error,
     write_dae_dataset,
 )
-from daepos.csvio import csv_writer
-from daepos.dae import LABEL_MAX, FoldPlan
+from csv_oracle import TEXT_CELLS, Trickle, csv_text, outcome, whole
+from daepos.csvio import csv_rows
+from daepos.dae import LABEL_MAX, XY_COLUMNS, FoldPlan
+from daepos.errors import DaeposError, FormatError, RowError
 from daepos.signatures import COORD_MAX
 
 
@@ -288,7 +292,7 @@ def datasets(draw):
     return DaeDataset(
         X=draw(arrays(float, (n, width), elements=st.floats(-COORD_MAX, COORD_MAX))),
         y=draw(arrays(float, n, elements=st.floats(0.0, LABEL_MAX))),
-        point_ids=tuple(draw(st.lists(st.text(_ID_CHARS, max_size=8), min_size=n, max_size=n))),
+        point_ids=tuple(draw(st.lists(st.text(_ID_CHARS, max_size=8) | TEXT_CELLS, min_size=n, max_size=n))),
         folds=draw(st.lists(st.integers(-1, 9), min_size=n, max_size=n)),
         variant=variant,
         registry=ApRegistry(aps=tuple(aps), availability=tuple(0 for _ in aps)),
@@ -308,22 +312,20 @@ def test_dataset_csv_roundtrip_property(ds, comment):
     assert back.folds.tolist() == ds.folds.tolist()
 
 
-def write_dae_dataset_with_csv_writer(dataset, dest, comment=None):
-    """The dataset writer as it was before it wrote each row as one string: one ``csv`` row per record."""
-    with csv_writer(dest, comment) as writer:
-        writer.writerow(["point_id", "fold", *dataset.feature_names(), "delta_pos"])
-        columns = zip(dataset.point_ids, dataset.folds.tolist(), dataset.X, dataset.y.tolist())
-        for point_id, fold, row, label in columns:
-            writer.writerow([point_id, fold, *map(repr, row.tolist()), repr(label)])
+def _dataset_rows(dataset):
+    """The rows the dataset writer wrote through ``csv.writer`` before it wrote each row as one string."""
+    yield ["point_id", "fold", *dataset.feature_names(), "delta_pos"]
+    columns = zip(dataset.point_ids, dataset.folds.tolist(), dataset.X, dataset.y.tolist())
+    for point_id, fold, row, label in columns:
+        yield [point_id, fold, *map(repr, row.tolist()), repr(label)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(ds=datasets(), comment=st.sampled_from([None, "config_hash=x seed=0"]))
 def test_dataset_csv_is_the_csv_writers_bytes(ds, comment):
-    buf, oracle = io.StringIO(), io.StringIO()
+    buf = io.StringIO()
     write_dae_dataset(ds, buf, comment=comment)
-    write_dae_dataset_with_csv_writer(ds, oracle, comment=comment)
-    assert buf.getvalue() == oracle.getvalue()
+    assert buf.getvalue() == csv_text(_dataset_rows(ds), comment)
 
 
 def test_dataset_csv_is_written_a_line_at_a_time(tmp_path):
@@ -347,3 +349,120 @@ def test_dataset_csv_is_written_a_line_at_a_time(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size > 4 * 2**20
     assert peak < 2**20
+
+
+# --- the dataset reader against the reader it replaced ----------------------------
+
+
+def _row_checked_read(source):
+    """The dataset reader before it shared the signature reader's row loop: every row checked as it is read."""
+    with csv_rows(source) as rows:
+        header = next(rows, None)
+        if header is None:
+            raise DatasetError("empty dataset file")
+        header = [h.strip() for h in header]
+        if len(header) < 4 or header[0] != "point_id" or header[1] != "fold" or header[-1] != "delta_pos":
+            raise FormatError("dataset header must be 'point_id,fold,<features...>,delta_pos'")
+        names = header[2:-1]
+        if not all(names) or len(set(names)) != len(names):
+            raise FormatError("dataset feature columns must be non-empty and unique")
+        variant = "xy" if tuple(names[-2:]) == XY_COLUMNS else "plain"
+        ap_ids = names[:-2] if variant == "xy" else names
+        if not ap_ids:
+            raise FormatError("dataset has no RSSI feature columns")
+        registry = ApRegistry(aps=tuple(ap_ids), availability=tuple(0 for _ in ap_ids))
+        ids, folds, values = [], [], array("d")
+        for num, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
+            try:
+                fold = int(row[1])
+                cells = [float(c) for c in row[2:]]
+            except ValueError as exc:
+                raise RowError(num, str(exc)) from None
+            if not -(2**63) <= fold < 2**63:
+                raise RowError(num, f"fold {row[1].strip()} does not fit a 64-bit integer")
+            if not all(map(math.isfinite, cells)):
+                raise RowError(num, "non-finite feature or label cell")
+            if max(map(abs, cells[:-1])) > COORD_MAX:
+                raise RowError(num, f"feature cells must lie within +-{COORD_MAX:g}")
+            if not 0.0 <= cells[-1] <= LABEL_MAX:
+                raise RowError(num, f"delta_pos must lie in [0, {LABEL_MAX:g}], got {cells[-1]}")
+            ids.append(row[0])
+            folds.append(fold)
+            values.extend(cells)
+    if not ids:
+        raise DatasetError("dataset file has a header but no records")
+    values = np.frombuffer(values).reshape(len(ids), -1)
+    return DaeDataset(values[:, :-1], values[:, -1], tuple(ids), folds, variant, registry)
+
+
+def _dataset_bits(read):
+    """A read's dataset as bits, or its error's type, message and row."""
+    def bits():
+        ds = read()
+        return ds.variant, ds.registry.aps, ds.point_ids, ds.folds.tolist(), ds.X.tobytes(), ds.y.tobytes()
+
+    return outcome(bits)
+
+
+# feature cells, and corrupt ones: non-finite, beyond COORD_MAX, unparseable
+_FEATURE_CELLS = ["-50.5", "0", "-0.0", "5e-324", " 1e9 ", "-1e9", "1.5e2"]
+_BAD_FEATURES = ["nan", "-inf", "1e400", "1000000000.0001", "-2e9", "x", "", "0x10"]
+_LABEL_CELLS = ["0", "-0.0", "0.25", "3e9", " 2 "]
+_BAD_LABELS = ["-0.5", "3000000000.0001", "inf", "nan", "", "1e999"]
+_FOLD_CELLS = ["0", "-1", " 3 ", "9223372036854775807", "-9223372036854775808", "+2", "1_0"]
+_BAD_FOLDS = ["9223372036854775808", "-9223372036854775809", "1.0", "", "x", "1e3"]
+
+
+@st.composite
+def dataset_files(draw):
+    """Dataset files, as UTF-8 bytes, with bad cells, short and long rows, and bytes that are not UTF-8."""
+    aps = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
+    names = aps + (list(XY_COLUMNS) if draw(st.booleans()) else [])
+    lines = [",".join(["point_id", "fold", *names, "delta_pos"])]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [draw(st.sampled_from(["p1", "", '"q,1"', " p "])), draw(st.sampled_from(_FOLD_CELLS))]
+        cells += [draw(st.sampled_from(_FEATURE_CELLS)) for _ in names]
+        cells.append(draw(st.sampled_from(_LABEL_CELLS)))
+        shape = draw(st.sampled_from(["row"] * 12 + ["short", "long", "blank", "fold", "feature", "label"]))
+        if shape == "short":
+            cells.pop()
+        elif shape == "long":
+            cells.append("0")
+        elif shape == "fold":
+            cells[1] = draw(st.sampled_from(_BAD_FOLDS))
+        elif shape == "feature":
+            cells[draw(st.integers(2, len(cells) - 2))] = draw(st.sampled_from(_BAD_FEATURES))
+        elif shape == "label":
+            cells[-1] = draw(st.sampled_from(_BAD_LABELS))
+        lines.append("" if shape == "blank" else ",".join(cells))
+    comments = draw(st.lists(st.just("# config_hash=x seed=0"), max_size=1))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    data = "".join(line + end for line in comments + lines).encode()
+    return data + draw(st.sampled_from([b"", b"", b"\xff\xfe", b"p9,0,\xc3"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=dataset_files(), step=st.integers(1, 9))
+def test_read_matches_the_row_checked_oracle(data, step):
+    expected = _dataset_bits(lambda: _row_checked_read(whole(data)))
+    assert _dataset_bits(lambda: read_dae_dataset(whole(data))) == expected
+    # short reads reach text that is not UTF-8 only after the rows before it
+    trickled = _dataset_bits(lambda: _row_checked_read(Trickle(data, step)))
+    assert _dataset_bits(lambda: read_dae_dataset(Trickle(data, step))) == trickled
+
+
+@pytest.mark.parametrize(
+    "later, message",
+    [(b"p3,0,-50\n", "expected 4 cells, got 3"), (b"p3,x,-50,1.0\n", "invalid literal"),
+     (b"p3,0,-50,1.0\n\xff\n", "not UTF-8")],
+    ids=["short-row", "non-numeric-fold", "not-utf8"],
+)
+def test_a_bad_label_comes_before_a_later_error(later, message):
+    data = b"point_id,fold,a,delta_pos\np1,0,-50,1.0\np2,0,-50,-1.0\n" + later
+    expected = (RowError.__name__, "row 2: delta_pos must lie in [0, 3e+09], got -1.0", 2)
+    assert _dataset_bits(lambda: read_dae_dataset(Trickle(data, 5))) == expected
+    assert _dataset_bits(lambda: _row_checked_read(Trickle(data, 5))) == expected
+    with pytest.raises(DaeposError, match=message):  # the later error alone, with no bad row before it
+        read_dae_dataset(Trickle(data.replace(b"-1.0", b"1.0"), 5))

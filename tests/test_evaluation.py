@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csv_oracle import FLOATS, TEXT_CELLS, csv_text
 from daepos import (
     ContractError,
     DaeDataset,
@@ -17,6 +18,7 @@ from daepos import (
 from daepos.dae import EXTERNAL_FOLD, make_fold_plan
 from daepos.evaluation import (
     PROTOCOLS,
+    EvaluationReport,
     _fold_seed,
     fit_and_predict,
     fit_tasks,
@@ -24,7 +26,7 @@ from daepos.evaluation import (
     write_pairs_csv,
     write_summary_csv,
 )
-from daepos.pipeline import _SECONDS_PER_UNIT, POOLED_FAMILIES, _task_cost
+from daepos.pipeline import _SECONDS_PER_UNIT, POOLED_FAMILIES, _task_cost, _write_metrics_csv
 from daepos.regressors import ModelSpec, fit, fit_arrays
 from daepos.signatures import ApRegistry
 
@@ -297,3 +299,47 @@ def test_pairs_and_ecdf_csv_roundtrip_floats():
     ecdf_lines = ecdf_buf.getvalue().splitlines()
     assert ecdf_lines[0] == "signed_error,fraction"
     assert [float(x) for x in ecdf_lines[1].split(",")] == [-0.25, 0.5]
+
+
+# --- every writer against csv.writer ------------------------------------------------
+
+
+@st.composite
+def reports(draw):
+    """Reports whose text fields need quoting, with signed zeros, subnormals and 1e300 in every float."""
+    n = draw(st.integers(1, 5))
+    pairs = [draw(st.lists(FLOATS, min_size=n, max_size=n)) for _ in range(2)]
+    return EvaluationReport(
+        label=draw(TEXT_CELLS), mae=draw(FLOATS), mse=draw(FLOATS), pearson=draw(st.none() | FLOATS),
+        delta_pos=np.array(pairs[0]), delta_est=np.array(pairs[1]),
+        parameters=draw(TEXT_CELLS), protocol=draw(TEXT_CELLS),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(lineup=st.lists(reports(), min_size=1, max_size=3), comment=st.sampled_from([None, "config_hash=x seed=0"]))
+def test_summary_and_metrics_files_are_the_csv_writers_bytes(lineup, comment):
+    summary, metrics = io.StringIO(), io.StringIO()
+    write_summary_csv(lineup, summary, comment=comment)
+    assert summary.getvalue() == csv_text(
+        [["algorithm", "parameters", "MAE", "MSE"],
+         *([rep.label, rep.parameters, f"{rep.mae:.3f}", f"{rep.mse:.3f}"] for rep in lineup)], comment)
+    _write_metrics_csv(lineup, metrics, comment)
+    assert metrics.getvalue() == csv_text(
+        [["algorithm", "parameters", "protocol", "MAE", "MSE", "pearson", "n_pairs"],
+         *([rep.label, rep.parameters, rep.protocol, repr(rep.mae), repr(rep.mse),
+            "" if rep.pearson is None else repr(rep.pearson), len(rep.delta_pos)] for rep in lineup)], comment)
+
+
+@settings(max_examples=100, deadline=None)
+@given(report=reports(), comment=st.sampled_from([None, "config_hash=x seed=0"]))
+def test_pairs_and_ecdf_files_are_the_csv_writers_bytes(report, comment):
+    pairs, ecdf = io.StringIO(), io.StringIO()
+    write_pairs_csv(report, pairs, comment=comment)
+    write_ecdf_csv(report, ecdf, comment=comment)
+    pair_rows = zip(map(repr, report.delta_pos.tolist()), map(repr, report.delta_est.tolist()))
+    assert pairs.getvalue() == csv_text([["delta_pos", "delta_est"], *pair_rows], comment)
+    ordered = np.sort(report.signed_errors())
+    fractions = np.arange(1, len(ordered) + 1) / len(ordered)
+    ecdf_rows = zip(map(repr, ordered.tolist()), map(repr, fractions.tolist()))
+    assert ecdf.getvalue() == csv_text([["signed_error", "fraction"], *ecdf_rows], comment)

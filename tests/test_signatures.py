@@ -3,10 +3,11 @@ import io
 import itertools
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daepos import (
@@ -23,6 +24,7 @@ from daepos import (
     parse_signatures,
     write_signatures,
 )
+from csv_oracle import TEXT_CELLS, Trickle, csv_text, outcome, whole
 from daepos.errors import DaeposError
 from daepos.signatures import COORD_MAX, FILL_DBM, RSSI_MAX, RSSI_MIN
 
@@ -129,6 +131,38 @@ def test_roundtrip_property_write_then_parse(sigs, comment):
     buf = io.StringIO()
     write_signatures(sigs, buf, comment=comment)
     assert list(parse_signatures(io.StringIO(buf.getvalue()))) == sigs
+
+
+def _signature_rows(table):
+    """The rows the signature writer wrote through ``csv.writer`` before it wrote each row as one string."""
+    detected = (~np.isnan(table.rssi)).any(axis=0).tolist()
+    ap_order = sorted(ap for ap, seen in zip(table.ap_ids, detected) if seen)
+    columns = [table.column_of(ap) for ap in ap_order]
+    yield ["point_id", "x", "y", *ap_order]
+    for point_id, (x, y), row in zip(table.point_ids, table.references.tolist(), table.rssi):
+        yield [point_id, repr(x), repr(y), *("" if rssi != rssi else repr(rssi) for rssi in row[columns].tolist())]
+
+
+@st.composite
+def quoted_tables(draw):
+    """Tables whose ids and AP names need quoting, with signed zeros and subnormal coordinates and readings."""
+    aps = draw(st.lists(TEXT_CELLS.filter(bool), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 5))
+    coordinate = st.sampled_from([-0.0, 5e-324, -1e-310, COORD_MAX, 0.1]) | st.floats(-COORD_MAX, COORD_MAX)
+    reading = st.sampled_from([math.nan, -0.0, -5e-324, RSSI_MIN, -50.5]) | st.floats(RSSI_MIN, RSSI_MAX)
+    rssi = np.array([[draw(reading) for _ in aps] for _ in range(n)])
+    rssi[np.isnan(rssi).all(axis=1), 0] = -60.0  # every scan has a reading
+    references = np.array([[draw(coordinate), draw(coordinate)] for _ in range(n)])
+    point_ids = tuple(draw(st.lists(TEXT_CELLS, min_size=n, max_size=n)))
+    return SignatureTable(point_ids, references, tuple(aps), rssi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=quoted_tables(), comment=st.sampled_from([None, "config_hash=x seed=0"]))
+def test_signature_csv_is_the_csv_writers_bytes(table, comment):
+    buf = io.StringIO()
+    write_signatures(table, buf, comment=comment)
+    assert buf.getvalue() == csv_text(_signature_rows(table), comment)
 
 
 def test_zenodo_adapter_maps_loose_columns():
@@ -268,6 +302,37 @@ def test_coordinates_beyond_the_bound_are_rejected():
             parse_signatures(io.StringIO(text), fmt)
 
 
+def test_position_refuses_with_a_data_error():
+    with pytest.raises(DaeposError, match="within") as refused:
+        Position2D(0.0, float("inf"))
+    assert refused.value.exit_code == 2
+
+
+def test_signature_refuses_with_a_data_error():
+    for readings in ({}, {"": -50.0}, {"a": 5.0}):
+        with pytest.raises(DaeposError) as refused:
+            RadioSignature("p", Position2D(0, 0), readings)
+        assert refused.value.exit_code == 2
+
+
+def test_table_refuses_with_the_exit_code_of_each_check():
+    with pytest.raises(DaeposError, match="duplicate AP") as refused:
+        SignatureTable(("p",), np.zeros((1, 2)), ("a", "a"), np.array([[-50.0, -60.0]]))
+    assert refused.value.exit_code == 2
+    with pytest.raises(DaeposError, match="do not fit") as refused:  # a caller's mistake, not the data's
+        SignatureTable(("p", "q"), np.zeros((1, 2)), ("a",), np.array([[-50.0]]))
+    assert refused.value.exit_code == 3
+
+
+def test_registry_refuses_with_the_exit_code_of_each_check():
+    with pytest.raises(DaeposError, match="duplicate AP in registry") as refused:
+        ApRegistry(aps=("a", "a"), availability=(1, 1))
+    assert refused.value.exit_code == 2
+    with pytest.raises(DaeposError, match="lengths differ") as refused:
+        ApRegistry(aps=("a",), availability=(1, 1))
+    assert refused.value.exit_code == 3
+
+
 def test_signature_readings_are_frozen():
     sig = RadioSignature("p", Position2D(0, 0), {"a": -40.0})
     with pytest.raises(TypeError):
@@ -384,10 +449,19 @@ def _old_parse(text, fmt):
     return signatures
 
 
+def _parse_float(cell):
+    """The finite number in a coordinate cell, or None: the parser's coordinate reading before it used ``float``."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _row_loop_parse(source, fmt):
     """The parser before readings were checked over the whole table: every row checked as it is read."""
     from daepos.csvio import csv_rows
-    from daepos.signatures import _LAYOUTS, _coordinates_outside, _out_of_range, _parse_float, _reading
+    from daepos.signatures import _LAYOUTS, _coordinates_outside, _out_of_range, _reading
 
     locate, sentinels = _LAYOUTS[fmt]
     with csv_rows(source) as rows:
@@ -430,6 +504,68 @@ def _row_loop_parse(source, fmt):
                           np.reshape(readings, (-1, len(ap_ids))))
 
 
+def _table_checked_parse(source, fmt):
+    """The parser before it shared the dataset reader's row loop: readings checked over the table, in its own loop."""
+    from daepos.csvio import csv_rows
+    from daepos.signatures import _LAYOUTS, _coordinates_outside, _out_of_range, _reading
+
+    def checked_readings(readings):
+        rssi = np.frombuffer(readings).reshape(-1, len(ap_ids))
+        rssi[~np.isfinite(rssi)] = np.nan
+        outside = (rssi < RSSI_MIN) | (rssi > RSSI_MAX)
+        if sentinels:
+            rssi[outside | (rssi == 0.0)] = np.nan
+        empty = np.isnan(rssi).all(axis=1)
+        bad = empty if sentinels else empty | outside.any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            if empty[i]:
+                raise RowError(i + 1, "scan contains no readings") from None
+            j = int(outside[i].argmax())
+            raise RowError(i + 1, _out_of_range(float(rssi[i, j]), ap_ids[j])) from None
+        return rssi
+
+    locate, sentinels = _LAYOUTS[fmt]
+    with csv_rows(source) as rows:
+        header = next(rows, None)
+        if header is None:
+            raise DatasetError("empty signature file")
+        header = [h.strip() for h in header]
+        pi, xi, yi = locate(header)
+        id_columns = sorted({pi, xi, yi} - {None}, reverse=True)
+        ap_ids = [name for i, name in enumerate(header) if i not in id_columns]
+        if not ap_ids:
+            raise FormatError("no AP columns left after removing coordinate/id columns")
+        if len(set(ap_ids)) != len(ap_ids) or not all(ap_ids):
+            raise FormatError("AP columns must be non-empty and unique")
+        point_ids, coordinates, readings = [], array("d"), array("d")
+        try:
+            for num, row in enumerate(rows, start=1):
+                if len(row) != len(header):
+                    raise RowError(num, f"expected {len(header)} cells, got {len(row)}")
+                x = _parse_float(row[xi])
+                y = _parse_float(row[yi])
+                if x is None or y is None:
+                    raise RowError(num, f"non-numeric coordinate ({row[xi]!r}, {row[yi]!r})")
+                if not (abs(x) <= COORD_MAX and abs(y) <= COORD_MAX):
+                    raise RowError(num, _coordinates_outside(x, y))
+                point_ids.append(row[pi].strip() if pi is not None else f"row{num}")
+                coordinates.extend((x, y))
+                for i in id_columns:
+                    del row[i]
+                try:
+                    readings.fromlist([float(cell) if cell else math.nan for cell in row])
+                except ValueError:
+                    readings.fromlist([_reading(cell) for cell in row])
+        except (RowError, FormatError):
+            checked_readings(readings)
+            raise
+    if not point_ids:
+        raise DatasetError("signature file has a header but no data rows")
+    return SignatureTable(tuple(point_ids), np.frombuffer(coordinates).reshape(-1, 2), tuple(ap_ids),
+                          checked_readings(readings))
+
+
 def _old_build_registry(signatures, m):
     counts, rssi_sums = {}, {}
     for sig in signatures:
@@ -467,18 +603,6 @@ def _table_outcome(parse):
     except DaeposError as exc:
         return type(exc).__name__, str(exc)
     return "ok", (table.point_ids, table.ap_ids, table.references.tobytes(), table.rssi.tobytes())
-
-
-class _TrickleStream:
-    """A text stream that returns at most ``step`` characters per read."""
-
-    def __init__(self, text, step):
-        self.text, self.step, self.pos = text, step, 0
-
-    def read(self, size=-1):
-        chunk = self.text[self.pos : self.pos + self.step]
-        self.pos += len(chunk)
-        return chunk
 
 
 # cells that read as a missed detection in both layouts, and cells outside
@@ -541,15 +665,42 @@ def test_parse_matches_the_per_signature_oracle(case, step):
     assert _outcome(lambda: parse_signatures(io.StringIO(text), fmt)) == expected
     assert _table_outcome(lambda: parse_signatures(io.StringIO(text), fmt)) == bits
     # short reads split lines, and "\r\n" pairs, across reads
-    assert _outcome(lambda: parse_signatures(_TrickleStream(text, step), fmt)) == expected
-    assert _table_outcome(lambda: parse_signatures(_TrickleStream(text, step), fmt)) == bits
-    assert _table_outcome(lambda: _row_loop_parse(_TrickleStream(text, step), fmt)) == bits
+    assert _outcome(lambda: parse_signatures(Trickle(text.encode(), step), fmt)) == expected
+    assert _table_outcome(lambda: parse_signatures(Trickle(text.encode(), step), fmt)) == bits
+    assert _table_outcome(lambda: _row_loop_parse(Trickle(text.encode(), step), fmt)) == bits
     if expected[0] == "ok":
         table, sigs = parse_signatures(io.StringIO(text), fmt), expected[1]
         for m in range(1, len(table.ap_ids) + 2):
             registry = build_registry(table, m)
             assert registry == _old_build_registry(sigs, m)
             assert feature_matrix(table, registry).tobytes() == _old_feature_matrix(sigs, registry).tobytes()
+
+
+@st.composite
+def survey_files(draw):
+    """``survey_texts`` as UTF-8 bytes, some ending in bytes that are not UTF-8."""
+    fmt, text = draw(survey_texts())
+    return fmt, text.encode() + draw(st.sampled_from([b"", b"", b"\xff\xfe", b"p9,1,0,\xc3"]))
+
+
+def _parsed_bits(parse):
+    """A parse's table as bits, or its error's type, message and row."""
+    def bits():
+        table = parse()
+        return table.point_ids, table.ap_ids, table.references.tobytes(), table.rssi.tobytes()
+
+    return outcome(bits)
+
+
+@example(case=("canonical", b"point_id,x,y,a\np1,0,0,-50\np2,1,0,5\np3,2,0\n"), step=4)
+@example(case=("canonical", b"point_id,x,y,a\np1,0,0,-50\np2,1,0,5\np3,2,0,-50\n\xff\xfe"), step=4)
+@settings(max_examples=150, deadline=None)
+@given(case=survey_files(), step=st.integers(1, 9))
+def test_parse_matches_the_table_checked_oracle(case, step):
+    fmt, data = case
+    for stream in (whole, lambda data: Trickle(data, step)):
+        expected = _parsed_bits(lambda: _table_checked_parse(stream(data), fmt))
+        assert _parsed_bits(lambda: parse_signatures(stream(data), fmt)) == expected
 
 
 def test_parse_reports_the_first_out_of_range_reading_of_the_first_bad_row():

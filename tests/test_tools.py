@@ -5,15 +5,30 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import daepos
 
 CLI_DIGESTS = Path(__file__).parents[1] / "tools" / "cli_digests.py"
 
+# The listing of every output of the sequence, made with OpenBLAS's Prescott kernel.  Without
+# the pin the linear and network files, and the pairs, ECDF and metrics files made from them,
+# change bits with the kernel OpenBLAS picks for the CPU.  To remake it after a change that
+# alters an output on purpose: put the first line back, then append the output of
+# OPENBLAS_CORETYPE=Prescott PYTHONPATH=src python tools/cli_digests.py OUT_DIR
+LISTING = Path(__file__).with_name("cli_digests.txt")
+KERNEL = "Prescott"
+
+
+def _build() -> str:
+    """The first line of the listing on this numpy and OpenBLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"# OPENBLAS_CORETYPE={KERNEL}, numpy {np.__version__}, OpenBLAS {blas.get('version')}"
+
 
 def test_cli_digests_listing_is_the_same_on_a_rerun(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(daepos.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(daepos.__file__).parents[1]), "OPENBLAS_CORETYPE": KERNEL}
     listings = []
     for name in ("first", "second"):
         result = subprocess.run(
@@ -35,6 +50,10 @@ def test_cli_digests_listing_is_the_same_on_a_rerun(tmp_path):
     entries = ["feature", "left", "meta_json", "offsets", "right", "threshold", "value"]
     assert paths[archive + 1 : archive + 8] == [f"models/forest_xy.npz:{e}.npy" for e in entries]
     assert all(f"models/{family}_plain.npz:meta_json.npy" in paths for family in ("linear", "knn", "network"))
+    recorded, *expected = LISTING.read_text(encoding="utf-8").splitlines()
+    lines = listings[0].splitlines()
+    changed = sorted({line.split("  ", 1)[1] for line in set(lines) ^ set(expected)})
+    assert lines == expected, f"outputs differ from {LISTING.name} ({recorded[2:]}) on {_build()[2:]}: {changed}"
 
 
 def _load_tool(name: str):
