@@ -122,7 +122,6 @@ def _cmd_train(args) -> None:
     spec = ModelSpec(**{key: value for key, value in _fields_of(ModelSpec, args).items() if value is not None})
     dataset = read_dae_dataset(args.data)
     model = fit(spec, dataset)
-    model.metadata["context"] = {"ap_ids": list(dataset.registry.aps), "variant": dataset.variant}
     save_model(model, args.out)
     print(f"trained {spec.family} on {len(dataset)} records -> {args.out}")
 
@@ -152,9 +151,7 @@ def _blind(table, registry: ApRegistry) -> np.ndarray:
 
 
 def _cmd_predict(args) -> None:
-    model = load_model(args.model)  # checks the context, if the file has one
-    if "context" not in model.metadata:
-        raise ContractError("model file carries no AP column context; train it via the CLI to embed one")
+    model = load_model(args.model)  # checks the context
     ap_ids, variant = model.metadata["context"]["ap_ids"], model.metadata["context"]["variant"]
     registry = ApRegistry(aps=tuple(ap_ids), availability=(0,) * len(ap_ids))
 

@@ -148,8 +148,8 @@ def evaluate_model(
     ``cross_fit`` refits the spec once per fold of ``dataset`` so that no
     record is ever predicted by a model that saw it; every record yields
     exactly one pair.  ``holdout`` evaluates a model fitted on the full
-    dataset against external records (pass a fitted model to reuse it, or
-    a spec to fit here).  ``estimates``, the outputs of the
+    dataset against external records (pass a model from ``fit`` or
+    ``load_model`` to reuse it, or a spec to fit here).  ``estimates``, the outputs of the
     ``fit_tasks(spec, dataset, protocol, holdout)`` tasks in task order,
     stand in for the fits when they were run elsewhere.
     """
@@ -161,10 +161,10 @@ def evaluate_model(
     if isinstance(model, ErrorRegressor):
         if model.input_width != width:  # a refit would hide it
             raise ContractError(f"feature width mismatch: model expects {model.input_width}, dataset has {width}")
-        context = model.metadata.get("context")  # load_model checked it
-        names = feature_names(context["ap_ids"], context["variant"]) if context else None
+        context = model.metadata["context"]  # fit stamped it, load_model checked it
+        names = feature_names(context["ap_ids"], context["variant"])
         for role, data in (("dataset", dataset), ("holdout", holdout)):  # a holdout of another width fails in predict
-            if names is not None and data is not None and data.X.shape[1] == width and data.feature_names() != names:
+            if data is not None and data.X.shape[1] == width and data.feature_names() != names:
                 raise ContractError(f"feature columns differ: model has {names}, {role} has {data.feature_names()}")
 
     if estimates is None:

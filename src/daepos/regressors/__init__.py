@@ -49,5 +49,7 @@ def fit_arrays(spec: ModelSpec, X, y) -> ErrorRegressor:
 
 
 def fit(spec: ModelSpec, dataset: DaeDataset) -> ErrorRegressor:
-    """Fit on an error-regression dataset."""
-    return fit_arrays(spec, dataset.features(), dataset.labels())
+    """Fit on an error-regression dataset; the model's context names its AP columns and variant."""
+    model = fit_arrays(spec, dataset.features(), dataset.labels())
+    model.metadata["context"] = {"ap_ids": list(dataset.registry.aps), "variant": dataset.variant}
+    return model

@@ -1,8 +1,8 @@
 """Versioned model files.
 
 A model is stored as an npz archive: a JSON metadata entry (format version,
-spec, input width, and the model's ``metadata`` with its training context, if
-any) plus the fitted arrays in raw binary, so loading reproduces predictions
+spec, input width, and the model's ``metadata`` with its training context)
+plus the fitted arrays in raw binary, so loading reproduces predictions
 bit for bit.
 """
 
@@ -28,7 +28,8 @@ FORMAT_VERSION = 4
 
 
 def save_model(model: ErrorRegressor, dest) -> None:
-    """Write ``model`` to ``dest`` (path or binary stream)."""
+    """Write ``model`` to ``dest`` (path or binary stream); a model without a valid context is refused."""
+    _check_context(model.metadata.get("context"), model.input_width)
     meta = {
         "format_version": FORMAT_VERSION,
         "spec": dataclasses.asdict(model.spec),
@@ -153,7 +154,7 @@ _META_TYPES = {"spec": dict, "input_width": int, "metadata": dict}
 def load_model(source) -> ErrorRegressor:
     """Load a model written by :func:`save_model`.
 
-    The training context, if any, is ``model.metadata["context"]``.  Anything
+    The training context is ``model.metadata["context"]``.  Anything
     but a well-formed archive of a known family and context is a ``FormatError``.
     """
     try:  # not np.load, which also reads a lone .npy and advises unpickling any other file
@@ -182,8 +183,7 @@ def load_model(source) -> ErrorRegressor:
     except (TypeError, ConfigError) as exc:
         raise FormatError(f"model spec: {exc}") from None
     metadata, family, width = meta["metadata"], spec.family, meta["input_width"]
-    if "context" in metadata:
-        _check_context(metadata["context"], width)
+    _check_context(metadata.get("context"), width)
     _check_arrays(family, _array_shapes(spec, width), arrays)
 
     if family == "linear":

@@ -1019,6 +1019,7 @@ _CORRUPT_ARCHIVES = {
     "spec-batch_size": ("network", "error: model spec: ModelSpec.__init__() got an unexpected keyword argument"),
     "format-version-2": ("network", "error: unsupported model format version 2; this daepos reads version 4"),
     "format-version-3": ("forest", "error: unsupported model format version 3; this daepos reads version 4"),
+    "context-none": ("forest", "error: model context must hold exactly ap_ids and variant, got NoneType"),
     "context-ap_ids-duplicate": ("forest", "error: model context ap_ids"),
     "context-ap_ids-integer": ("forest", "error: model context ap_ids"),
     "context-ap_ids-string": ("forest", "error: model context ap_ids"),
@@ -1074,18 +1075,10 @@ def _corrupted(tmp_path, trained_models, family: str, edit: str) -> Path:
     return model
 
 
-@pytest.mark.parametrize("edit", ["context-none"])  # a malformed context is a data error, in _CORRUPT_ARCHIVES
-def test_predict_exit_code_contract_error_for_model_context(tmp_path, trained_models, capsys, edit):
-    model = _corrupted(tmp_path, trained_models, "forest", edit)
-    survey = str(trained_models / "survey.csv")
-    assert main(["predict", survey, "--model", str(model), "--map", survey]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == "error: model file carries no AP column context; train it via the CLI to embed one\n"
-    assert captured.out == ""
-
-
 @pytest.mark.parametrize("holdout", [False, True], ids=["cross_fit", "holdout"])
-@pytest.mark.parametrize("edit", ["context-width", "context-variant-xy", "context-extra-key", "format-version-3"])
+@pytest.mark.parametrize(
+    "edit", ["context-none", "context-width", "context-variant-xy", "context-extra-key", "format-version-3"]
+)
 def test_evaluate_exit_code_data_error_for_a_bad_model_context(tmp_path, trained_models, capsys, edit, holdout):
     # evaluate reads the same context as predict, so it refuses the same files with the same line
     family, prefix = _CORRUPT_ARCHIVES[edit]

@@ -130,3 +130,16 @@ def test_model_file_with_a_huge_tree_or_epoch_count_fails_in_one_line(trained, d
     name = data.draw(st.sampled_from(["trees", "epochs"]), label="count")
     meta["spec"][name] = data.draw(st.integers(min_value=10**6 + 1, max_value=10**400), label="value")
     assert _check_commands(root, variant, arrays, meta) == [2, 2, 2]
+
+
+@pytest.mark.parametrize("deleted", ["context", "ap_ids", "variant"])
+def test_model_file_without_a_whole_context_fails_in_one_line(trained, deleted):
+    # the leaf edits above never remove the whole context; every command needs it, so each refuses the file
+    root, archives = trained
+    for (family, variant), arrays in sorted(archives.items()):
+        meta = json.loads(str(arrays["meta_json"]))
+        if deleted == "context":
+            del meta["metadata"]["context"]
+        else:
+            del meta["metadata"]["context"][deleted]
+        assert _check_commands(root, variant, arrays, meta) == [2, 2, 2], (family, variant)

@@ -620,39 +620,64 @@ def test_cross_family_determinism_spec_equality():
     ],
     ids=["linear", "knn", "forest", "network"],
 )
-def test_model_file_roundtrip_reproduces_predictions_exactly(tmp_path, spec):
-    rng = np.random.default_rng(21)
-    X, y = regression_problem(rng, n=40)
-    probes = rng.uniform(-110, -30, size=(25, X.shape[1]))
-    model = fit_arrays(spec, X, y)
-    context = {"ap_ids": [f"ap{i}" for i in range(X.shape[1])], "variant": "plain"}
-    model.metadata["context"] = context
-    path = tmp_path / "model.bin"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert loaded.spec == spec
-    assert loaded.metadata["context"] == context
-    assert np.array_equal(loaded.predict_raw(probes), model.predict_raw(probes))
-    assert type(loaded) is type(model)
-    # the family is the spec's, and the context is stated once, inside the metadata
-    with np.load(path) as data:
-        meta = json.loads(str(data["meta_json"]))
-    assert sorted(meta) == ["format_version", "input_width", "metadata", "spec"]
-    # a loaded model saves to the same bytes
-    again = tmp_path / "again.bin"
-    save_model(loaded, again)
-    assert again.read_bytes() == path.read_bytes()
+def test_model_file_roundtrip_reproduces_predictions_exactly(tmp_path, spec, survey_dataset_plain, survey_dataset_xy):
+    for dataset in (survey_dataset_plain, survey_dataset_xy):
+        probes = np.random.default_rng(21).uniform(-110, -30, size=(25, dataset.X.shape[1]))
+        model = fit(spec, dataset)
+        # fit stamps the training context: the dataset's AP columns and variant
+        context = {"ap_ids": list(dataset.registry.aps), "variant": dataset.variant}
+        assert model.metadata["context"] == context
+        path = tmp_path / f"{dataset.variant}.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.spec == spec
+        assert loaded.metadata["context"] == context
+        assert np.array_equal(loaded.predict_raw(probes), model.predict_raw(probes))
+        assert type(loaded) is type(model)
+        # the family is the spec's, and the context is stated once, inside the metadata
+        with np.load(path) as data:
+            meta = json.loads(str(data["meta_json"]))
+        assert sorted(meta) == ["format_version", "input_width", "metadata", "spec"]
+        # a loaded model saves to the same bytes
+        again = tmp_path / f"{dataset.variant}-again.bin"
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_model_file_roundtrip_via_stream():
     rng = np.random.default_rng(22)
     X, y = regression_problem(rng, n=20)
     model = fit_arrays(ModelSpec(family="forest", trees=3, seed=1), X, y)
+    model.metadata["context"] = _context(X.shape[1])
     buf = io.BytesIO()
     save_model(model, buf)
     buf.seek(0)
     loaded = load_model(buf)
     assert np.array_equal(loaded.predict(X), model.predict(X))
+
+
+def _context(width: int) -> dict:
+    """A plain-variant training context for a ``fit_arrays`` model of ``width`` columns."""
+    return {"ap_ids": [f"ap{i}" for i in range(width)], "variant": "plain"}
+
+
+@pytest.mark.parametrize(
+    "context",
+    [None, {"ap_ids": ["ap0", "ap1"], "variant": "plain"}, {"ap_ids": ["ap0", "ap1", "ap2"], "variant": "xyz"}],
+    ids=["none", "width", "variant"],
+)
+def test_save_model_refuses_a_model_without_a_valid_context(tmp_path, context):
+    # save_model writes only what load_model accepts, so a refused model leaves no file and no bytes
+    X, y = regression_problem(np.random.default_rng(23), n=12, d=3)
+    model = fit_arrays(ModelSpec(family="linear"), X, y)
+    if context is not None:
+        model.metadata["context"] = context
+    path, buf = tmp_path / "model.bin", io.BytesIO()
+    for dest in (path, buf):
+        with pytest.raises(FormatError, match="model (context|width)"):
+            save_model(model, dest)
+    assert not path.exists()
+    assert buf.getvalue() == b""
 
 
 def test_model_file_rejects_garbage(tmp_path):
@@ -693,7 +718,9 @@ _TINY_SPECS = {
 @functools.lru_cache(maxsize=None)
 def _tiny_model(family: str):
     X, y = regression_problem(np.random.default_rng(5), n=12, d=3)
-    return fit_arrays(_TINY_SPECS[family], X, y)
+    model = fit_arrays(_TINY_SPECS[family], X, y)
+    model.metadata["context"] = _context(X.shape[1])
+    return model
 
 
 @functools.lru_cache(maxsize=None)
